@@ -16,9 +16,9 @@
  *
  * The smoke mode (CTest label `perf-smoke`) enforces machine-independent
  * invariants of the optimized kernel — zero heap allocations in the
- * steady-state extend loop and a sane cache hit rate — and runs one quick
- * throughput repetition so gross (>20%) kernel regressions surface in CI
- * timing logs.
+ * steady-state extend loop, and a per-read CachedGBWT that never decodes
+ * the same record twice within one read — and runs one quick throughput
+ * repetition so gross (>20%) kernel regressions surface in CI timing logs.
  *
  * The guard mode (also perf-smoke) protects the vectorized engine: the
  * committed BENCH record must show the >=1.15x extends/sec gain over the
@@ -43,6 +43,7 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common.h"
@@ -186,12 +187,10 @@ struct PassResult
 PassResult
 measureMapping(const Workload& wl, int reps,
                util::KernelVariant kernel = util::KernelVariant::Auto,
-               bool lockstep = true, obs::Hub* hub = nullptr,
-               int trace_every = 0)
+               obs::Hub* hub = nullptr, int trace_every = 0)
 {
     map::MapperParams params;
     params.extend.kernel = kernel;
-    params.extend.lockstep = lockstep;
     map::Mapper mapper(wl.world->graph(), wl.world->gbwt(),
                        wl.world->minimizers, wl.world->distance, params);
     auto state = mapper.makeState();
@@ -390,16 +389,87 @@ BM_ExtendSteady(benchmark::State& state, const char* input_set)
         static_cast<double>(state.iterations()));
 }
 
+/**
+ * Memory tracer that watches one GBWT's compressed record arena.  A record
+ * decode streams that record's bytes starting at its first byte, and
+ * nothing else in the mapping pipeline reads the arena through the tracer
+ * (prefetches are untraced hints), so the start addresses seen between two
+ * reset() calls are exactly the decodes of that interval — counted without
+ * trusting the cache's own bookkeeping.
+ */
+class DecodeWitness : public util::MemTracer
+{
+  public:
+    explicit DecodeWitness(const gbwt::Gbwt& gbwt)
+        : begin_(gbwt.arenaRefs().arena),
+          end_(begin_ + gbwt.arenaRefs().arenaSize)
+    {}
+
+    void
+    onAccess(const void* addr, uint32_t, bool) override
+    {
+        const auto* p = static_cast<const uint8_t*>(addr);
+        if (p >= begin_ && p < end_) {
+            ++decodes_;
+            records_.insert(p);
+        }
+    }
+
+    void onWork(uint64_t) override {}
+
+    /** Decodes of a record already decoded since the last reset(). */
+    uint64_t repeats() const { return decodes_ - records_.size(); }
+    uint64_t decodes() const { return decodes_; }
+
+    void
+    reset()
+    {
+        decodes_ = 0;
+        records_.clear();
+    }
+
+  private:
+    const uint8_t* begin_;
+    const uint8_t* end_;
+    uint64_t decodes_ = 0;
+    std::unordered_set<const uint8_t*> records_;
+};
+
+/** Repeated record decodes within single reads, summed over a capture. */
+struct DecodeCheck
+{
+    uint64_t decodes = 0;
+    uint64_t repeats = 0;
+};
+
+DecodeCheck
+checkDecodes(const Workload& wl, size_t cache_capacity)
+{
+    map::MapperParams params;
+    params.gbwtCacheCapacity = cache_capacity;
+    map::Mapper mapper(wl.world->graph(), wl.world->gbwt(),
+                       wl.world->minimizers, wl.world->distance, params);
+    DecodeWitness witness(wl.world->gbwt());
+    auto state = mapper.makeState(&witness);
+    DecodeCheck out;
+    for (const auto& entry : wl.capture.entries) {
+        witness.reset();
+        mapper.mapFromSeeds(entry.read, entry.seeds, *state);
+        out.decodes += witness.decodes();
+        out.repeats += witness.repeats();
+    }
+    return out;
+}
+
 // --------------------------------------------------------------- reporting
 
 /** Everything measured on one input set: the production configuration
- *  (Auto kernel, lockstep batching) plus the ladder of baselines the
- *  guard ratios are built from. */
+ *  (Auto kernel) plus the ladder of baselines the guard ratios are built
+ *  from. */
 struct InputRecord
 {
-    PassResult map;          // Auto kernel, lockstep batching
-    PassResult mapSeq;       // Auto kernel, sequential walks
-    PassResult mapScalar;    // Scalar kernel, lockstep
+    PassResult map;          // Auto kernel
+    PassResult mapScalar;    // Scalar kernel
     ExtendResult ext;        // Auto (the dispatched SIMD kernel)
     ExtendResult extSwar;    // forced SWAR
     ExtendResult extScalar;  // forced scalar oracle
@@ -409,13 +479,6 @@ struct InputRecord
     {
         return mapScalar.readsPerSec > 0.0
                    ? map.readsPerSec / mapScalar.readsPerSec
-                   : 0.0;
-    }
-    double
-    batchSpeedup() const
-    {
-        return mapSeq.readsPerSec > 0.0
-                   ? map.readsPerSec / mapSeq.readsPerSec
                    : 0.0;
     }
     double
@@ -502,7 +565,6 @@ writeJson(const std::string& path, const std::string& baseline_path,
         w.field("read_latency_p50_ns", r.map.p50Nanos);
         w.field("read_latency_p99_ns", r.map.p99Nanos);
         w.field("read_latency_p999_ns", r.map.p999Nanos);
-        w.field("sequential_reads_per_sec", r.mapSeq.readsPerSec);
         w.field("scalar_reads_per_sec", r.mapScalar.readsPerSec);
         w.field("swar_extends_per_sec", r.extSwar.extendsPerSec);
         w.field("scalar_extends_per_sec", r.extScalar.extendsPerSec);
@@ -538,8 +600,6 @@ writeJson(const std::string& path, const std::string& baseline_path,
     w.field("simd_extend_speedup_B", b.extendSpeedup());
     w.field("swar_extend_speedup_A", a.swarExtendSpeedup());
     w.field("swar_extend_speedup_B", b.swarExtendSpeedup());
-    w.field("batch_map_speedup_A", a.batchSpeedup());
-    w.field("batch_map_speedup_B", b.batchSpeedup());
     if (!baseline_path.empty()) {
         double base_a = baselineExtendsPerSec(baseline_path, "A-human");
         double base_b = baselineExtendsPerSec(baseline_path, "B-yeast");
@@ -686,8 +746,8 @@ guardObsRun(const std::string& committed_path)
         for (int attempt = 0; attempt < 5 && best < 0.98; ++attempt) {
             obs::Hub hub(1);
             PassResult off = measureMapping(wl, 2);
-            PassResult on = measureMapping(
-                wl, 2, util::KernelVariant::Auto, true, &hub);
+            PassResult on =
+                measureMapping(wl, 2, util::KernelVariant::Auto, &hub);
             if (off.readsPerSec > 0.0) {
                 best = std::max(best, on.readsPerSec / off.readsPerSec);
             }
@@ -739,9 +799,9 @@ guardTraceRun(const std::string& committed_path)
         for (int attempt = 0; attempt < 5 && best < 0.98; ++attempt) {
             PassResult off = measureMapping(wl, 2);
             PassResult sampled = measureMapping(
-                wl, 2, util::KernelVariant::Auto, true, nullptr, 100);
+                wl, 2, util::KernelVariant::Auto, nullptr, 100);
             PassResult full = measureMapping(
-                wl, 2, util::KernelVariant::Auto, true, nullptr, 1);
+                wl, 2, util::KernelVariant::Auto, nullptr, 1);
             if (off.readsPerSec > 0.0) {
                 best =
                     std::max(best, sampled.readsPerSec / off.readsPerSec);
@@ -790,11 +850,30 @@ smokeRun()
                      ext_a.bytesPerExtend, ext_a.allocsPerExtend);
         ++failures;
     }
-    if (map_a.hitRate < 0.5) {
+    // The per-read cache's contract: within one read, every record decodes
+    // at most once.  The uncached control must show repeats, or the
+    // witness is blind and the check proves nothing.
+    const DecodeCheck cached = checkDecodes(
+        wl, map::MapperParams().gbwtCacheCapacity);
+    const DecodeCheck uncached = checkDecodes(wl, 0);
+    std::printf("perf-smoke A-human decodes: %llu (%llu repeated within a "
+                "read); uncached control %llu (%llu repeated)\n",
+                static_cast<unsigned long long>(cached.decodes),
+                static_cast<unsigned long long>(cached.repeats),
+                static_cast<unsigned long long>(uncached.decodes),
+                static_cast<unsigned long long>(uncached.repeats));
+    if (cached.decodes == 0 || cached.repeats != 0) {
         std::fprintf(stderr,
-                     "FAIL: CachedGBWT hit rate %.3f < 0.5; the per-read "
-                     "cache reset is losing its entries\n",
-                     map_a.hitRate);
+                     "FAIL: CachedGBWT decoded %llu records more than once "
+                     "within a read; the per-read cache is losing its "
+                     "entries\n",
+                     static_cast<unsigned long long>(cached.repeats));
+        ++failures;
+    }
+    if (uncached.repeats == 0) {
+        std::fprintf(stderr,
+                     "FAIL: the decode witness saw no repeats with caching "
+                     "disabled; it cannot observe decodes\n");
         ++failures;
     }
     return failures == 0 ? 0 : 1;
@@ -866,9 +945,8 @@ main(int argc, char** argv)
     auto record = [](const Workload& wl) {
         using mg::util::KernelVariant;
         InputRecord r;
-        r.map = measureMapping(wl, 3, KernelVariant::Auto, true);
-        r.mapSeq = measureMapping(wl, 3, KernelVariant::Auto, false);
-        r.mapScalar = measureMapping(wl, 3, KernelVariant::Scalar, true);
+        r.map = measureMapping(wl, 3, KernelVariant::Auto);
+        r.mapScalar = measureMapping(wl, 3, KernelVariant::Scalar);
         r.ext = measureExtend(wl, 20, KernelVariant::Auto);
         r.extSwar = measureExtend(wl, 20, KernelVariant::Swar);
         r.extScalar = measureExtend(wl, 20, KernelVariant::Scalar);
@@ -880,15 +958,14 @@ main(int argc, char** argv)
             "  hit %.4f\n         %10.0f ext/s    %8.1f B/extend  "
             "%6.2f words/ext\n         read latency: p50 %s, p99 %s, "
             "p999 %s\n         vs scalar: map %.2fx, extend %.2fx  "
-            "(swar %.2fx)  batch: %.2fx\n",
+            "(swar %.2fx)\n",
             name, r.map.readsPerSec, r.map.bytesPerRead,
             r.map.allocsPerRead, r.map.hitRate, r.ext.extendsPerSec,
             r.ext.bytesPerExtend, r.ext.wordsPerExtend,
             mg::stats::formatNanos(r.map.p50Nanos).c_str(),
             mg::stats::formatNanos(r.map.p99Nanos).c_str(),
             mg::stats::formatNanos(r.map.p999Nanos).c_str(),
-            r.mapSpeedup(), r.extendSpeedup(), r.swarExtendSpeedup(),
-            r.batchSpeedup());
+            r.mapSpeedup(), r.extendSpeedup(), r.swarExtendSpeedup());
     };
     InputRecord rec_a = record(workload("A-human"));
     InputRecord rec_b = record(workload("B-yeast"));

@@ -192,6 +192,7 @@ ParentEmulator::run(const map::ReadSet& reads, perf::Profiler* profiler,
             continue;
         }
         outputs.cacheStats.accumulate(state->totalStats());
+        outputs.extensionTotals.accumulate(state->extensionTotals);
         outputs.resilience.accumulate(state->resilience);
         // The pairing/rescue stage works on thread_state(0) outside any
         // batch, so its funnel counts are still buffered here.

@@ -69,6 +69,8 @@ struct ParentOutputs
     std::vector<io::ReadExtensions> extensions;
     /** Aggregated CachedGBWT statistics over all worker threads. */
     gbwt::CacheStats cacheStats;
+    /** Seeds walked vs skipped as covered, over all worker threads. */
+    map::ExtensionTotals extensionTotals;
     /** Batch failures, recoveries, and quarantined reads of the run.
      *  Quarantined reads appear unmapped in `alignments` (and in any GAF
      *  rendered from them) instead of aborting the whole run. */

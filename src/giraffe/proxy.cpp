@@ -156,6 +156,7 @@ ProxyRunner::run(const io::SeedCapture& capture, perf::Profiler* profiler,
             continue;
         }
         outputs.cacheStats.accumulate(state->totalStats());
+        outputs.extensionTotals.accumulate(state->extensionTotals);
         outputs.resilience.accumulate(state->resilience);
         state->flushMetrics(); // leftovers (nothing in steady state)
     }

@@ -50,6 +50,8 @@ struct ProxyOutputs
     /** Raw mapping results: offsets and scores of each match. */
     std::vector<io::ReadExtensions> extensions;
     gbwt::CacheStats cacheStats;
+    /** Seeds walked vs skipped as covered, over all worker threads. */
+    map::ExtensionTotals extensionTotals;
     /** Batch failures, recoveries, and quarantined reads of the run.
      *  Quarantined reads keep their name but carry no extensions. */
     sched::FailureReport failures;

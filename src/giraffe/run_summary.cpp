@@ -65,6 +65,19 @@ writeResilience(obs::JsonWriter& w,
     w.endObject();
 }
 
+/**
+ * Extension funnel: seeds walked, and chosen seeds skipped because an
+ * earlier seed's extension already covered them.
+ */
+void
+writeExtensionTotals(obs::JsonWriter& w, const map::ExtensionTotals& totals)
+{
+    w.key("extension_seeds").beginObject();
+    w.field("attempted", totals.attempted);
+    w.field("covered", totals.covered);
+    w.endObject();
+}
+
 void
 writeCache(obs::JsonWriter& w, const gbwt::CacheStats& stats)
 {
@@ -129,6 +142,7 @@ summaryJson(const ProxyOutputs& outputs, const ProxyParams& params,
         writeIndexInfo(w, *index);
     }
     writeHostKernel(w, params.mapper.extend.kernel);
+    writeExtensionTotals(w, outputs.extensionTotals);
     writeCache(w, outputs.cacheStats);
     writeResilience(w, outputs.resilience);
     writeFailures(w, outputs.failures);
@@ -176,6 +190,7 @@ summaryJson(const ParentOutputs& outputs, const ParentParams& params,
         writeIndexInfo(w, *index);
     }
     writeHostKernel(w, params.mapper.extend.kernel);
+    writeExtensionTotals(w, outputs.extensionTotals);
     writeCache(w, outputs.cacheStats);
     writeResilience(w, outputs.resilience);
     writeFailures(w, outputs.failures);

@@ -3,8 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "fault/fault.h"
 #include "io/fd.h"
@@ -85,7 +87,12 @@ writeFileBytesDurable(const std::string& path,
         return;
     }
 
-    const std::string tmp = path + ".tmp";
+    // A temp name unique to this call: writers racing on one path (two
+    // processes publishing the same container) each rename their own
+    // complete file, and the last rename wins.
+    static std::atomic<uint64_t> sequence{0};
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(sequence.fetch_add(1));
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) {
         ioFail(tmp, "cannot open temp file for durable write");

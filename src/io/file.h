@@ -22,10 +22,12 @@ void writeFileBytes(const std::string& path,
 
 /**
  * Crash-consistent write: the bytes land at `path` atomically, or `path`
- * keeps its previous content (or stays absent).  Protocol: write to
- * `path + ".tmp"`, fsync the file, rename over `path`, fsync the
- * directory.  A reader therefore never observes a partial file at `path`
- * — assuming the platform's rename-after-fsync atomicity, which the
+ * keeps its previous content (or stays absent).  Protocol: write to a
+ * temp file beside `path` (`path.tmp.<pid>.<n>`, unique per call, so
+ * concurrent writers of one path never share it), fsync the file, rename
+ * over `path`, fsync the directory.  A reader therefore never observes a
+ * partial file at `path`, and a reader that mapped the old file keeps
+ * reading it — assuming the platform's rename-after-fsync atomicity, which the
  * checkpoint loader does NOT rely on alone: every consumer of durable
  * files also verifies a CRC, so even a torn write (fault-injectable via
  * the "io.file.durable" site with kind torn-write) is detected, not

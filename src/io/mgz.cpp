@@ -369,7 +369,7 @@ void
 saveMgz(const std::string& path, const graph::VariationGraph& graph,
         const gbwt::Gbwt& gbwt)
 {
-    writeFileBytes(path, encodeMgz(graph, gbwt));
+    writeFileBytesDurable(path, encodeMgz(graph, gbwt));
 }
 
 Pangenome

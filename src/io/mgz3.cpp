@@ -632,7 +632,7 @@ saveMgz3(const std::string& path, const graph::VariationGraph& graph,
          const gbwt::Gbwt& gbwt, const index::MinimizerIndex& minimizers,
          const index::DistanceIndex& distance)
 {
-    writeFileBytes(path, encodeMgz3(graph, gbwt, minimizers, distance));
+    writeFileBytesDurable(path, encodeMgz3(graph, gbwt, minimizers, distance));
 }
 
 MgzInfo

@@ -10,7 +10,6 @@ namespace mg::map {
 
 namespace {
 
-using detail::BatchLane;
 using detail::WalkState;
 
 /** Deterministic "is a better than b" for finished walk prefixes. */
@@ -114,11 +113,10 @@ threadScratch()
 }
 
 /**
- * Per-walk invariants of the node-step loop, hoisted once per walk (or
- * per batch) so the per-node code touches only registers.  Graph nodes
- * average a handful of bases, so the step loop runs every few
- * nanoseconds; re-deriving kernel selection, tracer, and budget per node
- * is measurable at that rate.
+ * Per-walk invariants of the node-step loop, hoisted once per walk so the
+ * per-node code touches only registers.  Graph nodes average a handful of
+ * bases, so the step loop runs every few nanoseconds; re-deriving kernel
+ * selection, tracer, and budget per node is measurable at that rate.
  */
 struct StepCtx
 {
@@ -134,7 +132,7 @@ struct StepCtx
     bool scalar;
 };
 
-/** Build the hoisted step context for one walk or batch. */
+/** Build the hoisted step context for one walk. */
 StepCtx
 makeStepCtx(const graph::VariationGraph& graph, const ExtendParams& params,
             const util::ResolvedKernel& kernel, gbwt::CachedGbwt& cache,
@@ -169,11 +167,9 @@ makeStepCtx(const graph::VariationGraph& graph, const ExtendParams& params,
  * either finish the walk state (dead end, query exhausted, or no
  * haplotype-supported successor — `best` updated; returns true) or
  * branch, pushing all but the smallest-handle successor onto `stack`
- * and continuing `s` in place (returns false).  Shared verbatim by the
- * sequential walk and every lockstep lane, which is what makes their
- * results identical by construction; always_inline clones the loop into
- * both callers so the SWAR kernel and the best-prefix updates fold into
- * each walk loop exactly as they would hand-written.
+ * and continuing `s` in place (returns false).  always_inline folds the
+ * SWAR kernel and the best-prefix updates into the walk loop exactly as
+ * they would be hand-written.
  */
 [[gnu::always_inline]] inline bool
 stepNode(const StepCtx& ctx, WalkState& s, const util::PackedSpan& query,
@@ -378,153 +374,10 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
             }
         }
     }
+    if (capped) {
+        scratch.walkCut = true;
+    }
     return best;
-}
-
-void
-Extender::extendSeedsBatch(const SeedVector& seeds, const uint32_t* chosen,
-                           size_t count, std::string_view sequence,
-                           gbwt::CachedGbwt& cache, ExtendScratch& scratch,
-                           std::vector<GaplessExtension>& out) const
-{
-    if (count == 0) {
-        return;
-    }
-    // Pack the oriented read once (both strands); consecutive batches of
-    // the same oriented read hit the (pointer, length) key.
-    scratch.query.ensure(sequence);
-
-    std::vector<BatchLane>& lanes = scratch.lanes;
-    std::vector<uint32_t>& order = scratch.laneOrder;
-    const size_t nlanes = 2 * count;
-    if (lanes.size() < nlanes) {
-        lanes.resize(nlanes);
-    }
-
-    // Lane setup: 2i = right walk, 2i+1 = left walk of chosen[i].  Reset
-    // reuses every buffer (clear keeps capacity), so warm batches allocate
-    // nothing.
-    for (size_t i = 0; i < count; ++i) {
-        const Seed& seed = seeds[chosen[i]];
-        const graph::Position& pos = seed.position;
-        const uint32_t read_offset = seed.readOffset;
-        MG_ASSERT(read_offset < sequence.size());
-        const uint32_t node_len =
-            static_cast<uint32_t>(graph_.length(pos.handle.id()));
-        MG_ASSERT(pos.offset < node_len);
-
-        BatchLane& right = lanes[2 * i];
-        right.query = scratch.query.suffix(read_offset);
-        right.cur.state = gbwt::SearchState(pos.handle, 0, 0);
-        right.cur.nodeOffset = pos.offset;
-
-        BatchLane& left = lanes[2 * i + 1];
-        left.query = scratch.query.rcPrefix(read_offset);
-        left.cur.state = gbwt::SearchState(pos.handle.flip(), 0, 0);
-        left.cur.nodeOffset = node_len - pos.offset;
-    }
-    for (size_t l = 0; l < nlanes; ++l) {
-        BatchLane& lane = lanes[l];
-        lane.stack.clear();
-        lane.explored = 0;
-        lane.done = false;
-        lane.best.consumed = 0;
-        lane.best.score = 0;
-        lane.best.endOffset = 0;
-        lane.best.mismatchOffsets.clear();
-        lane.best.path.clear();
-        WalkState& s = lane.cur;
-        s.queryPos = 0;
-        s.mismatches = 0;
-        s.score = 0;
-        s.path.clear();
-        s.mismatchOffsets.clear();
-        s.bestQueryPos = 0;
-        s.bestEndOffset = 0;
-        s.bestScore = 0;
-        s.bestMismatches = 0;
-        s.bestPathLen = 0;
-    }
-
-    // Root lookups in handle order: lanes rooted on the same or adjacent
-    // records (seeds of one cluster sit on the same bubble chain) share
-    // one decode instead of interleaving distant probes.
-    order.clear();
-    for (uint32_t l = 0; l < nlanes; ++l) {
-        order.push_back(l);
-    }
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        return lanes[a].cur.state.node.packed() <
-               lanes[b].cur.state.node.packed();
-    });
-    size_t live = 0;
-    for (size_t i = 0; i < order.size(); ++i) {
-        const uint32_t l = order[i];
-        BatchLane& lane = lanes[l];
-        if (lane.query.size == 0) {
-            lane.done = true;
-            continue;
-        }
-        gbwt::SearchState root = cache.find(lane.cur.state.node);
-        if (root.empty()) {
-            lane.done = true; // no haplotype visits this orientation
-            continue;
-        }
-        lane.cur.state = root;
-        order[live++] = l;
-    }
-    order.resize(live);
-
-    // Lockstep rounds: every live lane advances one node per round, with
-    // each frontier prefetched at the round boundary — by the time a
-    // lane steps, its record load is in flight or shared with an earlier
-    // lane this round.  Lanes keep their root order (seeds of one
-    // cluster sit on the same bubble chain, so frontiers stay adjacent
-    // as walks advance together); re-sorting every round costs more than
-    // the residual locality it buys.  The live list compacts in place —
-    // no per-round rebuild.  Walks are independent, so per-lane
-    // traversal (and therefore every result) is exactly the sequential
-    // walkPacked's.
-    const StepCtx ctx =
-        makeStepCtx(graph_, params_, kernel_, cache, scratch);
-    while (!order.empty()) {
-        for (uint32_t l : order) {
-            cache.prefetch(lanes[l].cur.state.node);
-        }
-        size_t write = 0;
-        for (uint32_t l : order) {
-            BatchLane& lane = lanes[l];
-            if (++lane.explored > params_.maxWalkStates) {
-                // Walk-state cap: the whole walk stops, exactly like the
-                // sequential path (remaining branches discarded).
-                finishWalk(lane.cur, lane.best);
-                lane.done = true;
-                continue;
-            }
-            if (stepNode(ctx, lane.cur, lane.query, lane.stack,
-                         lane.best)) {
-                if (lane.stack.empty()) {
-                    lane.done = true;
-                    continue;
-                }
-                lane.cur = std::move(lane.stack.back());
-                lane.stack.pop_back();
-            }
-            order[write++] = l;
-        }
-        order.resize(write);
-    }
-
-    // Merge each seed's two walks and emit non-empty extensions in seed
-    // order — the exact emission the sequential loop produces.
-    for (size_t i = 0; i < count; ++i) {
-        GaplessExtension ext =
-            mergeWalks(seeds[chosen[i]], sequence.size(),
-                       lanes[2 * i + 1].best, lanes[2 * i].best);
-        if (ext.readEnd > ext.readBegin) {
-            out.push_back(std::move(ext));
-        }
-    }
 }
 
 DirectionalWalk
@@ -615,6 +468,7 @@ Extender::extendSeed(const Seed& seed, std::string_view sequence,
     // Pack the oriented read once (both strands); consecutive seeds of the
     // same read hit the (pointer, length) key and repack nothing.
     scratch.query.ensure(sequence);
+    scratch.walkCut = false;
 
     // Rightward: match the read suffix starting at the seed base itself.
     DirectionalWalk right =

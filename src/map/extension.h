@@ -80,13 +80,17 @@ struct MapResult
     /** Number of clusters formed / processed (observability for tests). */
     uint32_t clustersFormed = 0;
     uint32_t clustersProcessed = 0;
-    /** Funnel telemetry: extendSeed calls made / cut short by the
-     *  budget before the seed loop finished. */
+    /** Funnel telemetry: seeds actually walked (extendSeed calls) / walks
+     *  cut short by the budget before the seed loop finished. */
     uint32_t extensionsAttempted = 0;
     uint32_t extensionsAborted = 0;
     /** Chosen seeds the score prefilter killed before extension started
      *  (counted instead of, not in addition to, attempted). */
     uint32_t extensionsPrefiltered = 0;
+    /** Chosen seeds skipped because an earlier seed's extension already
+     *  covers them — extendSeed would return exactly that extension
+     *  (counted instead of, not in addition to, attempted). */
+    uint32_t extensionsCovered = 0;
     /**
      * Why the read's mapping was cut short (None when it ran to
      * completion).  A degraded read still carries its best-so-far

@@ -9,6 +9,34 @@
 
 namespace mg::map {
 
+const ExtensionAnchor*
+coveringAnchor(const Seed& seed, const std::vector<ExtensionAnchor>& anchors,
+               const std::vector<GaplessExtension>& candidates)
+{
+    const int64_t diagonal = static_cast<int64_t>(seed.position.offset) -
+                             static_cast<int64_t>(seed.readOffset);
+    for (const ExtensionAnchor& anchor : anchors) {
+        if (anchor.handle != seed.position.handle ||
+            anchor.onReverseRead != seed.onReverseRead ||
+            anchor.diagonal != diagonal) {
+            continue;
+        }
+        const GaplessExtension& ext = candidates[anchor.candidate];
+        if (seed.readOffset < ext.readBegin ||
+            seed.readOffset >= ext.readEnd) {
+            continue;
+        }
+        const uint32_t lo = std::min(anchor.readOffset, seed.readOffset);
+        const uint32_t hi = std::max(anchor.readOffset, seed.readOffset);
+        if (std::none_of(ext.mismatchOffsets.begin(),
+                         ext.mismatchOffsets.end(),
+                         [&](uint32_t off) { return off >= lo && off < hi; })) {
+            return &anchor;
+        }
+    }
+    return nullptr;
+}
+
 Mapper::Mapper(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
                const index::MinimizerIndex& minimizers,
                const index::DistanceIndex& distance, MapperParams params)
@@ -94,6 +122,8 @@ Mapper::mapFromSeeds(const Read& read, const SeedVector& seeds,
     state.resilience.countDegraded(result.degraded);
     const uint64_t elapsed = util::nowNanos() - start_nanos;
     state.resilience.latency.record(elapsed);
+    state.extensionTotals.attempted += result.extensionsAttempted;
+    state.extensionTotals.covered += result.extensionsCovered;
     if (state.metrics != nullptr) {
         MapperState::PendingFunnel& p = state.pending;
         ++p.reads;
@@ -103,6 +133,7 @@ Mapper::mapFromSeeds(const Read& read, const SeedVector& seeds,
         p.extensionsAttempted += result.extensionsAttempted;
         p.extensionsAborted += result.extensionsAborted;
         p.extensionsPrefiltered += result.extensionsPrefiltered;
+        p.extensionsCovered += result.extensionsCovered;
         p.extensionsEmitted += result.extensions.size();
         switch (result.degraded) {
         case resilience::CancelReason::None: break;
@@ -132,6 +163,8 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
     const double cutoff = best_score * params_.clusterScoreFraction;
     std::vector<GaplessExtension>& candidates = state.extensionBuffer;
     candidates.clear();
+    std::vector<ExtensionAnchor>& anchors = state.anchors;
+    anchors.clear();
     // The reverse complement is computed once per read into the state's
     // reusable buffer; both orientations' extensions compare against their
     // own oriented sequence.
@@ -209,35 +242,33 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
             state.flight->stage(obs::ReadStage::Extend);
         }
         perf::ScopedRegion region(state.log, regionExtend_);
-        // Lockstep batch path: all of the cluster's walks advance together
-        // so their GBWT record accesses amortize.  Byte-identical to the
-        // sequential loop below, but the budget's charge order and the
-        // tracer's access order are defined by sequential walks — spill
-        // whenever either observer is attached.
-        if (extender_.params().lockstep && !state.budget.active() &&
-            state.cache().tracer() == nullptr) {
-            result.extensionsAttempted +=
-                static_cast<uint32_t>(chosen.size());
-            extender_.extendSeedsBatch(seeds, chosen.data(), chosen.size(),
-                                       oriented, state.cache(),
-                                       state.extendScratch, candidates);
-            continue;
-        }
+        // Seeds extend one after another, so every extension an earlier
+        // seed produced is known before the next seed is chosen to walk.
         for (uint32_t idx : chosen) {
             // Cancellation point between seeds of a cluster.
             if (state.budget.exhausted()) {
                 break;
             }
+            const Seed& seed = seeds[idx];
+            // A covered seed would reproduce an extension already in
+            // candidates, which the dedup below would drop anyway.
+            if (coveringAnchor(seed, anchors, candidates) != nullptr) {
+                ++result.extensionsCovered;
+                continue;
+            }
             ++result.extensionsAttempted;
-            GaplessExtension ext =
-                extender_.extendSeed(seeds[idx], oriented, state.cache(),
-                                     state.extendScratch);
+            GaplessExtension ext = extender_.extendSeed(
+                seed, oriented, state.cache(), state.extendScratch);
             // An extension that left the budget exhausted was (at least
             // potentially) trimmed at a cancellation point mid-walk.
             if (state.budget.exhausted()) {
                 ++result.extensionsAborted;
             }
             if (ext.readEnd > ext.readBegin) {
+                if (!state.extendScratch.walkCut) {
+                    anchors.push_back(ExtensionAnchor::at(
+                        seed, static_cast<uint32_t>(candidates.size())));
+                }
                 candidates.push_back(std::move(ext));
             }
         }

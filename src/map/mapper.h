@@ -64,6 +64,59 @@ struct MapperParams
 };
 
 /**
+ * A walked seed whose extension may stand in for a later seed of the same
+ * read (see coveringAnchor).  Only seeds whose two directional walks both
+ * ran to completion become anchors.
+ */
+struct ExtensionAnchor
+{
+    graph::Handle handle;    // the seed's oriented node
+    int64_t diagonal = 0;    // node offset minus read offset
+    uint32_t readOffset = 0;
+    bool onReverseRead = false;
+    uint32_t candidate = 0;  // index of its extension in the candidate list
+
+    /** The anchor for `seed`, whose extension is candidates[candidate]. */
+    static ExtensionAnchor
+    at(const Seed& seed, uint32_t candidate)
+    {
+        return ExtensionAnchor{seed.position.handle,
+                               static_cast<int64_t>(seed.position.offset) -
+                                   static_cast<int64_t>(seed.readOffset),
+                               seed.readOffset, seed.onReverseRead,
+                               candidate};
+    }
+};
+
+/**
+ * The anchor whose extension extendSeed(seed) would reproduce exactly, or
+ * null.  An anchor s1 with extension E covers a seed s2 when they share the
+ * read orientation and the oriented node, lie on one diagonal (equal node
+ * offset minus read offset), s2's read offset lies in [E.readBegin,
+ * E.readEnd), and E has no mismatch between the two read offsets.  Each of
+ * s2's walks then reaches a DFS state identical to one of s1's — same node,
+ * the node's full GBWT range, same mismatch budget left — with every score
+ * shifted by a constant, so it finds the same best prefix (DESIGN.md §3i).
+ */
+const ExtensionAnchor*
+coveringAnchor(const Seed& seed, const std::vector<ExtensionAnchor>& anchors,
+               const std::vector<GaplessExtension>& candidates);
+
+/** Seeds walked vs skipped as covered, summed over reads (run summaries). */
+struct ExtensionTotals
+{
+    uint64_t attempted = 0;
+    uint64_t covered = 0;
+
+    void
+    accumulate(const ExtensionTotals& other)
+    {
+        attempted += other.attempted;
+        covered += other.covered;
+    }
+};
+
+/**
  * Per-worker-thread mutable state plus optional instrumentation handles.
  *
  * The CachedGBWT starts fresh for every read (freshCache()), mirroring
@@ -118,12 +171,13 @@ class MapperState
     {
         gbwt::CacheStats cache;
         resilience::ResilienceStats resilience;
+        ExtensionTotals extensions;
     };
 
     StatsSnapshot
     statsSnapshot() const
     {
-        return StatsSnapshot{totalStats(), resilience};
+        return StatsSnapshot{totalStats(), resilience, extensionTotals};
     }
 
     void
@@ -132,6 +186,7 @@ class MapperState
         accumulated_ = snapshot.cache;
         cache_.clear();
         resilience = snapshot.resilience;
+        extensionTotals = snapshot.extensions;
         // The failed attempt's buffered funnel counts must vanish with it
         // (flushMetrics at the successful attempt's end is the only path
         // into the live metrics slab, so totals never double-count).
@@ -154,6 +209,7 @@ class MapperState
         uint64_t extensionsAttempted = 0;
         uint64_t extensionsAborted = 0;
         uint64_t extensionsPrefiltered = 0;
+        uint64_t extensionsCovered = 0;
         uint64_t extensionsEmitted = 0;
         uint64_t degradedDeadline = 0;
         uint64_t degradedStepCap = 0;
@@ -182,6 +238,7 @@ class MapperState
         metrics->add(ids.extensionsAborted, pending.extensionsAborted);
         metrics->add(ids.extensionsPrefiltered,
                      pending.extensionsPrefiltered);
+        metrics->add(ids.extensionsCovered, pending.extensionsCovered);
         metrics->add(ids.extensionsEmitted, pending.extensionsEmitted);
         metrics->add(ids.degradedDeadline, pending.degradedDeadline);
         metrics->add(ids.degradedStepCap, pending.degradedStepCap);
@@ -231,6 +288,8 @@ class MapperState
     resilience::ReadBudget budget;
     /** Degradation counters + per-read latency histogram for this worker. */
     resilience::ResilienceStats resilience;
+    /** Seeds walked vs covered across all reads (run summaries). */
+    ExtensionTotals extensionTotals;
 
     /** Extension-kernel buffers reused across seeds and reads. */
     ExtendScratch extendScratch;
@@ -238,6 +297,8 @@ class MapperState
     std::vector<Cluster> clusters;
     std::vector<uint32_t> sortedSeeds;
     std::vector<uint32_t> chosenSeeds;
+    /** This read's uncut extensions that may cover later seeds. */
+    std::vector<ExtensionAnchor> anchors;
     std::string reverseSeq;
     /**
      * Candidate extensions before dedup/trim.  A read can produce an order
@@ -292,7 +353,12 @@ class Mapper
     void bindProfiler(perf::Profiler& profiler);
 
   private:
-    /** The paper's process_until_threshold_c over scored clusters. */
+    /**
+     * The paper's process_until_threshold_c over scored clusters.  Chosen
+     * seeds extend one at a time; a seed that an earlier seed's uncut
+     * extension covers (coveringAnchor) is counted in extensionsCovered
+     * and not walked, because extending it would return that extension.
+     */
     void processUntilThresholdC(const Read& read, const SeedVector& seeds,
                                 const std::vector<Cluster>& clusters,
                                 MapperState& state, MapResult& result) const;

@@ -29,6 +29,9 @@ Hub::Hub(size_t workers, const std::vector<std::string>& serve_tenants,
     map_.extensionsPrefiltered = registry_.counter(
         "mg_map_extensions_aborted_total{reason=\"prefilter\"}",
         "Chosen seeds killed by the score prefilter before extension");
+    map_.extensionsCovered = registry_.counter(
+        "mg_map_extensions_aborted_total{reason=\"covered\"}",
+        "Chosen seeds skipped: an earlier seed's extension covers them");
     map_.extensionsEmitted =
         registry_.counter("mg_map_extensions_emitted_total",
                           "Extensions surviving to the result set");

@@ -38,6 +38,7 @@ struct MapMetricIds
     CounterId extensionsAttempted;
     CounterId extensionsAborted;
     CounterId extensionsPrefiltered;
+    CounterId extensionsCovered;
     CounterId extensionsEmitted;
     CounterId rescueAttempts;
     CounterId rescueHits;

@@ -1,13 +1,12 @@
 /**
- * Kernel-matrix suite: every KernelVariant × walk mode must be observably
- * identical.  The dispatch layer (util/simd) promises that Scalar, Swar,
- * Simd, and Auto produce the same match lengths, and the extension engine
- * promises that lockstep batching reorders only the schedule, never the
- * result — so the full pipeline must emit byte-identical GAF under every
- * combination.  The suite also pins the degrade path (a Simd request on a
- * CPU without wide units falls back to Swar and keeps working, never
- * crashes) and the one-pass successorStatesInto against the per-edge
- * extend() formulation it replaced.
+ * Kernel-matrix suite: every KernelVariant must be observably identical.
+ * The dispatch layer (util/simd) promises that Scalar, Swar, Simd, and
+ * Auto produce the same match lengths, so the full pipeline must emit
+ * byte-identical GAF under every variant.  The suite also pins the
+ * degrade path (a Simd request on a CPU without wide units falls back to
+ * Swar and keeps working, never crashes) and the one-pass
+ * successorStatesInto against the per-edge extend() formulation it
+ * replaced.
  *
  * Registered under the `kernel-matrix` ctest label; the asan/tsan presets
  * include it so the forced-variant walks also run sanitized.
@@ -59,7 +58,7 @@ buildWorld(const std::string& input_set, double scale)
     return world;
 }
 
-/** Map every captured read under one kernel/mode combination. */
+/** Map every captured read under one kernel variant. */
 struct PipelineRun
 {
     std::vector<MapResult> results;
@@ -67,12 +66,10 @@ struct PipelineRun
 };
 
 PipelineRun
-runPipeline(const MatrixWorld& world, util::KernelVariant kernel,
-            bool lockstep)
+runPipeline(const MatrixWorld& world, util::KernelVariant kernel)
 {
     MapperParams params;
     params.extend.kernel = kernel;
-    params.extend.lockstep = lockstep;
     Mapper mapper(world.set.pangenome.graph, world.set.pangenome.gbwt,
                   world.minimizers, world.distance, params);
     auto state = mapper.makeState();
@@ -117,14 +114,13 @@ expectIdenticalResults(const PipelineRun& got, const PipelineRun& ref,
 class KernelMatrix : public ::testing::TestWithParam<const char*>
 {};
 
-TEST_P(KernelMatrix, GafByteIdenticalAcrossVariantsAndWalkModes)
+TEST_P(KernelMatrix, GafByteIdenticalAcrossVariants)
 {
     MatrixWorld world = buildWorld(GetParam(), 0.04);
     ASSERT_FALSE(world.capture.entries.empty());
 
-    // Reference: the scalar oracle on the sequential walk.
-    PipelineRun ref =
-        runPipeline(world, util::KernelVariant::Scalar, false);
+    // Reference: the scalar oracle.
+    PipelineRun ref = runPipeline(world, util::KernelVariant::Scalar);
     EXPECT_FALSE(ref.gaf.empty());
 
     const util::KernelVariant variants[] = {
@@ -134,13 +130,9 @@ TEST_P(KernelMatrix, GafByteIdenticalAcrossVariantsAndWalkModes)
         util::KernelVariant::Auto,
     };
     for (util::KernelVariant variant : variants) {
-        for (bool lockstep : {false, true}) {
-            PipelineRun got = runPipeline(world, variant, lockstep);
-            expectIdenticalResults(
-                got, ref,
-                std::string(util::kernelVariantName(variant)) +
-                    (lockstep ? "/lockstep" : "/sequential"));
-        }
+        PipelineRun got = runPipeline(world, variant);
+        expectIdenticalResults(got, ref,
+                               util::kernelVariantName(variant));
     }
 }
 
@@ -166,9 +158,8 @@ TEST(KernelMatrixDispatch, SimdRequestAlwaysResolvesRunnable)
     }
 
     MatrixWorld world = buildWorld("B-yeast", 0.02);
-    PipelineRun got = runPipeline(world, util::KernelVariant::Simd, true);
-    PipelineRun ref =
-        runPipeline(world, util::KernelVariant::Swar, false);
+    PipelineRun got = runPipeline(world, util::KernelVariant::Simd);
+    PipelineRun ref = runPipeline(world, util::KernelVariant::Swar);
     expectIdenticalResults(got, ref, "simd-degrade");
 }
 

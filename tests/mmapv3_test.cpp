@@ -52,8 +52,9 @@ struct V3World
     std::string v3Path;
 };
 
+/** The analog and its indexes, with no container written. */
 V3World
-buildV3World(const std::string& input_set, double scale)
+indexV3World(const std::string& input_set, double scale)
 {
     V3World world;
     world.set = sim::buildInputSet(sim::inputSetSpec(input_set), scale);
@@ -63,6 +64,13 @@ buildV3World(const std::string& input_set, double scale)
     world.minimizers =
         index::MinimizerIndex(world.set.pangenome.graph, mparams);
     world.distance = index::DistanceIndex(world.set.pangenome.graph);
+    return world;
+}
+
+V3World
+buildV3World(const std::string& input_set, double scale)
+{
+    V3World world = indexV3World(input_set, scale);
     world.v2Path = tempPath("mmapv3_" + input_set + ".mgz");
     world.v3Path = tempPath("mmapv3_" + input_set + ".mgz3");
     saveMgz(world.v2Path, world.set.pangenome.graph,
@@ -242,6 +250,54 @@ TEST(V3Determinism, EncodeIsIdempotent)
                    world.minimizers, world.distance);
     EXPECT_EQ(a, b);
     EXPECT_EQ(a, readFileBytes(world.v3Path));
+}
+
+/**
+ * Saving over a served container publishes a new file instead of
+ * rewriting the old one: a MAP_SHARED mapping taken before the save keeps
+ * reading the old bytes (a truncate-in-place writer would zero or unmap
+ * them under the reader), while a fresh open sees the new container.
+ */
+TEST(V3Publish, SaveOverMappedContainerLeavesOldMappingIntact)
+{
+    V3World small = indexV3World("B-yeast", 0.02);
+    V3World large = indexV3World("A-human", 0.02);
+    for (const bool v3 : {true, false}) {
+        const std::string path =
+            tempPath(std::string("mmapv3_publish_") +
+                     std::to_string(::getpid()) + (v3 ? ".mgz3" : ".mgz"));
+        auto save = [&](const V3World& world) {
+            if (v3) {
+                saveMgz3(path, world.set.pangenome.graph,
+                         world.set.pangenome.gbwt, world.minimizers,
+                         world.distance);
+            } else {
+                saveMgz(path, world.set.pangenome.graph,
+                        world.set.pangenome.gbwt);
+            }
+        };
+        save(large);
+        const std::vector<uint8_t> old_bytes = readFileBytes(path);
+        auto old_mapping = mem::MappedFile::open(path);
+        ASSERT_EQ(old_mapping->size(), old_bytes.size());
+
+        save(small);
+        const std::vector<uint8_t> new_bytes = readFileBytes(path);
+        ASSERT_NE(new_bytes, old_bytes);
+        ASSERT_LT(new_bytes.size(), old_bytes.size());
+        // Every page of the old mapping, including those past the new
+        // file's end, still reads the old container.
+        EXPECT_EQ(std::memcmp(old_mapping->data(), old_bytes.data(),
+                              old_bytes.size()),
+                  0)
+            << (v3 ? "v3" : "v2") << " save rewrote a mapped file";
+        auto new_mapping = mem::MappedFile::open(path);
+        ASSERT_EQ(new_mapping->size(), new_bytes.size());
+        EXPECT_EQ(std::memcmp(new_mapping->data(), new_bytes.data(),
+                              new_bytes.size()),
+                  0);
+        ::unlink(path.c_str());
+    }
 }
 
 // --------------------------------------------------------------------

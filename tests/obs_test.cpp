@@ -455,6 +455,16 @@ TEST_F(ObsPipelineFixture, ProxyFunnelMetricsAreSelfConsistent)
     EXPECT_LE(snap.valueOf("mg_map_extensions_emitted_total"),
               snap.valueOf("mg_map_extensions_attempted_total"));
     EXPECT_GT(snap.valueOf("mg_map_extensions_emitted_total"), 0u);
+    // Covered seeds are counted apart from walked ones, and the run's own
+    // totals (the summary JSON's source) agree with the live series.
+    EXPECT_GT(snap.valueOf(
+                  "mg_map_extensions_aborted_total{reason=\"covered\"}"),
+              0u);
+    EXPECT_EQ(snap.valueOf(
+                  "mg_map_extensions_aborted_total{reason=\"covered\"}"),
+              outputs.extensionTotals.covered);
+    EXPECT_EQ(snap.valueOf("mg_map_extensions_attempted_total"),
+              outputs.extensionTotals.attempted);
     // Per-read latency histogram saw every read exactly once.
     EXPECT_EQ(snap.find("mg_map_read_latency_ns")->hist.count(), mapped);
     // Cache metrics agree with the run's own aggregated stats.
@@ -497,6 +507,14 @@ TEST_F(ObsPipelineFixture, ParentRunPopulatesHubAndSummary)
     EXPECT_NE(failures->find("quarantined"), nullptr);
     EXPECT_NE(failures->find("watchdog_cancels"), nullptr);
     EXPECT_EQ(doc.find("reads")->asUint(), reads_.size());
+    // Covered seeds appear in the summary as they do in the live series.
+    const obs::json::Value* seeds = doc.find("extension_seeds");
+    ASSERT_NE(seeds, nullptr);
+    EXPECT_EQ(seeds->find("covered")->asUint(),
+              snap.valueOf(
+                  "mg_map_extensions_aborted_total{reason=\"covered\"}"));
+    EXPECT_EQ(seeds->find("attempted")->asUint(),
+              snap.valueOf("mg_map_extensions_attempted_total"));
 }
 
 TEST_F(ObsPipelineFixture, UndersizedHubIsRejected)

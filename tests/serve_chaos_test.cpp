@@ -95,6 +95,32 @@ class ServeChaosFixture : public ::testing::Test
                                       reads_.begin() + begin + count);
     }
 
+    /**
+     * Wait (up to 5 s) until the live counters whose names start with
+     * `stem` sum to at least `target`.  A vanished peer's bytes are read
+     * by its connection's reader thread, which nothing else orders before
+     * a later stop(); without the wait, stop() can close that reader
+     * before it has read them.
+     */
+    static bool
+    awaitCounter(Daemon& daemon, const std::string& stem, uint64_t target)
+    {
+        for (int i = 0; i < 500; ++i) {
+            uint64_t total = 0;
+            for (const obs::MetricValue& metric :
+                 daemon.hub().registry().snapshot().metrics) {
+                if (metric.name.compare(0, stem.size(), stem) == 0) {
+                    total += metric.value;
+                }
+            }
+            if (total >= target) {
+                return true;
+            }
+            ::usleep(10 * 1000);
+        }
+        return false;
+    }
+
     Request
     sampleRequest(uint64_t id, size_t read_count) const
     {
@@ -178,6 +204,7 @@ TEST_F(ServeChaosFixture, TruncatedFrameThenDisconnectIsCountedNotLeaked)
                     .ok());
     EXPECT_EQ(ok.status, ResponseStatus::Ok);
 
+    EXPECT_TRUE(awaitCounter(*daemon, "mg_serve_bad_frames_total", 1));
     daemon->stop();
     EXPECT_GE(daemon->report().badFrames, 1u);
     EXPECT_EQ(daemon->report().accepted, 1u);
@@ -208,8 +235,10 @@ TEST_F(ServeChaosFixture, DisconnectMidRequestCountsTheLostResponse)
                     .ok());
     EXPECT_EQ(ok.status, ResponseStatus::Ok);
 
-    // stop() drains the queue, so the vanished peer's job has been
-    // processed (and its lost response counted) by the time we look.
+    // Once both requests are admitted, stop() drains the queue, so the
+    // vanished peer's job has been processed (and its lost response
+    // counted) by the time we look.
+    EXPECT_TRUE(awaitCounter(*daemon, "mg_serve_accepted_total", 2));
     daemon->stop();
     DaemonReport report = daemon->report();
     EXPECT_EQ(report.accepted, 2u);
