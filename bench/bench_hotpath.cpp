@@ -4,13 +4,16 @@
  * seed-and-extend kernel the paper identifies as memory-bound: single-thread
  * mapping throughput (reads/sec), heap bytes allocated per read and per
  * steady-state extension (via a global operator-new counter), and the
- * CachedGBWT hit rate, on input-set analogs A and B.  Emits
- * `BENCH_hotpath.json` so every future PR can compare against a recorded
+ * CachedGBWT hit rate, on input-set analogs A and B, plus the SWAR match
+ * kernel's speedup over its scalar oracle.  Emits `BENCH_hotpath.json`,
+ * the repo's one hot-path record: this run's numbers and a `trajectory`
+ * array of extends/sec rows, carried over from the previous record with
+ * this run appended, so every later change can compare against a recorded
  * baseline.
  *
  * Modes:
- *   bench_hotpath [--scale=S] [--out=PATH] [--baseline=PATH] [gbench
- *       flags]                                              full run + JSON
+ *   bench_hotpath [--scale=S] [--out=PATH] [--baseline=PATH]
+ *       [--label=TEXT] [gbench flags]                       full run + JSON
  *   bench_hotpath --smoke [--scale=S]                       quick CTest run
  *   bench_hotpath --guard=PATH                              perf-guard run
  *
@@ -20,12 +23,11 @@
  * the same record twice within one read — and runs one quick throughput
  * repetition so gross (>20%) kernel regressions surface in CI timing logs.
  *
- * The guard mode (also perf-smoke) protects the vectorized engine: the
- * committed BENCH record must show the >=1.15x extends/sec gain over the
- * BENCH_packed.json baseline on both input-set analogs (checked as
- * committed numbers, the acceptance criterion of the SIMD PR), and the
- * SIMD-vs-scalar throughput ratio is re-measured in-process (machine
- * speed cancels) and must stay within 15% of the committed ratio.
+ * The guard mode (also perf-smoke) protects the match kernel: the SWAR
+ * loop's speedup over the scalar oracle at 32- and 64-base spans (the
+ * span regime of 150-bp reads over short bubble-chain nodes) is
+ * re-measured in-process (machine speed cancels) and must stay within
+ * 15% of the ratio committed in the record.
  *
  * The obs-guard mode (bench_hotpath --guard-obs=PATH, ctest
  * perf_guard_obs) protects the telemetry layer's "pay only a pointer
@@ -37,12 +39,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <new>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -52,7 +56,6 @@
 #include "obs/hub.h"
 #include "obs/json.h"
 #include "stats/latency.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 // ------------------------------------------------------------------------
@@ -135,6 +138,12 @@ namespace {
 
 double g_scale = 0.1;
 
+/** Timed passes behind the committed record's numbers; the extend rate
+ *  and the match-run speedups are medians over kRecordSamples runs. */
+constexpr int kRecordMapPasses = 3;
+constexpr int kRecordExtendPasses = 200;
+constexpr int kRecordSamples = 5;
+
 /** One prepared workload: world + seed capture, built once per input set. */
 struct Workload
 {
@@ -185,14 +194,12 @@ struct PassResult
  * trace guard can price request tracing at a head-sampling rate.
  */
 PassResult
-measureMapping(const Workload& wl, int reps,
-               util::KernelVariant kernel = util::KernelVariant::Auto,
-               obs::Hub* hub = nullptr, int trace_every = 0)
+measureMapping(const Workload& wl, int reps, obs::Hub* hub = nullptr,
+               int trace_every = 0)
 {
-    map::MapperParams params;
-    params.extend.kernel = kernel;
     map::Mapper mapper(wl.world->graph(), wl.world->gbwt(),
-                       wl.world->minimizers, wl.world->distance, params);
+                       wl.world->minimizers, wl.world->distance,
+                       map::MapperParams());
     auto state = mapper.makeState();
     const auto& entries = wl.capture.entries;
     // Warm-up: touches every read once so caches/scratch reach capacity.
@@ -289,17 +296,14 @@ struct ExtendResult
     double extendsPerSec = 0.0;
     double bytesPerExtend = 0.0;
     double allocsPerExtend = 0.0;
-    /** 32-base chunks examined per extension (0 in scalar mode). */
+    /** 32-base chunks examined per extension. */
     double wordsPerExtend = 0.0;
 };
 
 ExtendResult
-measureExtend(const Workload& wl, int reps,
-              util::KernelVariant kernel = util::KernelVariant::Auto)
+measureExtend(const Workload& wl, int reps)
 {
-    map::ExtendParams params = map::MapperParams().extend;
-    params.kernel = kernel;
-    map::Extender extender(wl.world->graph(), params);
+    map::Extender extender(wl.world->graph(), map::MapperParams().extend);
     gbwt::CachedGbwt cache(wl.world->gbwt());
     map::ExtendScratch scratch;
     std::vector<ExtendSample> samples = pickExtendSamples(wl, 256);
@@ -463,39 +467,45 @@ checkDecodes(const Workload& wl, size_t cache_capacity)
 
 // --------------------------------------------------------------- reporting
 
-/** Everything measured on one input set: the production configuration
- *  (Auto kernel) plus the ladder of baselines the guard ratios are built
- *  from. */
+/** Everything measured on one input set. */
 struct InputRecord
 {
-    PassResult map;          // Auto kernel
-    PassResult mapScalar;    // Scalar kernel
-    ExtendResult ext;        // Auto (the dispatched SIMD kernel)
-    ExtendResult extSwar;    // forced SWAR
-    ExtendResult extScalar;  // forced scalar oracle
-
-    double
-    mapSpeedup() const
-    {
-        return mapScalar.readsPerSec > 0.0
-                   ? map.readsPerSec / mapScalar.readsPerSec
-                   : 0.0;
-    }
-    double
-    extendSpeedup() const
-    {
-        return extScalar.extendsPerSec > 0.0
-                   ? ext.extendsPerSec / extScalar.extendsPerSec
-                   : 0.0;
-    }
-    double
-    swarExtendSpeedup() const
-    {
-        return extScalar.extendsPerSec > 0.0
-                   ? extSwar.extendsPerSec / extScalar.extendsPerSec
-                   : 0.0;
-    }
+    PassResult map;
+    ExtendResult ext; // the median-rate sample
+    double extMin = 0.0;
+    double extMax = 0.0;
 };
+
+/** Match-run spans the kernel guard re-measures: a 150-bp read walking
+ *  short bubble-chain nodes produces runs of at most a few dozen bases. */
+constexpr uint32_t kGuardSpans[] = {32, 64};
+
+/** Interleaved scalar/SWAR timing rounds behind one speedup figure. */
+constexpr int kMatchRounds = 40;
+
+/**
+ * In-process SWAR-over-scalar match-run speedup at one span: the best
+ * rate of each kernel over interleaved single-pass rounds, so a burst of
+ * load or a clock change lands on both kernels alike.
+ */
+double
+swarMatchSpeedup(uint32_t span)
+{
+    double scalar = 0.0;
+    double swar = 0.0;
+    for (int round = 0; round < kMatchRounds; ++round) {
+        scalar = std::max(scalar, matchRunRate(MatchKernel::Scalar, span, 1));
+        swar = std::max(swar, matchRunRate(MatchKernel::Swar, span, 1));
+    }
+    return scalar > 0.0 ? swar / scalar : 0.0;
+}
+
+/** JSON key of the committed SWAR speedup at one span. */
+std::string
+guardKey(uint32_t span)
+{
+    return "swar_match_speedup_" + std::to_string(span);
+}
 
 /** Packed-arena footprint of one world's graph. */
 void
@@ -526,31 +536,60 @@ emitArenaJson(obs::JsonWriter& w, const graph::VariationGraph& g,
     w.endObject();
 }
 
-/**
- * extends_per_sec for one analog from a committed BENCH JSON, or < 0
- * when the file or field is missing.
- */
-double
-baselineExtendsPerSec(const std::string& path, const char* analog)
+/** Re-emit one parsed JSON value (carries trajectory rows forward). */
+void
+emitValue(obs::JsonWriter& w, const obs::json::Value& v)
 {
-    try {
-        std::string text = io::readFileText(path);
-        obs::json::Value doc = obs::json::parse(text, path);
-        const obs::json::Value* results = doc.find("results");
-        const obs::json::Value* entry =
-            results != nullptr ? results->find(analog) : nullptr;
-        const obs::json::Value* value =
-            entry != nullptr ? entry->find("extends_per_sec") : nullptr;
-        return value != nullptr && value->isNumber() ? value->number : -1.0;
-    } catch (const util::Error&) {
-        return -1.0;
+    using Kind = obs::json::Value::Kind;
+    switch (v.kind) {
+      case Kind::Null: w.null(); break;
+      case Kind::Bool: w.value(v.boolean); break;
+      case Kind::Number: w.value(v.number); break;
+      case Kind::String: w.value(v.text); break;
+      case Kind::Array:
+        w.beginArray();
+        for (const obs::json::Value& item : v.items) {
+            emitValue(w, item);
+        }
+        w.endArray();
+        break;
+      case Kind::Object:
+        w.beginObject();
+        for (const auto& [name, member] : v.members) {
+            w.key(name);
+            emitValue(w, member);
+        }
+        w.endObject();
+        break;
     }
 }
 
-void
-writeJson(const std::string& path, const std::string& baseline_path,
-          const InputRecord& a, const InputRecord& b)
+/** The `trajectory` rows of a committed record; empty when the file or
+ *  the array is missing. */
+std::vector<obs::json::Value>
+trajectoryRows(const std::string& path)
 {
+    try {
+        obs::json::Value doc =
+            obs::json::parse(io::readFileText(path), path);
+        const obs::json::Value* rows = doc.find("trajectory");
+        if (rows != nullptr && rows->isArray()) {
+            return rows->items;
+        }
+    } catch (const util::Error&) {
+    }
+    return {};
+}
+
+void
+writeJson(const std::string& path, const std::string& trajectory_path,
+          const std::string& label, const InputRecord& a,
+          const InputRecord& b, const std::vector<double>& match_speedups)
+{
+    // Read the previous rows before the write: trajectory_path may be
+    // `path` itself.
+    const std::vector<obs::json::Value> rows =
+        trajectoryRows(trajectory_path);
     obs::JsonWriter w;
     auto emit = [&](const char* name, const InputRecord& r) {
         w.key(name).beginObject();
@@ -559,15 +598,14 @@ writeJson(const std::string& path, const std::string& baseline_path,
         w.field("allocs_per_read", r.map.allocsPerRead);
         w.field("cache_hit_rate", r.map.hitRate);
         w.field("extends_per_sec", r.ext.extendsPerSec);
+        w.key("extends_per_sec_range").beginArray();
+        w.value(r.extMin).value(r.extMax).endArray();
         w.field("bytes_per_extend", r.ext.bytesPerExtend);
         w.field("allocs_per_extend", r.ext.allocsPerExtend);
         w.field("words_per_extend", r.ext.wordsPerExtend);
         w.field("read_latency_p50_ns", r.map.p50Nanos);
         w.field("read_latency_p99_ns", r.map.p99Nanos);
         w.field("read_latency_p999_ns", r.map.p999Nanos);
-        w.field("scalar_reads_per_sec", r.mapScalar.readsPerSec);
-        w.field("swar_extends_per_sec", r.extSwar.extendsPerSec);
-        w.field("scalar_extends_per_sec", r.extScalar.extendsPerSec);
         w.endObject();
     };
     w.beginObject();
@@ -577,11 +615,14 @@ writeJson(const std::string& path, const std::string& baseline_path,
     w.key("cpu").beginObject();
     w.field("arch", host.arch);
     w.field("features", host.features);
-    w.field("simd", util::simdLevelName(host.bestLevel));
     w.endObject();
-    const util::ResolvedKernel kernel =
-        util::resolveKernel(util::KernelVariant::Auto);
-    w.field("kernel", util::kernelVariantName(kernel.effective));
+    w.key("method").beginObject();
+    w.field("threads", 1);
+    w.field("map_passes", kRecordMapPasses);
+    w.field("extend_passes", kRecordExtendPasses);
+    w.field("match_run_rounds", kMatchRounds);
+    w.field("samples", kRecordSamples);
+    w.endObject();
     w.key("results").beginObject();
     emit("A-human", a);
     emit("B-yeast", b);
@@ -590,30 +631,25 @@ writeJson(const std::string& path, const std::string& baseline_path,
     emitArenaJson(w, workload("A-human").world->graph(), "A-human");
     emitArenaJson(w, workload("B-yeast").world->graph(), "B-yeast");
     w.endObject();
-    // The guard section: in-process kernel ratios (machine speed cancels),
-    // the quantities the perf_guard ctest re-measures, plus the gain over
-    // the committed SWAR-era record when a baseline is given.
+    // The guard section: in-process kernel ratios (machine speed
+    // cancels), the quantities perf_guard_hotpath re-measures.
     w.key("guard").beginObject();
-    w.field("simd_map_speedup_A", a.mapSpeedup());
-    w.field("simd_extend_speedup_A", a.extendSpeedup());
-    w.field("simd_map_speedup_B", b.mapSpeedup());
-    w.field("simd_extend_speedup_B", b.extendSpeedup());
-    w.field("swar_extend_speedup_A", a.swarExtendSpeedup());
-    w.field("swar_extend_speedup_B", b.swarExtendSpeedup());
-    if (!baseline_path.empty()) {
-        double base_a = baselineExtendsPerSec(baseline_path, "A-human");
-        double base_b = baselineExtendsPerSec(baseline_path, "B-yeast");
-        if (base_a > 0.0 && base_b > 0.0) {
-            w.field("speedup_vs_packed_A", a.ext.extendsPerSec / base_a);
-            w.field("speedup_vs_packed_B", b.ext.extendsPerSec / base_b);
-        } else {
-            std::fprintf(stderr,
-                         "bench_hotpath: baseline %s unreadable; "
-                         "speedup_vs_packed omitted\n",
-                         baseline_path.c_str());
-        }
+    for (size_t i = 0; i < match_speedups.size(); ++i) {
+        w.field(guardKey(kGuardSpans[i]), match_speedups[i]);
     }
     w.endObject();
+    // Steady-state extends/sec over the record's history, this run last.
+    w.key("trajectory").beginArray();
+    for (const obs::json::Value& row : rows) {
+        emitValue(w, row);
+    }
+    w.beginObject();
+    w.field("label", label);
+    w.field("host", host.arch + " " + host.features);
+    w.field("A-human", a.ext.extendsPerSec);
+    w.field("B-yeast", b.ext.extendsPerSec);
+    w.endObject();
+    w.endArray();
     w.endObject();
     try {
         w.writeFile(path);
@@ -642,15 +678,10 @@ jsonNumber(const std::string& text, const std::string& key)
 }
 
 /**
- * Perf guard for the vectorized engine, two checks:
- *
- *  1. The committed record must contain speedup_vs_packed_{A,B} >= 1.15 —
- *     the acceptance criterion of the SIMD PR, frozen at record time when
- *     both the new engine and the SWAR-era baseline numbers came from the
- *     same machine.
- *  2. The SIMD-vs-scalar extend speedup on the A analog is re-measured
- *     (best of three in-process A/B passes, so machine speed and load
- *     cancel) and must stay within 15% of the committed ratio.
+ * Perf guard for the match kernel: per guard span, the SWAR-over-scalar
+ * match-run speedup is re-measured in-process (best of up to ten spaced
+ * attempts, so machine speed and load cancel) and must stay within 15%
+ * of the ratio committed in the record's `guard` section.
  */
 int
 guardRun(const std::string& committed_path)
@@ -664,53 +695,37 @@ guardRun(const std::string& committed_path)
         return 1;
     }
     int failures = 0;
-    for (const char* key : { "speedup_vs_packed_A", "speedup_vs_packed_B" }) {
-        double gain = jsonNumber(text, key);
-        if (gain <= 0.0) {
+    for (uint32_t span : kGuardSpans) {
+        const std::string key = guardKey(span);
+        const double committed = jsonNumber(text, key);
+        if (committed <= 0.0) {
             std::fprintf(stderr, "FAIL: %s has no %s entry\n",
-                         committed_path.c_str(), key);
+                         committed_path.c_str(), key.c_str());
             ++failures;
             continue;
         }
-        std::printf("perf-guard: committed %s = %.3f (floor 1.15)\n", key,
-                    gain);
-        if (gain < 1.15) {
+        // A busy neighbour (SMT sibling, shared host) slows the two
+        // kernels unequally for seconds at a time, so a failing attempt
+        // is retried a few times, spaced out, before the verdict.
+        const double threshold = 0.85 * committed;
+        double best = 0.0;
+        for (int attempt = 0; attempt < 10 && best < threshold; ++attempt) {
+            if (attempt > 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(300));
+            }
+            best = std::max(best, swarMatchSpeedup(span));
+        }
+        std::printf("perf-guard span %u: swar/scalar match-run speedup "
+                    "%.3f (committed %.3f, floor %.3f)\n",
+                    span, best, committed, threshold);
+        if (best < threshold) {
             std::fprintf(stderr,
-                         "FAIL: committed %s %.3f misses the 1.15x "
-                         "extends/sec target over BENCH_packed.json\n",
-                         key, gain);
+                         "FAIL: SWAR match-run speedup at %u-base spans "
+                         "regressed >15%% below the committed record "
+                         "(%.3f < %.3f)\n",
+                         span, best, threshold);
             ++failures;
         }
-    }
-    double committed = jsonNumber(text, "simd_extend_speedup_A");
-    if (committed <= 0.0) {
-        std::fprintf(stderr,
-                     "FAIL: %s has no simd_extend_speedup_A entry\n",
-                     committed_path.c_str());
-        return 1;
-    }
-    const Workload& wl = workload("A-human");
-    double best = 0.0;
-    for (int attempt = 0; attempt < 3; ++attempt) {
-        ExtendResult simd =
-            measureExtend(wl, 4, util::KernelVariant::Auto);
-        ExtendResult scalar =
-            measureExtend(wl, 4, util::KernelVariant::Scalar);
-        if (scalar.extendsPerSec > 0.0) {
-            best = std::max(best, simd.extendsPerSec /
-                                      scalar.extendsPerSec);
-        }
-    }
-    const double threshold = 0.85 * committed;
-    std::printf("perf-guard A-human: simd/scalar extend speedup %.3f "
-                "(committed %.3f, floor %.3f)\n",
-                best, committed, threshold);
-    if (best < threshold) {
-        std::fprintf(stderr,
-                     "FAIL: SIMD extend speedup regressed >15%% below the "
-                     "committed record (%.3f < %.3f)\n",
-                     best, threshold);
-        ++failures;
     }
     return failures == 0 ? 0 : 1;
 }
@@ -746,8 +761,7 @@ guardObsRun(const std::string& committed_path)
         for (int attempt = 0; attempt < 5 && best < 0.98; ++attempt) {
             obs::Hub hub(1);
             PassResult off = measureMapping(wl, 2);
-            PassResult on =
-                measureMapping(wl, 2, util::KernelVariant::Auto, &hub);
+            PassResult on = measureMapping(wl, 2, &hub);
             if (off.readsPerSec > 0.0) {
                 best = std::max(best, on.readsPerSec / off.readsPerSec);
             }
@@ -798,10 +812,8 @@ guardTraceRun(const std::string& committed_path)
         double best_full = 0.0;
         for (int attempt = 0; attempt < 5 && best < 0.98; ++attempt) {
             PassResult off = measureMapping(wl, 2);
-            PassResult sampled = measureMapping(
-                wl, 2, util::KernelVariant::Auto, nullptr, 100);
-            PassResult full = measureMapping(
-                wl, 2, util::KernelVariant::Auto, nullptr, 1);
+            PassResult sampled = measureMapping(wl, 2, nullptr, 100);
+            PassResult full = measureMapping(wl, 2, nullptr, 1);
             if (off.readsPerSec > 0.0) {
                 best =
                     std::max(best, sampled.readsPerSec / off.readsPerSec);
@@ -889,6 +901,7 @@ main(int argc, char** argv)
     bool smoke = false;
     std::string out_path = "BENCH_hotpath.json";
     std::string baseline_path;
+    std::string label = "bench_hotpath run";
     std::string guard_path;
     std::string guard_obs_path;
     std::string guard_trace_path;
@@ -909,6 +922,8 @@ main(int argc, char** argv)
             out_path = argv[i] + 6;
         } else if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
             baseline_path = argv[i] + 11;
+        } else if (std::strncmp(argv[i], "--label=", 8) == 0) {
+            label = argv[i] + 8;
         } else {
             passthrough.push_back(argv[i]);
         }
@@ -932,46 +947,60 @@ main(int argc, char** argv)
 
     banner("hotpath", "Hot-path kernel throughput, allocation, and cache "
                       "behaviour (single thread)");
-    std::printf("cpu: %s %s (dispatch: %s)\n",
-                mg::machine::hostCpu().arch.c_str(),
-                mg::machine::hostCpu().features.c_str(),
-                mg::util::kernelVariantName(
-                    mg::util::resolveKernel(mg::util::KernelVariant::Auto)
-                        .effective));
+    std::printf("cpu: %s %s\n", mg::machine::hostCpu().arch.c_str(),
+                mg::machine::hostCpu().features.c_str());
 
-    // Deterministic measurement passes for the JSON record: the dispatched
-    // kernel and its SWAR/scalar baselines back to back, same workload,
-    // same process.
+    // Deterministic measurement passes for the JSON record.
     auto record = [](const Workload& wl) {
-        using mg::util::KernelVariant;
         InputRecord r;
-        r.map = measureMapping(wl, 3, KernelVariant::Auto);
-        r.mapScalar = measureMapping(wl, 3, KernelVariant::Scalar);
-        r.ext = measureExtend(wl, 20, KernelVariant::Auto);
-        r.extSwar = measureExtend(wl, 20, KernelVariant::Swar);
-        r.extScalar = measureExtend(wl, 20, KernelVariant::Scalar);
+        r.map = measureMapping(wl, kRecordMapPasses);
+        std::vector<ExtendResult> ext;
+        for (int i = 0; i < kRecordSamples; ++i) {
+            ext.push_back(measureExtend(wl, kRecordExtendPasses));
+        }
+        std::sort(ext.begin(), ext.end(),
+                  [](const ExtendResult& x, const ExtendResult& y) {
+                      return x.extendsPerSec < y.extendsPerSec;
+                  });
+        r.ext = ext[ext.size() / 2];
+        r.extMin = ext.front().extendsPerSec;
+        r.extMax = ext.back().extendsPerSec;
         return r;
     };
     auto report = [](const char* name, const InputRecord& r) {
         std::printf(
             "%s: %10.0f reads/s  %8.1f B/read  %6.2f allocs/read"
-            "  hit %.4f\n         %10.0f ext/s    %8.1f B/extend  "
-            "%6.2f words/ext\n         read latency: p50 %s, p99 %s, "
-            "p999 %s\n         vs scalar: map %.2fx, extend %.2fx  "
-            "(swar %.2fx)\n",
+            "  hit %.4f\n         %10.0f ext/s (%.0f-%.0f)  %8.1f B/extend"
+            "  %6.2f words/ext\n         read latency: p50 %s, p99 %s, "
+            "p999 %s\n",
             name, r.map.readsPerSec, r.map.bytesPerRead,
             r.map.allocsPerRead, r.map.hitRate, r.ext.extendsPerSec,
-            r.ext.bytesPerExtend, r.ext.wordsPerExtend,
+            r.extMin, r.extMax, r.ext.bytesPerExtend, r.ext.wordsPerExtend,
             mg::stats::formatNanos(r.map.p50Nanos).c_str(),
             mg::stats::formatNanos(r.map.p99Nanos).c_str(),
-            mg::stats::formatNanos(r.map.p999Nanos).c_str(),
-            r.mapSpeedup(), r.extendSpeedup(), r.swarExtendSpeedup());
+            mg::stats::formatNanos(r.map.p999Nanos).c_str());
     };
     InputRecord rec_a = record(workload("A-human"));
     InputRecord rec_b = record(workload("B-yeast"));
     report("A-human", rec_a);
     report("B-yeast", rec_b);
-    writeJson(out_path, baseline_path, rec_a, rec_b);
+    // The committed guard ratio is a median, so one unusually quiet or
+    // busy moment does not set the floor.
+    std::vector<double> match_speedups;
+    for (uint32_t span : kGuardSpans) {
+        std::vector<double> samples;
+        for (int i = 0; i < kRecordSamples; ++i) {
+            samples.push_back(swarMatchSpeedup(span));
+        }
+        std::sort(samples.begin(), samples.end());
+        match_speedups.push_back(samples[samples.size() / 2]);
+        std::printf("match run, %u-base spans: swar %.2fx scalar "
+                    "(median, range %.2f-%.2f)\n",
+                    span, match_speedups.back(), samples.front(),
+                    samples.back());
+    }
+    writeJson(out_path, baseline_path.empty() ? out_path : baseline_path,
+              label, rec_a, rec_b, match_speedups);
 
     // Google-benchmark pass (iteration-level timing, same kernels).
     int bench_argc = static_cast<int>(passthrough.size());

@@ -6,32 +6,21 @@
  * pipeline per read, and scheduler dispatch overhead.  These are the
  * building blocks behind every table/figure harness.
  *
- * Before the gbench pass, a match-kernel sweep times every KernelVariant
- * this binary and CPU can run (scalar, swar, and each compiled-in SIMD
- * level) over a range of spans and prints a bases/cycle table (bases/ns
- * where no cycle counter is available) — the per-ISA headroom picture
- * behind ExtendParams::kernel.
+ * Before the gbench pass, a match-kernel sweep times the SWAR match run
+ * and its scalar oracle over a range of spans and prints a bases/cycle
+ * table (bases/ns where no cycle counter is available).
  */
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common.h"
 #include "map/cluster.h"
 #include "map/seeding.h"
+#include "machine/host.h"
 #include "sched/scheduler.h"
-#include "util/dna.h"
-#include "util/rng.h"
-#include "util/simd.h"
-#include "util/timer.h"
-
-#if defined(__x86_64__) || defined(_M_X64)
-#include <x86intrin.h>
-#endif
 
 namespace {
 
@@ -172,106 +161,28 @@ BENCHMARK(BM_SchedulerDispatch)->Arg(0)->Arg(1)->Arg(2);
 
 // ----------------------------------------------------- match-kernel sweep
 
-/** One timeable kernel variant: a display name plus its function. */
-struct SweepKernel
-{
-    std::string name;
-    mg::util::MatchRunFn fn = nullptr;
-};
-
-/** Every variant this binary AND this CPU can run, widest last. */
-std::vector<SweepKernel>
-sweepKernels()
-{
-    using namespace mg::util;
-    std::vector<SweepKernel> kernels;
-    kernels.push_back(
-        {"scalar", resolveKernel(KernelVariant::Scalar).fn});
-    kernels.push_back({"swar", resolveKernel(KernelVariant::Swar).fn});
-    const CpuFeatures& cpu = cpuFeatures();
-    struct
-    {
-        SimdLevel level;
-        bool available;
-    } levels[] = {
-        {SimdLevel::Neon, cpu.neon},
-        {SimdLevel::Avx2, cpu.avx2},
-        {SimdLevel::Avx512bw, cpu.avx512bw},
-    };
-    for (const auto& entry : levels) {
-        MatchRunFn fn = mg::util::matchRunForLevel(entry.level);
-        if (entry.available && fn != nullptr) {
-            kernels.push_back({simdLevelName(entry.level), fn});
-        }
-    }
-    return kernels;
-}
-
 /**
- * Time every runnable variant over a range of spans on identical random
- * sequences (the all-match case: the kernel streams the full span, which
- * is what separates the ISAs) and print a bases/cycle table — bases/ns
- * when no cycle counter is available.  Offsets rotate through all 32
- * intra-word phases so the shift-carry path is exercised, not just the
- * aligned fast case.
+ * Time both match-run kernels over a range of spans (all-match inputs:
+ * the kernel streams the full span) and print a bases/tick table.
  */
 void
 printMatchKernelTable()
 {
-    using namespace mg::util;
-    constexpr uint32_t kBases = 1u << 16;
-    constexpr uint32_t kSpans[] = {32, 128, 512, 4096};
-    mg::util::Rng rng(0x51313d);
-    std::string seq = rng.randomDna(kBases);
-    std::vector<uint64_t> a(packedBufferWords(kBases), 0);
-    std::vector<uint64_t> b(packedBufferWords(kBases), 0);
-    packAsciiInto(seq, a.data(), 0);
-    packAsciiInto(seq, b.data(), 0);
-
-#if defined(__x86_64__) || defined(_M_X64)
-    const bool cycles = true;
-#else
-    const bool cycles = false;
-#endif
-    std::printf("match-kernel sweep (cpu: %s), %s per variant x span, "
+    using mg::bench::MatchKernel;
+    constexpr uint32_t kSpans[] = {32, 64, 128, 512, 4096};
+    std::printf("match-kernel sweep (cpu: %s), bases/%s per kernel x span, "
                 "all-match inputs:\n",
-                cpuFeatures().summary().c_str(),
-                cycles ? "bases/cycle" : "bases/ns");
+                mg::machine::hostCpu().features.c_str(),
+                mg::bench::matchRunTickUnit());
     std::printf("%10s", "");
     for (uint32_t span : kSpans) {
         std::printf("  span=%-5u", span);
     }
     std::printf("\n");
-    for (const SweepKernel& kernel : sweepKernels()) {
-        std::printf("%10s", kernel.name.c_str());
+    for (MatchKernel kernel : {MatchKernel::Scalar, MatchKernel::Swar}) {
+        std::printf("%10s", mg::bench::matchKernelName(kernel));
         for (uint32_t span : kSpans) {
-            const uint32_t max_off = kBases - span;
-            uint64_t sink = 0;
-            uint64_t words = 0;
-            // Calibrate repetitions so each cell measures ~2M bases.
-            const uint32_t reps = std::max<uint32_t>(1, (1u << 21) / span);
-            // Warm-up pass.
-            for (uint32_t r = 0; r < reps; ++r) {
-                uint64_t off = (r * 33) % max_off;
-                sink += kernel.fn(a.data(), off, b.data(), off, span, words);
-            }
-#if defined(__x86_64__) || defined(_M_X64)
-            uint64_t t0 = __rdtsc();
-#endif
-            mg::util::WallTimer timer;
-            for (uint32_t r = 0; r < reps; ++r) {
-                uint64_t off = (r * 33) % max_off;
-                sink += kernel.fn(a.data(), off, b.data(), off, span, words);
-            }
-#if defined(__x86_64__) || defined(_M_X64)
-            double ticks = static_cast<double>(__rdtsc() - t0);
-#else
-            double ticks = timer.seconds() * 1e9;
-#endif
-            benchmark::DoNotOptimize(sink);
-            double total_bases =
-                static_cast<double>(span) * static_cast<double>(reps);
-            std::printf("  %10.2f", ticks > 0.0 ? total_bases / ticks : 0.0);
+            std::printf("  %10.2f", mg::bench::matchRunRate(kernel, span));
         }
         std::printf("\n");
     }

@@ -1,8 +1,114 @@
 #include "common.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 
+#include "util/dna.h"
+#include "util/rng.h"
+
+#if defined(__x86_64__) || defined(_M_X64)
+#include <x86intrin.h>
+#endif
+
 namespace mg::bench {
+
+namespace {
+
+uint64_t
+ticksNow()
+{
+#if defined(__x86_64__) || defined(_M_X64)
+    return __rdtsc();
+#else
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+#endif
+}
+
+/** Keeps the timed match runs observable, so none is optimized away. */
+volatile uint64_t g_match_sink = 0;
+
+/** One pass of `reps` match runs, the kernel inlined into the loop. */
+template <MatchKernel kKernel>
+void
+matchRunPass(const uint64_t* a, const uint64_t* b, uint32_t span,
+             uint32_t reps, uint64_t max_off)
+{
+    uint64_t sink = 0;
+    uint64_t words = 0;
+    uint64_t off = 0;
+    for (uint32_t r = 0; r < reps; ++r) {
+        if constexpr (kKernel == MatchKernel::Swar) {
+            sink += util::matchRunPacked(a, off, b, off, span, words);
+        } else {
+            sink += util::matchRunScalar(a, off, b, off, span);
+        }
+        off += 33; // a new intra-word phase every call
+        if (off >= max_off) {
+            off -= max_off;
+        }
+    }
+    g_match_sink = sink + words;
+}
+
+} // namespace
+
+const char*
+matchKernelName(MatchKernel kernel)
+{
+    return kernel == MatchKernel::Swar ? "swar" : "scalar";
+}
+
+const char*
+matchRunTickUnit()
+{
+#if defined(__x86_64__) || defined(_M_X64)
+    return "cycle";
+#else
+    return "ns";
+#endif
+}
+
+double
+matchRunRate(MatchKernel kernel, uint32_t span, int passes)
+{
+    constexpr uint32_t kBases = 1u << 16;
+    // Two copies of one random sequence: every run matches for its whole
+    // span.
+    static const std::vector<uint64_t> a = [] {
+        util::Rng rng(0x51313d);
+        std::vector<uint64_t> words(util::packedBufferWords(kBases), 0);
+        util::packAsciiInto(rng.randomDna(kBases), words.data(), 0);
+        return words;
+    }();
+    static const std::vector<uint64_t> b = a;
+    const uint64_t max_off = kBases - span;
+    const uint32_t reps = std::max<uint32_t>(1, (1u << 21) / span);
+    auto pass = [&] {
+        if (kernel == MatchKernel::Swar) {
+            matchRunPass<MatchKernel::Swar>(a.data(), b.data(), span, reps,
+                                            max_off);
+        } else {
+            matchRunPass<MatchKernel::Scalar>(a.data(), b.data(), span,
+                                              reps, max_off);
+        }
+    };
+    pass(); // warm-up
+    double best = 0.0;
+    for (int p = 0; p < passes; ++p) {
+        const uint64_t t0 = ticksNow();
+        pass();
+        const double ticks = static_cast<double>(ticksNow() - t0);
+        if (ticks > 0.0) {
+            best = std::max(best, static_cast<double>(span) *
+                                      static_cast<double>(reps) / ticks);
+        }
+    }
+    return best;
+}
 
 std::unique_ptr<World>
 buildWorld(const std::string& input_set, double scale)

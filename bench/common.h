@@ -65,6 +65,32 @@ util::Flags benchFlags(const std::string& program,
 /** Print the harness banner (paper artifact, experiment id). */
 void banner(const std::string& experiment, const std::string& what);
 
+/** The two match-run kernels: the SWAR loop the extension walk runs
+ *  (util::matchRunPacked) and its per-base scalar oracle
+ *  (util::matchRunScalar). */
+enum class MatchKernel : uint8_t
+{
+    Scalar,
+    Swar,
+};
+
+/** "scalar" | "swar". */
+const char* matchKernelName(MatchKernel kernel);
+
+/**
+ * Throughput of one match-run kernel on all-match runs of `span` bases,
+ * so the kernel streams the whole span.  Start offsets rotate through
+ * every intra-word phase, so the shift-carry path runs, not just the
+ * aligned case.  Returns bases per tick, the best of `passes` timed
+ * passes of ~2M bases each.  A tick is a TSC cycle on x86-64 and a
+ * nanosecond elsewhere (matchRunTickUnit()); ratios of two rates are
+ * unit-free.
+ */
+double matchRunRate(MatchKernel kernel, uint32_t span, int passes = 3);
+
+/** "cycle" on x86-64, "ns" elsewhere. */
+const char* matchRunTickUnit();
+
 /** Thread counts used for scaling curves: 1..max in powers of two. */
 std::vector<size_t> threadSweep(size_t max_threads);
 

@@ -7,7 +7,6 @@
  * Run:  ./examples/giraffe_app <graph.mgz|graph.mgz3> <reads.fastq>
  *           [--threads N] [--batch-size B] [--paired]
  *           [--gaf out.gaf] [--k 15] [--w 8]
- *           [--kernel scalar|swar|simd|auto]
  *           [--index out.mgz3]
  *
  * Build-once / map-many: `--index out.mgz3` writes a zero-copy MGZ v3
@@ -34,7 +33,6 @@
 #include "obs/trace.h"
 #include "serve/stop.h"
 #include "util/flags.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace {
@@ -72,8 +70,6 @@ try {
          .define("gaf", "", "write GAF alignments to this file")
          .define("k", "15", "minimizer k-mer length")
          .define("w", "8", "minimizer window size")
-         .define("kernel", "auto",
-                 "match kernel: scalar | swar | simd | auto")
          .define("index", "",
                  "MGZ v3 container: mmap it when present, else build "
                  "the indexes once and write it (build-once/map-many)")
@@ -168,14 +164,6 @@ try {
     timer.reset();
 
     mg::giraffe::ParentParams params;
-    if (!mg::util::parseKernelVariant(flags.str("kernel"),
-                                      params.mapper.extend.kernel)) {
-        std::fprintf(stderr,
-                     "giraffe_app: unknown --kernel '%s' "
-                     "(scalar | swar | simd | auto)\n",
-                     flags.str("kernel").c_str());
-        return 1;
-    }
     params.numThreads = static_cast<size_t>(flags.integer("threads"));
     params.batchSize = static_cast<size_t>(flags.integer("batch-size"));
     params.budget.wallSeconds = flags.real("deadline");

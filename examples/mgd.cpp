@@ -141,7 +141,7 @@ try {
     mg::serve::installStopHandlers();
     mg::serve::installReloadHandler();
 
-    // The pangenome: loaded from a container (v1/v2 parse + index
+    // The pangenome: loaded from a container (v2 parse + index
     // build, v3 mmap), or generated from the named input-set spec
     // (self-contained demos and tests).
     mg::util::WallTimer timer;

@@ -9,7 +9,7 @@
  *
  * Run:  ./examples/minigiraffe_app <graph.mgz|graph.mgz3> <seeds.bin>
  *           [--threads N] [--batch-size B] [--cache-capacity C]
- *           [--scheduler openmp|vg|steal] [--kernel scalar|swar|simd|auto]
+ *           [--scheduler openmp|vg|steal]
  *           [--prefilter F] [--output out.ext]
  *           [--profile regions.csv] [--metrics-out m.prom|m.json]
  *           [--trace-out trace.json] [--summary-json summary.json]
@@ -30,7 +30,6 @@
 #include "obs/trace.h"
 #include "serve/stop.h"
 #include "util/flags.h"
-#include "util/simd.h"
 #include "util/timer.h"
 
 namespace {
@@ -90,8 +89,6 @@ try {
          .define("cache-capacity", "256",
                  "initial CachedGBWT capacity (0 = no caching)")
          .define("scheduler", "openmp", "openmp | vg | steal")
-         .define("kernel", "auto",
-                 "match kernel: scalar | swar | simd | auto")
          .define("prefilter", "0",
                  "skip seeds scoring below this fraction of the read's "
                  "best chain (0 = off; output is no longer golden)")
@@ -138,7 +135,7 @@ try {
     // results written so far still flush, and the exit code stays 0.
     mg::serve::installStopHandlers();
 
-    // Unified load path: v1/v2 containers parse and build the indexes,
+    // Unified load path: v2 containers parse and build the indexes,
     // v3 containers mmap near-instantly (the seeds arrive precomputed in
     // the capture, but a v3 file carries the minimizer tables anyway).
     mg::io::IndexedPangenome pangenome =
@@ -156,14 +153,6 @@ try {
     params.mapper.gbwtCacheCapacity =
         static_cast<size_t>(flags.integer("cache-capacity"));
     params.scheduler = mg::sched::schedulerFromName(flags.str("scheduler"));
-    if (!mg::util::parseKernelVariant(flags.str("kernel"),
-                                      params.mapper.extend.kernel)) {
-        std::fprintf(stderr,
-                     "minigiraffe: unknown --kernel '%s' "
-                     "(scalar | swar | simd | auto)\n",
-                     flags.str("kernel").c_str());
-        return 1;
-    }
     params.mapper.prefilterFraction = flags.real("prefilter");
     params.budget.wallSeconds = flags.real("deadline");
     params.budget.maxExtendSteps =

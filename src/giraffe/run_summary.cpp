@@ -3,32 +3,22 @@
 #include "machine/host.h"
 #include "obs/json.h"
 #include "sched/scheduler.h"
-#include "util/simd.h"
 
 namespace mg::giraffe {
 
 namespace {
 
 /**
- * Host-CPU + match-kernel block: which wide ISA this machine offers and
- * what the requested kernel variant resolved to.  Every summary carries
- * it so fleet-wide result files stay attributable to the code path that
- * produced them.
+ * Host-CPU block: the architecture and wide-ISA set of the machine that
+ * produced the summary, so fleet-wide result files stay attributable.
  */
 void
-writeHostKernel(obs::JsonWriter& w, util::KernelVariant requested)
+writeHostCpu(obs::JsonWriter& w)
 {
     const machine::HostCpu& host = machine::hostCpu();
     w.key("cpu").beginObject();
     w.field("arch", host.arch);
     w.field("features", host.features);
-    w.field("simd", util::simdLevelName(host.bestLevel));
-    w.endObject();
-    const util::ResolvedKernel kernel = util::resolveKernel(requested);
-    w.key("kernel").beginObject();
-    w.field("requested", util::kernelVariantName(kernel.requested));
-    w.field("effective", util::kernelVariantName(kernel.effective));
-    w.field("simd_level", util::simdLevelName(kernel.level));
     w.endObject();
 }
 
@@ -141,7 +131,7 @@ summaryJson(const ProxyOutputs& outputs, const ProxyParams& params,
     if (index != nullptr) {
         writeIndexInfo(w, *index);
     }
-    writeHostKernel(w, params.mapper.extend.kernel);
+    writeHostCpu(w);
     writeExtensionTotals(w, outputs.extensionTotals);
     writeCache(w, outputs.cacheStats);
     writeResilience(w, outputs.resilience);
@@ -189,7 +179,7 @@ summaryJson(const ParentOutputs& outputs, const ParentParams& params,
     if (index != nullptr) {
         writeIndexInfo(w, *index);
     }
-    writeHostKernel(w, params.mapper.extend.kernel);
+    writeHostCpu(w);
     writeExtensionTotals(w, outputs.extensionTotals);
     writeCache(w, outputs.cacheStats);
     writeResilience(w, outputs.resilience);

@@ -16,7 +16,6 @@ namespace mg::io {
 
 namespace {
 
-constexpr char kMagicV1[4] = { 'M', 'G', 'Z', '1' };
 constexpr char kMagicV2[4] = { 'M', 'G', 'Z', '2' };
 constexpr char kMagicV3[4] = { 'M', 'G', 'Z', '3' };
 
@@ -234,8 +233,7 @@ MgzInfo::allChecksumsOk() const
 }
 
 std::vector<uint8_t>
-encodeMgz(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
-          MgzVersion version)
+encodeMgz(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt)
 {
     std::array<util::ByteWriter, 4> payloads;
     encodeNodesSection(payloads[0], graph);
@@ -244,13 +242,6 @@ encodeMgz(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
     gbwt.save(payloads[3]);
 
     util::ByteWriter out;
-    if (version == MgzVersion::V1) {
-        out.putBytes(kMagicV1, sizeof(kMagicV1));
-        for (const util::ByteWriter& payload : payloads) {
-            out.putBytes(payload.bytes().data(), payload.size());
-        }
-        return out.takeBytes();
-    }
     out.putBytes(kMagicV2, sizeof(kMagicV2));
     for (const util::ByteWriter& payload : payloads) {
         out.putVarint(payload.size());
@@ -278,23 +269,6 @@ decodeMgz(const std::vector<uint8_t>& bytes, std::string_view file)
     char magic[4];
     cursor.getBytes(magic, sizeof(magic));
 
-    Pangenome out;
-    if (std::equal(magic, magic + 4, kMagicV1)) {
-        // Legacy unversioned container: bare concatenated payloads, no
-        // checksums.  Sections are annotated as the walk advances so
-        // errors still name the damaged region.
-        cursor.enterSection("nodes");
-        decodeNodesSection(cursor, out);
-        cursor.enterSection("edges");
-        detail::decodeEdgesSection(cursor, out.graph);
-        cursor.enterSection("paths");
-        detail::decodePathsSection(cursor, out.graph, true);
-        cursor.enterSection("gbwt");
-        out.gbwt = gbwt::Gbwt::load(cursor);
-        cursor.check(cursor.atEnd(), util::StatusCode::Corrupt,
-                     "trailing bytes after MGZ payload");
-        return out;
-    }
     cursor.check(!std::equal(magic, magic + 4, kMagicV3),
                  util::StatusCode::InvalidArgument,
                  "MGZ v3 containers are memory-mapped; load this file "
@@ -302,6 +276,7 @@ decodeMgz(const std::vector<uint8_t>& bytes, std::string_view file)
     cursor.check(std::equal(magic, magic + 4, kMagicV2),
                  util::StatusCode::Corrupt, "not an MGZ file (bad magic)");
 
+    Pangenome out;
     for (const char* name : kSectionNames) {
         MgzSectionInfo info = walkSection(cursor, name);
         if (!info.crcOk) {
@@ -346,10 +321,6 @@ inspectMgz(const std::vector<uint8_t>& bytes, std::string_view file)
 
     MgzInfo info;
     info.fileBytes = bytes.size();
-    if (std::equal(magic, magic + 4, kMagicV1)) {
-        info.version = MgzVersion::V1;
-        return info;
-    }
     if (std::equal(magic, magic + 4, kMagicV3)) {
         return inspectMgz3(bytes.data(), bytes.size(), file);
     }

@@ -15,12 +15,11 @@
  *       payload bytes
  *       uint32 LE CRC32 of the payload
  *
- * Version 1 ("MGZ1") is the same four payloads concatenated with no sizes
- * or checksums; decodeMgz still reads it (write support is kept so the
- * compatibility path stays tested).  Graph+GBWT containers are written as
- * V2: the per-section CRC turns a bit flip anywhere in a multi-gigabyte
+ * The per-section CRC turns a bit flip anywhere in a multi-gigabyte
  * index into a structured checksum-mismatch error naming the damaged
- * section instead of an arbitrary downstream decode failure.
+ * section instead of an arbitrary downstream decode failure.  Any other
+ * magic (including the unchecksummed pre-release "MGZ1") is rejected as
+ * a Corrupt "bad magic" error.
  *
  * Version 3 ("MGZ3", usually *.mgz3) is the zero-copy substrate: a
  * page-aligned container holding every big immutable arena — packed
@@ -28,7 +27,7 @@
  * key/position/bucket tables, the distance arrays — in its exact
  * little-endian in-memory layout, so loading is mmap + pointer fixup
  * instead of deserialization (see mgz3.cpp for the layout, DESIGN.md §3j
- * for the rules).  loadPangenome() dispatches on the magic: v1/v2 parse
+ * for the rules).  loadPangenome() dispatches on the magic: v2 parse
  * into heap structures and build the indexes; v3 maps near-instantly and
  * N processes share one page-cache copy.
  */
@@ -57,8 +56,6 @@ struct Pangenome
 /** Container format revisions. */
 enum class MgzVersion : uint8_t
 {
-    /** Unversioned seed format: bare concatenated payloads. */
-    V1 = 1,
     /** Sized sections with per-section CRC32 (current graph+GBWT). */
     V2 = 2,
     /** Page-aligned zero-copy arenas incl. prebuilt indexes (mmap). */
@@ -82,17 +79,15 @@ struct MgzInfo
 {
     MgzVersion version = MgzVersion::V2;
     uint64_t fileBytes = 0;
-    /** Empty for V1 files (no section table to walk). */
     std::vector<MgzSectionInfo> sections;
 
-    /** All present sections passed their checksum (vacuous for V1). */
+    /** All sections passed their checksum. */
     bool allChecksumsOk() const;
 };
 
-/** Serialize a pangenome into MGZ bytes. */
+/** Serialize a pangenome into MGZ v2 bytes. */
 std::vector<uint8_t> encodeMgz(const graph::VariationGraph& graph,
-                               const gbwt::Gbwt& gbwt,
-                               MgzVersion version = MgzVersion::V2);
+                               const gbwt::Gbwt& gbwt);
 
 /**
  * Parse MGZ bytes; throws mg::util::StatusError on malformed input with
@@ -122,7 +117,7 @@ Pangenome loadMgz(const std::string& path);
 /** How a pangenome got into memory. */
 enum class LoadMode : uint8_t
 {
-    /** Heap structures parsed from a v1/v2 container + indexes built. */
+    /** Heap structures parsed from a v2 container + indexes built. */
     Parsed,
     /** Arenas bound directly onto a mapped v3 container. */
     Mapped,
@@ -170,10 +165,10 @@ struct IndexedPangenome
 /** Knobs for loadPangenome(). */
 struct LoadOptions
 {
-    /** Minimizer parameters used when indexes must be *built* (v1/v2).
+    /** Minimizer parameters used when indexes must be *built* (v2).
      *  v3 containers carry their build parameters and ignore these. */
     index::MinimizerParams minimizer;
-    /** Worker threads for v1/v2 index construction (0 = hardware). */
+    /** Worker threads for v2 index construction (0 = hardware). */
     unsigned buildThreads = 0;
     /**
      * Re-verify every v3 section CRC against the mapped bytes before
@@ -219,7 +214,7 @@ MgzInfo inspectMgz3(const uint8_t* data, size_t size,
                     std::string_view file = {});
 
 /**
- * Load any container by magic: v1/v2 parse + index build (honouring
+ * Load any container by magic: v2 parse + index build (honouring
  * options.minimizer / buildThreads), v3 mmap + pointer fixup.  Throws
  * StatusError (malformed container) or util::Error (I/O, inconsistent
  * v3 tables).
@@ -231,7 +226,7 @@ IndexedPangenome loadPangenome(const std::string& path,
  * Validate a container file without binding it: structure (header,
  * section table, canonical placement) plus section CRCs — every section
  * when `deep`, else only the always-decoded metadata sections (v3) or
- * the v1/v2 stream structure.  Never throws: any damage comes back as a
+ * the v2 stream structure.  Never throws: any damage comes back as a
  * non-Ok Status naming the file/section/offset.  This is the open half
  * of the open/validate split the hot-swap path uses to reject a corrupt
  * replacement image before touching the serving index.

@@ -680,8 +680,7 @@ validatePangenomeFile(const std::string& path, bool deep)
             }
             return {};
         }
-        // v1/v2 stream: structural walk + per-section CRCs (v1 has no
-        // checksums; inspectMgz reports its structure only).
+        // v2 stream: structural walk + per-section CRCs.
         std::vector<uint8_t> bytes(data, data + size);
         file.reset();
         const MgzInfo info = inspectMgz(bytes, path);
@@ -720,7 +719,7 @@ loadPangenome(const std::string& path, const LoadOptions& options)
         return out;
     }
 
-    // v1/v2: copy the bytes out of the (temporary) mapping, drop it, and
+    // v2: copy the bytes out of the (temporary) mapping, drop it, and
     // take the classic parse-then-build path.
     std::vector<uint8_t> bytes(file->data(), file->data() + file->size());
     const uint64_t disk_bytes = file->size();

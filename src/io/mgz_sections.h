@@ -1,6 +1,6 @@
 /**
  * @file
- * Internal MGZ section codecs shared between the v1/v2 parser (mgz.cpp)
+ * Internal MGZ section codecs shared between the v2 parser (mgz.cpp)
  * and the v3 container (mgz3.cpp).  The edge and path payloads stay
  * varint-coded in v3 — they are small, and the adjacency lists / path
  * vectors are rebuilt on the heap at load time anyway (a documented v3
@@ -28,7 +28,7 @@ void encodePathsSection(util::ByteWriter& writer,
 
 /**
  * Inverse of encodePathsSection.  `checked` selects addPath (per-step
- * edge validation, the v1/v2 parse path) vs addPathUnchecked (the v3
+ * edge validation, the v2 parse path) vs addPathUnchecked (the v3
  * load path, where section CRCs vouch for consistency and the
  * O(steps x degree) edge scan would dominate an otherwise instant map).
  */

@@ -9,13 +9,22 @@ hostCpu()
         HostCpu h;
 #if defined(__x86_64__) || defined(_M_X64)
         h.arch = "x86_64";
+        if (__builtin_cpu_supports("avx2")) {
+            h.features = "avx2";
+        }
+        if (__builtin_cpu_supports("avx512f") &&
+            __builtin_cpu_supports("avx512bw")) {
+            h.features += h.features.empty() ? "avx512bw" : "+avx512bw";
+        }
 #elif defined(__aarch64__)
         h.arch = "aarch64";
+        h.features = "neon"; // ASIMD is architecturally baseline on AArch64
 #else
         h.arch = "unknown";
 #endif
-        h.features = util::cpuFeatures().summary();
-        h.bestLevel = util::bestSimdLevel();
+        if (h.features.empty()) {
+            h.features = "swar64";
+        }
         return h;
     }();
     return host;
@@ -25,14 +34,8 @@ std::string
 hostCpuJson()
 {
     const HostCpu& h = hostCpu();
-    std::string json = "{\"arch\":\"";
-    json += h.arch;
-    json += "\",\"features\":\"";
-    json += h.features;
-    json += "\",\"simd\":\"";
-    json += util::simdLevelName(h.bestLevel);
-    json += "\"}";
-    return json;
+    return "{\"arch\":\"" + h.arch + "\",\"features\":\"" + h.features +
+           "\"}";
 }
 
 } // namespace mg::machine

@@ -1,34 +1,29 @@
 /**
  * @file
  * The *host* machine's capabilities, as opposed to the modelled Table II
- * machines in config.h.  The mapping kernel dispatches its match loop on
- * the CPU's SIMD feature set at runtime (util/simd.h); every run record
- * (JSON summaries, bench outputs) embeds this description so results from
- * a heterogeneous fleet stay attributable to the ISA that produced them.
+ * machines in config.h.  Every run record (JSON summaries, bench outputs)
+ * embeds this description so results from a heterogeneous fleet stay
+ * attributable to the CPU that produced them.
  */
 #pragma once
 
 #include <string>
 
-#include "util/simd.h"
-
 namespace mg::machine {
 
-/** The host CPU as the dispatcher sees it, probed once per process. */
+/** The host CPU, probed once per process. */
 struct HostCpu
 {
     /** Compile-target architecture ("x86_64", "aarch64", "unknown"). */
     std::string arch;
-    /** Wide-ISA summary ("avx2+avx512bw", "neon", "swar64"). */
+    /** Wide-ISA summary ("avx2+avx512bw", "neon", "swar64" when none). */
     std::string features;
-    /** Widest SIMD level runtime dispatch can select. */
-    util::SimdLevel bestLevel = util::SimdLevel::None;
 };
 
-/** The cached probe (first call probes via util::cpuFeatures()). */
+/** The cached probe (first call probes, later calls are free). */
 const HostCpu& hostCpu();
 
-/** JSON object fragment: {"arch":"...","features":"...","simd":"..."}. */
+/** JSON object fragment: {"arch":"...","features":"..."}. */
 std::string hostCpuJson();
 
 } // namespace mg::machine

@@ -115,8 +115,8 @@ threadScratch()
 /**
  * Per-walk invariants of the node-step loop, hoisted once per walk so the
  * per-node code touches only registers.  Graph nodes average a handful of
- * bases, so the step loop runs every few nanoseconds; re-deriving kernel
- * selection, tracer, and budget per node is measurable at that rate.
+ * bases, so the step loop runs every few nanoseconds; re-deriving the
+ * tracer and budget per node is measurable at that rate.
  */
 struct StepCtx
 {
@@ -127,40 +127,7 @@ struct StepCtx
     uint64_t& wordsCompared;
     util::MemTracer* tracer;
     resilience::ReadBudget* budget;
-    util::MatchRunFn kernel;
-    uint32_t wideCutoff;
-    bool scalar;
 };
-
-/** Build the hoisted step context for one walk. */
-StepCtx
-makeStepCtx(const graph::VariationGraph& graph, const ExtendParams& params,
-            const util::ResolvedKernel& kernel, gbwt::CachedGbwt& cache,
-            ExtendScratch& scratch)
-{
-    // Kernel selection, flattened for the short-span regime.  Graph nodes
-    // are 1–32 bases, so most match runs never reach a wide vector step;
-    // paying an indirect call (which also blocks inlining of the SWAR
-    // loop) on every run costs more than the wide compare saves.  The
-    // inlined SWAR kernel therefore serves every sub-wide span for both
-    // the Swar and Simd variants — exactly the code the wide kernels run
-    // as their tail — and the function pointer is reserved for spans long
-    // enough to amortize it.  The Scalar oracle keeps the indirect call
-    // unconditionally: it exists to measure the reference loop, not to be
-    // fast.  Match lengths are identical on every path by construction.
-    return StepCtx{
-        graph,
-        params,
-        cache,
-        scratch.successors,
-        scratch.wordsCompared,
-        cache.tracer(),
-        scratch.budget,
-        kernel.fn,
-        kernel.effective == util::KernelVariant::Simd ? 64u : UINT32_MAX,
-        kernel.effective == util::KernelVariant::Scalar,
-    };
-}
 
 /**
  * Advance `s` by one node: match-run within the current node, then
@@ -189,7 +156,7 @@ stepNode(const StepCtx& ctx, WalkState& s, const util::PackedSpan& query,
         s.path.push_back(handle);
         if (ctx.tracer != nullptr) {
             // The walk-and-compare inner loop: report the packed words the
-            // wide compare is about to stream (a quarter of the byte-layout
+            // SWAR compare is about to stream (a quarter of the byte-layout
             // traffic) and the chunk XOR/scan work.
             uint32_t span = std::min<uint32_t>(len - s.nodeOffset,
                                                query_size - s.queryPos);
@@ -213,14 +180,9 @@ stepNode(const StepCtx& ctx, WalkState& s, const util::PackedSpan& query,
                                                  query_size - s.queryPos);
         const uint64_t gbase = node_seq.first + s.nodeOffset;
         const uint64_t qbase = query.first + s.queryPos;
-        uint32_t run;
-        if (span >= ctx.wideCutoff || ctx.scalar) {
-            run = ctx.kernel(node_seq.words, gbase, query.words, qbase, span,
-                             ctx.wordsCompared);
-        } else {
-            run = util::matchRunPacked(node_seq.words, gbase, query.words,
-                                       qbase, span, ctx.wordsCompared);
-        }
+        const uint32_t run =
+            util::matchRunPacked(node_seq.words, gbase, query.words, qbase,
+                                 span, ctx.wordsCompared);
         if (run > 0) {
             s.score += static_cast<int32_t>(run) * ctx.params.matchScore;
             s.nodeOffset += run;
@@ -343,8 +305,15 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
         stack.push_back(std::move(init));
     }
     size_t explored = 0;
-    const StepCtx ctx =
-        makeStepCtx(graph_, params_, kernel_, cache, scratch);
+    const StepCtx ctx{
+        graph_,
+        params_,
+        cache,
+        scratch.successors,
+        scratch.wordsCompared,
+        cache.tracer(),
+        scratch.budget,
+    };
 
     bool capped = false;
     while (!stack.empty() && !capped) {

@@ -38,7 +38,7 @@
 #include "map/extension.h"
 #include "map/seed.h"
 #include "resilience/budget.h"
-#include "util/simd.h"
+#include "util/dna.h"
 #include "util/small_vector.h"
 
 namespace mg::map {
@@ -61,15 +61,6 @@ struct ExtendParams
      * (more states, more work, spurious recombinant alignments).
      */
     bool haplotypeConsistent = true;
-    /**
-     * Match-kernel variant for the inner compare loop.  Auto resolves to
-     * the widest SIMD ISA the running CPU supports (AVX-512BW / AVX2 /
-     * NEON) and degrades to the 64-bit SWAR loop when none is present.
-     * Scalar and Swar force the bit-identical reference loops — A/B
-     * baselines and property-test oracles, not production modes.  Every
-     * variant produces identical walks (golden + kernel-matrix tests).
-     */
-    util::KernelVariant kernel = util::KernelVariant::Auto;
 };
 
 /** Result of extending in one direction. */
@@ -203,15 +194,10 @@ class Extender
 {
   public:
     Extender(const graph::VariationGraph& graph, ExtendParams params)
-        : graph_(graph), params_(params),
-          kernel_(util::resolveKernel(params.kernel))
+        : graph_(graph), params_(params)
     {}
 
     const ExtendParams& params() const { return params_; }
-
-    /** The match kernel this extender resolved at construction (what
-     *  actually runs: Auto never appears as `effective`). */
-    const util::ResolvedKernel& kernel() const { return kernel_; }
 
     /**
      * Extend one seed against the (oriented) read sequence.  `sequence`
@@ -259,7 +245,6 @@ class Extender
 
     const graph::VariationGraph& graph_;
     ExtendParams params_;
-    util::ResolvedKernel kernel_;
 };
 
 } // namespace mg::map

@@ -12,6 +12,7 @@
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
 #include "util/common.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -155,9 +156,8 @@ TEST(FuzzTest, ExtensionsFileFuzz)
 
 /**
  * The structured-error corruption fuzzer: 1000 seeded mutations of a
- * valid V2 container.  Flips avoid the 4-byte magic (which would turn
- * the file into a pseudo-V1 image and exercise the legacy path tested
- * separately below); every failed decode must surface as a StatusError
+ * valid V2 container.  Flips avoid the 4-byte magic (bad magic is
+ * covered by MgzTest); every failed decode must surface as a StatusError
  * carrying the provenance we passed in — any other exception type
  * escapes the catch and fails the test.
  */
@@ -195,35 +195,48 @@ TEST(FuzzTest, MgzV2CorruptionFuzzerReportsStructuredErrors)
     EXPECT_GT(structured, 990u);
 }
 
-/** Same mutations against the legacy unversioned format: no checksums,
- *  so corrupt payloads reach the section decoders — they may throw any
- *  mg::util::Error but must never crash. */
-TEST(FuzzTest, MgzV1CorruptionFuzzerNeverCrashes)
+/** Payload mutations that slip past the section CRCs: each mutation
+ *  flips bytes inside one section's payload and re-stamps that section's
+ *  CRC, so the corrupt bytes reach the section decoders — they may throw
+ *  any mg::util::Error but must never crash. */
+TEST(FuzzTest, MgzV2PayloadFuzzerNeverCrashes)
 {
     sim::PangenomeParams params;
     params.seed = 704;
     params.backboneLength = 2000;
     params.haplotypes = 3;
     sim::GeneratedPangenome pg = sim::generatePangenome(params);
-    std::vector<uint8_t> bytes =
-        encodeMgz(pg.graph, pg.gbwt, MgzVersion::V1);
+    const std::vector<uint8_t> bytes = encodeMgz(pg.graph, pg.gbwt);
+    const std::vector<MgzSectionInfo> sections = inspectMgz(bytes).sections;
+    ASSERT_EQ(sections.size(), 4u);
 
+    size_t rejected = 0;
     for (uint64_t seed = 0; seed < 300; ++seed) {
         util::Rng rng(81000 + seed);
         std::vector<uint8_t> bad = bytes;
-        if (rng.chance(0.3)) {
-            bad.resize(rng.uniform(bad.size()));
-        } else {
-            bad[rng.uniform(bad.size())] ^=
+        const MgzSectionInfo& section =
+            sections[rng.uniform(sections.size())];
+        ASSERT_GT(section.size, 0u) << section.name;
+        for (int f = 1 + static_cast<int>(rng.uniform(4)); f > 0; --f) {
+            bad[section.offset + rng.uniform(section.size)] ^=
                 static_cast<uint8_t>(1 + rng.uniform(255));
         }
+        const uint32_t crc = util::crc32(bad.data() + section.offset,
+                                         section.size);
+        for (int b = 0; b < 4; ++b) {
+            bad[section.offset + section.size + b] =
+                static_cast<uint8_t>(crc >> (8 * b));
+        }
+        ASSERT_TRUE(inspectMgz(bad).allChecksumsOk());
         try {
             Pangenome out = decodeMgz(bad);
             out.graph.validate();
         } catch (const util::Error&) {
-            // any structured or legacy error is acceptable on V1
+            ++rejected; // any structured or decoder error is acceptable
         }
     }
+    // The mutations must actually reach (and trip) the decoders.
+    EXPECT_GT(rejected, 0u);
 }
 
 TEST(FuzzTest, RandomGarbageIsRejected)

@@ -8,7 +8,10 @@
  * states, per-base graph.base() calls, a freshly constructed cache per
  * read — and checks, on the A-human and B-yeast input-set analogs, that
  * the production pipeline produces (1) the identical MapResult extension
- * lists and (2) byte-identical GAF output.
+ * lists and (2) byte-identical GAF output, and that single walks agree
+ * from seed positions and from random node/orientation/offset starts.
+ * Registered under the `kernel-matrix` ctest label, so the asan/tsan
+ * presets run the whole oracle sanitized.
  */
 #include <gtest/gtest.h>
 
@@ -25,6 +28,7 @@
 #include "map/mapper.h"
 #include "sim/input_sets.h"
 #include "util/dna.h"
+#include "util/rng.h"
 
 namespace mg::map {
 namespace {
@@ -438,6 +442,53 @@ TEST(GoldenKernelWalk, WalkMatchesReferenceAcrossOrientations)
         }
     }
     EXPECT_GT(checked, 100u);
+}
+
+/** The walk from random starts: any node, either orientation, any offset
+ *  within the node, against a random read suffix — starts no seed would
+ *  produce, including walks that die on their first base. */
+TEST(GoldenKernelWalk, RandomStartSweepMatchesReference)
+{
+    sim::InputSet set =
+        sim::buildInputSet(sim::inputSetSpec("B-yeast"), 0.02);
+    const graph::VariationGraph& graph = set.pangenome.graph;
+    ExtendParams params;
+    Extender extender(graph, params);
+    gbwt::CachedGbwt cache(set.pangenome.gbwt);
+    gbwt::CachedGbwt ref_cache(set.pangenome.gbwt);
+    ExtendScratch scratch;
+
+    util::Rng rng(109);
+    size_t nontrivial = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        graph::NodeId id =
+            static_cast<graph::NodeId>(1 + rng.uniform(graph.numNodes()));
+        graph::Handle handle(id, rng.chance(0.5));
+        uint32_t offset =
+            static_cast<uint32_t>(rng.uniform(graph.length(id)));
+        const std::string& read =
+            set.reads.reads[rng.uniform(set.reads.size())].sequence;
+        size_t from = rng.uniform(read.size());
+        std::string_view query = std::string_view(read).substr(from);
+
+        DirectionalWalk got =
+            extender.walk(handle, offset, query, cache, scratch);
+        RefWalk ref = refWalk(graph, params, handle, offset, query,
+                              ref_cache);
+        ASSERT_EQ(got.consumed, ref.consumed) << "trial " << trial;
+        ASSERT_EQ(got.score, ref.score) << "trial " << trial;
+        ASSERT_EQ(got.endOffset, ref.endOffset) << "trial " << trial;
+        ASSERT_TRUE(std::equal(got.path.begin(), got.path.end(),
+                               ref.path.begin(), ref.path.end()))
+            << "trial " << trial;
+        ASSERT_TRUE(std::equal(got.mismatchOffsets.begin(),
+                               got.mismatchOffsets.end(),
+                               ref.mismatchOffsets.begin(),
+                               ref.mismatchOffsets.end()))
+            << "trial " << trial;
+        nontrivial += ref.consumed > 0;
+    }
+    EXPECT_GT(nontrivial, 50u); // the comparison must exercise real walks
 }
 
 } // namespace

@@ -116,23 +116,29 @@ TEST(MgzTest, TruncatedPayloadThrows)
     EXPECT_THROW(decodeMgz(bytes), util::Error);
 }
 
-TEST(MgzTest, LegacyV1FilesStillDecode)
+/** A pre-release MGZ1 image — the four v2 payloads concatenated with no
+ *  sizes or checksums — is rejected as bad magic, never decoded. */
+TEST(MgzTest, LegacyV1MagicIsRejected)
 {
     sim::GeneratedPangenome pg = makePangenome(94);
-    std::vector<uint8_t> v1 = encodeMgz(pg.graph, pg.gbwt, MgzVersion::V1);
-    std::vector<uint8_t> v2 = encodeMgz(pg.graph, pg.gbwt, MgzVersion::V2);
-    EXPECT_NE(v1, v2);
+    std::vector<uint8_t> v2 = encodeMgz(pg.graph, pg.gbwt);
+    std::vector<uint8_t> v1 = {'M', 'G', 'Z', '1'};
+    for (const MgzSectionInfo& section : inspectMgz(v2).sections) {
+        v1.insert(v1.end(), v2.begin() + static_cast<long>(section.offset),
+                  v2.begin() +
+                      static_cast<long>(section.offset + section.size));
+    }
 
-    Pangenome loaded = decodeMgz(v1);
-    EXPECT_EQ(loaded.graph.numNodes(), pg.graph.numNodes());
-    EXPECT_EQ(loaded.graph.numEdges(), pg.graph.numEdges());
-    EXPECT_EQ(loaded.gbwt.numPaths(), pg.gbwt.numPaths());
-    loaded.graph.validate();
-
-    MgzInfo info = inspectMgz(v1);
-    EXPECT_EQ(info.version, MgzVersion::V1);
-    EXPECT_TRUE(info.sections.empty()); // no section table to report
-    EXPECT_TRUE(info.allChecksumsOk()); // vacuously
+    try {
+        decodeMgz(v1, "legacy.mgz");
+        FAIL() << "an MGZ1 image must not decode";
+    } catch (const util::StatusError& e) {
+        EXPECT_EQ(e.status().code, util::StatusCode::Corrupt);
+        EXPECT_NE(e.status().message.find("bad magic"), std::string::npos)
+            << e.status().message;
+        EXPECT_EQ(e.status().file, "legacy.mgz");
+    }
+    EXPECT_THROW(inspectMgz(v1), util::StatusError);
 }
 
 TEST(MgzTest, ChecksumMismatchNamesTheDamagedSection)

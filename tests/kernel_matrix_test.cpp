@@ -1,15 +1,12 @@
 /**
- * Kernel-matrix suite: every KernelVariant must be observably identical.
- * The dispatch layer (util/simd) promises that Scalar, Swar, Simd, and
- * Auto produce the same match lengths, so the full pipeline must emit
- * byte-identical GAF under every variant.  The suite also pins the
- * degrade path (a Simd request on a CPU without wide units falls back to
- * Swar and keeps working, never crashes) and the one-pass
- * successorStatesInto against the per-edge extend() formulation it
- * replaced.
+ * Kernel-matrix suite: the extension engine's building blocks checked
+ * against the formulations they replaced — the one-pass
+ * successorStatesInto against per-edge extend(), and the score prefilter
+ * against an unfiltered run.  (The match kernel itself is pinned by
+ * packed_dna_test, and the whole walk by golden_kernel_test.)
  *
  * Registered under the `kernel-matrix` ctest label; the asan/tsan presets
- * include it so the forced-variant walks also run sanitized.
+ * include it so these walks also run sanitized.
  */
 #include <gtest/gtest.h>
 
@@ -18,15 +15,12 @@
 #include <string_view>
 #include <vector>
 
-#include "giraffe/alignment.h"
 #include "giraffe/parent.h"
 #include "index/distance.h"
 #include "index/minimizer.h"
-#include "io/gaf.h"
 #include "io/reads_bin.h"
 #include "map/mapper.h"
 #include "sim/input_sets.h"
-#include "util/simd.h"
 
 namespace mg::map {
 namespace {
@@ -56,111 +50,6 @@ buildWorld(const std::string& input_set, double scale)
                                    giraffe::ParentParams());
     world.capture = parent.capturePreprocessing(world.set.reads);
     return world;
-}
-
-/** Map every captured read under one kernel variant. */
-struct PipelineRun
-{
-    std::vector<MapResult> results;
-    std::string gaf;
-};
-
-PipelineRun
-runPipeline(const MatrixWorld& world, util::KernelVariant kernel)
-{
-    MapperParams params;
-    params.extend.kernel = kernel;
-    Mapper mapper(world.set.pangenome.graph, world.set.pangenome.gbwt,
-                  world.minimizers, world.distance, params);
-    auto state = mapper.makeState();
-
-    PipelineRun run;
-    std::vector<giraffe::Alignment> alignments;
-    ReadSet reads;
-    for (const io::ReadWithSeeds& entry : world.capture.entries) {
-        MapResult result =
-            mapper.mapFromSeeds(entry.read, entry.seeds, *state);
-        alignments.push_back(giraffe::postProcess(
-            entry.read.name, result.extensions,
-            giraffe::PostProcessParams()));
-        reads.reads.push_back(entry.read);
-        run.results.push_back(std::move(result));
-    }
-    run.gaf = io::formatGaf(alignments, reads, world.set.pangenome.graph);
-    return run;
-}
-
-void
-expectIdenticalResults(const PipelineRun& got, const PipelineRun& ref,
-                       const std::string& combo)
-{
-    ASSERT_EQ(got.results.size(), ref.results.size()) << combo;
-    for (size_t r = 0; r < got.results.size(); ++r) {
-        const MapResult& g = got.results[r];
-        const MapResult& e = ref.results[r];
-        ASSERT_EQ(g.extensions.size(), e.extensions.size())
-            << combo << " read " << r;
-        for (size_t i = 0; i < g.extensions.size(); ++i) {
-            EXPECT_EQ(g.extensions[i], e.extensions[i])
-                << combo << " read " << r << " extension " << i;
-            EXPECT_EQ(g.extensions[i].str(), e.extensions[i].str())
-                << combo << " read " << r << " extension " << i;
-        }
-    }
-    EXPECT_EQ(got.gaf, ref.gaf)
-        << combo << ": GAF must be byte-identical";
-}
-
-class KernelMatrix : public ::testing::TestWithParam<const char*>
-{};
-
-TEST_P(KernelMatrix, GafByteIdenticalAcrossVariants)
-{
-    MatrixWorld world = buildWorld(GetParam(), 0.04);
-    ASSERT_FALSE(world.capture.entries.empty());
-
-    // Reference: the scalar oracle.
-    PipelineRun ref = runPipeline(world, util::KernelVariant::Scalar);
-    EXPECT_FALSE(ref.gaf.empty());
-
-    const util::KernelVariant variants[] = {
-        util::KernelVariant::Scalar,
-        util::KernelVariant::Swar,
-        util::KernelVariant::Simd,
-        util::KernelVariant::Auto,
-    };
-    for (util::KernelVariant variant : variants) {
-        PipelineRun got = runPipeline(world, variant);
-        expectIdenticalResults(got, ref,
-                               util::kernelVariantName(variant));
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(InputSets, KernelMatrix,
-                         ::testing::Values("A-human", "B-yeast"));
-
-/**
- * A Simd request on any CPU resolves to something runnable: the widest
- * compiled-and-available level, or the Swar fallback when the host has no
- * wide units — and the resolved kernel actually maps reads.  This is the
- * degrade path CI machines without AVX exercise for real.
- */
-TEST(KernelMatrixDispatch, SimdRequestAlwaysResolvesRunnable)
-{
-    const util::ResolvedKernel kernel =
-        util::resolveKernel(util::KernelVariant::Simd);
-    EXPECT_NE(kernel.fn, nullptr);
-    if (kernel.level == util::SimdLevel::None) {
-        // No wide ISA on this host: the request degrades to Swar.
-        EXPECT_EQ(kernel.effective, util::KernelVariant::Swar);
-    } else {
-        EXPECT_EQ(kernel.effective, util::KernelVariant::Simd);
-    }
-
-    MatrixWorld world = buildWorld("B-yeast", 0.02);
-    PipelineRun got = runPipeline(world, util::KernelVariant::Simd);
-    PipelineRun ref = runPipeline(world, util::KernelVariant::Swar);
-    expectIdenticalResults(got, ref, "simd-degrade");
 }
 
 /**
