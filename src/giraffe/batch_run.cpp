@@ -1,0 +1,161 @@
+#include "giraffe/batch_run.h"
+
+#include <algorithm>
+
+#include "util/common.h"
+
+namespace mg::giraffe {
+
+BatchRun::BatchRun(const map::Mapper& mapper, const RunParams& params,
+                   perf::Profiler* profiler, util::MemTracer* tracer,
+                   obs::Hub* hub)
+    : params_(params), profiler_(profiler), tracer_(tracer), hub_(hub),
+      mapper_(mapper),
+      deadlineNanos_(params.budget.wallSeconds > 0.0
+                         ? util::nowNanos() +
+                               static_cast<uint64_t>(
+                                   params.budget.wallSeconds * 1e9)
+                         : 0),
+      board_(params.numThreads), states_(params.numThreads)
+{
+    MG_CHECK(tracer == nullptr || params.numThreads == 1,
+             "memory tracing requires a single-threaded run");
+    MG_CHECK(hub == nullptr || hub->flight().workers() >= params.numThreads,
+             "telemetry hub sized for ",
+             hub == nullptr ? 0 : hub->flight().workers(),
+             " workers, run uses ", params.numThreads);
+    if (profiler != nullptr) {
+        mapper_.bindProfiler(*profiler);
+    }
+}
+
+map::MapperState&
+BatchRun::state(size_t thread)
+{
+    // The scheduler guarantees a dense thread index below numThreads.
+    MG_ASSERT(thread < states_.size());
+    if (!states_[thread]) {
+        std::lock_guard<std::mutex> lock(stateMutex_);
+        if (!states_[thread]) {
+            auto state = mapper_.makeState(tracer_);
+            if (profiler_ != nullptr) {
+                state->log = profiler_->registerThread(thread);
+            }
+            state->budget.configure(
+                params_.budget, deadlineNanos_,
+                params_.watchdog ? &board_.slot(thread).token : nullptr);
+            state->attachHub(hub_, thread);
+            states_[thread] = std::move(state);
+        }
+    }
+    return *states_[thread];
+}
+
+size_t
+BatchRun::mapReads(size_t n, const ReadFn& map_read, const SlotFn& unmapped,
+                   RunTotals& totals)
+{
+    // One byte per read, set when its batch completes; batches cover
+    // disjoint ranges, so workers never share a byte.
+    std::vector<uint8_t> completed(n, 0);
+    sched::Watchdog watchdog(board_, params_.watchdogParams);
+    if (hub_ != nullptr) {
+        watchdog.attachFlightRecorder(&hub_->flight());
+    }
+    if (params_.watchdog) {
+        watchdog.start();
+    }
+    auto scheduler = sched::makeScheduler(params_.scheduler);
+    scheduler->bindStats(&schedStats_);
+    scheduler->bindStop(params_.stopFlag);
+    totals.failures = sched::runGuarded(
+        *scheduler, n, params_.batchSize, params_.numThreads,
+        [&](size_t thread, size_t begin, size_t end) {
+        map::MapperState& state = this->state(thread);
+        board_.beginBatch(thread, begin, end);
+        // Snapshot so a failed attempt contributes nothing to the final
+        // counters: runGuarded retries/bisects a throwing batch, and
+        // without the restore the partial work before the throw would be
+        // double-counted by the retry.
+        const map::MapperState::StatsSnapshot snapshot =
+            state.statsSnapshot();
+        util::WallTimer batch_timer;
+        try {
+            for (size_t i = begin; i < end; ++i) {
+                board_.beat(thread);
+                if (state.flight != nullptr) {
+                    state.flight->begin(i);
+                }
+                map_read(state, i);
+                if (state.flight != nullptr) {
+                    state.flight->done();
+                }
+            }
+        } catch (...) {
+            state.restoreStats(snapshot);
+            board_.endBatch(thread);
+            throw;
+        }
+        // Only a *completed* batch publishes: its buffered funnel counts
+        // flush to the live slab and its latency lands in the histogram.
+        if (state.metrics != nullptr && hub_ != nullptr) {
+            state.flushMetrics();
+            state.metrics->add(hub_->sched().batches);
+            state.metrics->observe(hub_->sched().batchLatency,
+                                   batch_timer.nanos());
+        }
+        std::fill(completed.begin() + begin, completed.begin() + end, 1);
+        board_.endBatch(thread);
+    });
+    watchdog.stop();
+    totals.failures.watchdogCancels = watchdog.events().size();
+    totals.watchdogEvents = watchdog.events();
+    totals.stopped = params_.stopFlag != nullptr &&
+                     params_.stopFlag->load(std::memory_order_acquire);
+
+    // Quarantined reads, and reads the stop flag kept from dispatching,
+    // stay in the output as named placeholders, so one poisoned read or
+    // a graceful stop cannot silently drop records from a run.
+    size_t reads_completed = 0;
+    for (size_t i = 0; i < n; ++i) {
+        if (completed[i]) {
+            ++reads_completed;
+        } else {
+            unmapped(i);
+        }
+    }
+    return reads_completed;
+}
+
+void
+BatchRun::finish(RunTotals& totals)
+{
+    totals.wallSeconds = timer_.seconds();
+    for (const auto& state : states_) {
+        if (!state) {
+            continue;
+        }
+        totals.cacheStats.accumulate(state->totalStats());
+        totals.extensionTotals.accumulate(state->extensionTotals);
+        totals.resilience.accumulate(state->resilience);
+        // Work done outside any batch (the parent's pairing/rescue tail
+        // on state(0)) is still buffered here.
+        state->flushMetrics();
+    }
+    if (hub_ != nullptr) {
+        // Run-level counters are folded into slab 0 once the scheduler
+        // is done — they come from the failure report and the policy's
+        // stats, not from any single worker.
+        obs::Registry::ThreadSlab* slab = hub_->slab(0);
+        const obs::SchedMetricIds& ids = hub_->sched();
+        const sched::FailureReport& failures = totals.failures;
+        slab->add(ids.retries, failures.retries);
+        slab->add(ids.quarantined, failures.poisoned.size());
+        slab->add(ids.batchFailures, failures.batches.size());
+        slab->add(ids.watchdogCancels, failures.watchdogCancels);
+        slab->add(ids.steals, schedStats_.steals.load());
+        slab->raise(ids.queueDepthPeak, schedStats_.queueDepthPeak.load());
+    }
+}
+
+} // namespace mg::giraffe

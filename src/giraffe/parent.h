@@ -12,52 +12,37 @@
  */
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "gbwt/cached_gbwt.h"
 #include "giraffe/alignment.h"
+#include "giraffe/batch_run.h"
 #include "giraffe/pairing.h"
 #include "giraffe/rescue.h"
 #include "io/extensions_io.h"
 #include "io/reads_bin.h"
-#include "map/mapper.h"
-#include "obs/hub.h"
-#include "perf/profiler.h"
-#include "resilience/budget.h"
-#include "sched/failure.h"
-#include "sched/scheduler.h"
-#include "sched/watchdog.h"
-#include "util/mem_tracer.h"
 
 namespace mg::giraffe {
 
 /** Parent pipeline configuration. */
-struct ParentParams
+struct ParentParams : RunParams
 {
+    /** Giraffe's own scheduler is the VG-style batch dispatcher. */
+    ParentParams() : RunParams(sched::SchedulerKind::VgBatch) {}
+
     map::MapperParams mapper;
     PostProcessParams post;
     PairingParams pairing;
     RescueParams rescue;
     /** Attempt mate rescue on non-proper pairs (paired-end runs). */
     bool mateRescue = true;
-    /** Giraffe's own scheduler is the VG-style batch dispatcher. */
-    sched::SchedulerKind scheduler = sched::SchedulerKind::VgBatch;
-    /** Giraffe's default batch size (Section VII-B). */
-    size_t batchSize = 512;
-    size_t numThreads = 1;
-    /** Work limits (deadline + per-read caps); default is unlimited. */
-    resilience::WorkBudget budget;
-    /** Supervise workers with a watchdog thread. */
-    bool watchdog = false;
-    sched::WatchdogParams watchdogParams;
-    /** Graceful-stop flag (SIGTERM/SIGINT): once set, no new batch is
-     *  dispatched; running batches finish.  Null disables. */
-    const std::atomic<bool>* stopFlag = nullptr;
 };
 
-/** Everything a parent run produces. */
-struct ParentOutputs
+/**
+ * Everything a parent run produces.  Quarantined reads, and reads a stop
+ * kept from mapping, appear unmapped in `alignments` (and in any GAF
+ * rendered from them) instead of aborting or truncating the run.
+ */
+struct ParentOutputs : RunTotals
 {
     /** Final post-processed alignments, one per read. */
     std::vector<Alignment> alignments;
@@ -67,24 +52,6 @@ struct ParentOutputs
     RescueStats rescue;
     /** Raw critical-function outputs (what the proxy must reproduce). */
     std::vector<io::ReadExtensions> extensions;
-    /** Aggregated CachedGBWT statistics over all worker threads. */
-    gbwt::CacheStats cacheStats;
-    /** Seeds walked vs skipped as covered, over all worker threads. */
-    map::ExtensionTotals extensionTotals;
-    /** Batch failures, recoveries, and quarantined reads of the run.
-     *  Quarantined reads appear unmapped in `alignments` (and in any GAF
-     *  rendered from them) instead of aborting the whole run. */
-    sched::FailureReport failures;
-    /** Degradation counters + per-read latency over all worker threads. */
-    resilience::ResilienceStats resilience;
-    /** Watchdog cancellations with flight-recorder context (when a hub
-     *  with a recorder was attached), in detection order. */
-    std::vector<sched::WatchdogEvent> watchdogEvents;
-    /** Wall-clock seconds of the whole mapping run. */
-    double wallSeconds = 0.0;
-    /** The stop flag fired during the run; unvisited reads are unmapped
-     *  placeholders in `alignments`. */
-    bool stopped = false;
 };
 
 /** The emulated parent application. */
@@ -122,8 +89,6 @@ class ParentEmulator
     io::SeedCapture capturePreprocessing(const map::ReadSet& reads) const;
 
   private:
-    const graph::VariationGraph& graph_;
-    const gbwt::Gbwt& gbwt_;
     const index::MinimizerIndex& minimizers_;
     const index::DistanceIndex& distance_;
     ParentParams params_;

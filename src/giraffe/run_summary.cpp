@@ -106,6 +106,31 @@ writeIndexInfo(obs::JsonWriter& w, const io::IndexLoadInfo& index)
     w.endObject();
 }
 
+/** Opening fields of a batch-run summary: its kind and run shape. */
+void
+writeRunParams(obs::JsonWriter& w, const char* kind, const RunParams& params)
+{
+    w.field("kind", kind);
+    w.field("scheduler", sched::schedulerName(params.scheduler));
+    w.field("threads", static_cast<uint64_t>(params.numThreads));
+    w.field("batch_size", static_cast<uint64_t>(params.batchSize));
+}
+
+/** Closing blocks of a batch-run summary, shared by parent and proxy. */
+void
+writeRunTotals(obs::JsonWriter& w, const RunTotals& totals,
+               const io::IndexLoadInfo* index)
+{
+    if (index != nullptr) {
+        writeIndexInfo(w, *index);
+    }
+    writeHostCpu(w);
+    writeExtensionTotals(w, totals.extensionTotals);
+    writeCache(w, totals.cacheStats);
+    writeResilience(w, totals.resilience);
+    writeFailures(w, totals.failures);
+}
+
 } // namespace
 
 std::string
@@ -114,10 +139,7 @@ summaryJson(const ProxyOutputs& outputs, const ProxyParams& params,
 {
     obs::JsonWriter w;
     w.beginObject();
-    w.field("kind", "proxy");
-    w.field("scheduler", sched::schedulerName(params.scheduler));
-    w.field("threads", static_cast<uint64_t>(params.numThreads));
-    w.field("batch_size", static_cast<uint64_t>(params.batchSize));
+    writeRunParams(w, "proxy", params);
     w.field("cache_capacity",
             static_cast<uint64_t>(params.mapper.gbwtCacheCapacity));
     w.field("wall_seconds", outputs.wallSeconds);
@@ -128,14 +150,7 @@ summaryJson(const ProxyOutputs& outputs, const ProxyParams& params,
     }
     w.field("extensions", total_extensions);
     w.field("stopped", outputs.stopped);
-    if (index != nullptr) {
-        writeIndexInfo(w, *index);
-    }
-    writeHostCpu(w);
-    writeExtensionTotals(w, outputs.extensionTotals);
-    writeCache(w, outputs.cacheStats);
-    writeResilience(w, outputs.resilience);
-    writeFailures(w, outputs.failures);
+    writeRunTotals(w, outputs, index);
     w.endObject();
     return w.str();
 }
@@ -146,10 +161,7 @@ summaryJson(const ParentOutputs& outputs, const ParentParams& params,
 {
     obs::JsonWriter w;
     w.beginObject();
-    w.field("kind", "parent");
-    w.field("scheduler", sched::schedulerName(params.scheduler));
-    w.field("threads", static_cast<uint64_t>(params.numThreads));
-    w.field("batch_size", static_cast<uint64_t>(params.batchSize));
+    writeRunParams(w, "parent", params);
     w.field("wall_seconds", outputs.wallSeconds);
     w.field("reads", static_cast<uint64_t>(outputs.alignments.size()));
     uint64_t mapped = 0;
@@ -176,14 +188,7 @@ summaryJson(const ParentOutputs& outputs, const ParentParams& params,
                 static_cast<uint64_t>(outputs.rescue.rescued));
         w.endObject();
     }
-    if (index != nullptr) {
-        writeIndexInfo(w, *index);
-    }
-    writeHostCpu(w);
-    writeExtensionTotals(w, outputs.extensionTotals);
-    writeCache(w, outputs.cacheStats);
-    writeResilience(w, outputs.resilience);
-    writeFailures(w, outputs.failures);
+    writeRunTotals(w, outputs, index);
     w.endObject();
     return w.str();
 }

@@ -26,11 +26,7 @@ MapSession::workerState(size_t worker, obs::Hub* hub)
         std::lock_guard<std::mutex> lock(stateMutex_);
         if (!states_[worker]) {
             auto state = mapper_.makeState();
-            if (hub != nullptr) {
-                state->metrics = hub->slab(worker);
-                state->metricIds = &hub->map();
-                state->flight = hub->flight().ring(worker);
-            }
+            state->attachHub(hub, worker);
             states_[worker] = std::move(state);
         }
     }

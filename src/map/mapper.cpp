@@ -120,8 +120,7 @@ Mapper::mapFromSeeds(const Read& read, const SeedVector& seeds,
     }
     result.degraded = state.budget.reason();
     state.resilience.countDegraded(result.degraded);
-    const uint64_t elapsed = util::nowNanos() - start_nanos;
-    state.resilience.latency.record(elapsed);
+    state.resilience.latency.record(util::nowNanos() - start_nanos);
     state.extensionTotals.attempted += result.extensionsAttempted;
     state.extensionTotals.covered += result.extensionsCovered;
     if (state.metrics != nullptr) {
@@ -146,7 +145,6 @@ Mapper::mapFromSeeds(const Read& read, const SeedVector& seeds,
             ++p.degradedWatchdog;
             break;
         }
-        p.readLatency.record(elapsed);
     }
     return result;
 }

@@ -215,12 +215,28 @@ class MapperState
         uint64_t degradedStepCap = 0;
         uint64_t degradedLookupCap = 0;
         uint64_t degradedWatchdog = 0;
-        stats::LatencyHistogram readLatency;
     };
 
     /**
-     * Publish the pending funnel counts and the cache-stat growth since
-     * the last flush to the metrics slab.  No-op when telemetry is off.
+     * Wire this worker's telemetry sinks to slot `worker` of the hub: its
+     * metrics slab, the funnel metric ids and its flight-recorder ring.
+     * No-op for a null hub.
+     */
+    void
+    attachHub(obs::Hub* hub, size_t worker)
+    {
+        if (hub == nullptr) {
+            return;
+        }
+        metrics = hub->slab(worker);
+        metricIds = &hub->map();
+        flight = hub->flight().ring(worker);
+    }
+
+    /**
+     * Publish the pending funnel counts, and the cache-stat and read-
+     * latency growth since the last flush, to the metrics slab.  No-op
+     * when telemetry is off.
      */
     void
     flushMetrics()
@@ -244,12 +260,15 @@ class MapperState
         metrics->add(ids.degradedStepCap, pending.degradedStepCap);
         metrics->add(ids.degradedLookupCap, pending.degradedLookupCap);
         metrics->add(ids.degradedWatchdog, pending.degradedWatchdog);
-        metrics->mergeHistogram(ids.readLatency, pending.readLatency);
         pending = PendingFunnel{};
 
-        // Cache stats grow monotonically except across restoreStats,
-        // which rolls them back exactly to the last flushed watermark —
-        // so the delta below is the completed work since that flush.
+        // Cache stats and the latency histogram grow monotonically except
+        // across restoreStats, which rolls them back exactly to the last
+        // flushed watermark — so the deltas below are the completed work
+        // since that flush.
+        metrics->mergeHistogram(ids.readLatency,
+                                resilience.latency.since(flushedLatency_));
+        flushedLatency_ = resilience.latency;
         gbwt::CacheStats total = totalStats();
         metrics->add(ids.gbwtLookups, total.lookups - flushed_.lookups);
         metrics->add(ids.gbwtHits, total.hits - flushed_.hits);
@@ -311,8 +330,9 @@ class MapperState
   private:
     gbwt::CachedGbwt cache_;
     gbwt::CacheStats accumulated_;
-    /** Cache stats already published to the metrics slab. */
+    /** Cache stats and read latencies already published to the slab. */
     gbwt::CacheStats flushed_;
+    stats::LatencyHistogram flushedLatency_;
 };
 
 /**

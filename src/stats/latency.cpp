@@ -15,6 +15,18 @@ LatencyHistogram::merge(const LatencyHistogram& other)
     sumNanos_ += other.sumNanos_;
 }
 
+LatencyHistogram
+LatencyHistogram::since(const LatencyHistogram& earlier) const
+{
+    LatencyHistogram delta;
+    for (int b = 0; b < kBuckets; ++b) {
+        delta.buckets_[b] = buckets_[b] - earlier.buckets_[b];
+    }
+    delta.count_ = count_ - earlier.count_;
+    delta.sumNanos_ = sumNanos_ - earlier.sumNanos_;
+    return delta;
+}
+
 void
 LatencyHistogram::clear()
 {

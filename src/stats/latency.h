@@ -39,6 +39,10 @@ class LatencyHistogram
     /** Fold another histogram in (per-thread roll-ups). */
     void merge(const LatencyHistogram& other);
 
+    /** The samples recorded since `earlier`, an older copy of this
+     *  histogram (bucket-wise difference). */
+    LatencyHistogram since(const LatencyHistogram& earlier) const;
+
     uint64_t count() const { return count_; }
 
     /** Mean in nanoseconds (0 for an empty histogram). */

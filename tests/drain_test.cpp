@@ -1,7 +1,8 @@
 /**
  * Graceful-stop tests for the batch pipelines: the SIGTERM/SIGINT stop
- * flag wired through ParentParams (finish running batches, leave the
- * rest as unmapped placeholders) and CheckpointRunParams (finish the
+ * flag wired through the shared RunParams of the parent and the proxy
+ * (finish running batches, leave the rest as unmapped placeholders) and
+ * CheckpointRunParams (finish the
  * in-progress shard, flush it durably, resume later to a byte-identical
  * GAF).  The fork test delivers a real SIGTERM to a child process using
  * the real serve::installStopHandlers() wiring — the same path
@@ -21,6 +22,7 @@
 #include "fault/fault.h"
 #include "giraffe/checkpoint_run.h"
 #include "giraffe/parent.h"
+#include "giraffe/proxy.h"
 #include "io/gaf.h"
 #include "serve/stop.h"
 #include "sim/pangenome_gen.h"
@@ -113,9 +115,10 @@ class DrainFixture : public ::testing::Test
 /**
  * A pre-set stop flag means "no new batch is dispatched": the run
  * reports stopped, and every read still has a (placeholder) GAF line —
- * a stopped run never truncates the output format.
+ * a stopped run never truncates the output format.  The proxy runs the
+ * same loop: it maps nothing, says so, and still names every read.
  */
-TEST_F(DrainFixture, ParentStopFlagSkipsAllBatchesButKeepsShape)
+TEST_F(DrainFixture, StopFlagSkipsAllBatchesButKeepsShape)
 {
     std::atomic<bool> stop{true};
     giraffe::ParentEmulator parent = makeParent(&stop);
@@ -126,6 +129,21 @@ TEST_F(DrainFixture, ParentStopFlagSkipsAllBatchesButKeepsShape)
     EXPECT_EQ(static_cast<size_t>(
                   std::count(gaf.begin(), gaf.end(), '\n')),
               reads_.size());
+
+    giraffe::ProxyParams params;
+    params.numThreads = 2;
+    params.batchSize = 8;
+    params.stopFlag = &stop;
+    giraffe::ProxyRunner proxy(pg_.graph, pg_.gbwt, distance_, params);
+    giraffe::ProxyOutputs dump =
+        proxy.run(parent.capturePreprocessing(reads_));
+    EXPECT_TRUE(dump.stopped);
+    EXPECT_EQ(dump.readsMapped, 0u);
+    ASSERT_EQ(dump.extensions.size(), reads_.size());
+    for (size_t i = 0; i < reads_.size(); ++i) {
+        EXPECT_EQ(dump.extensions[i].readName, reads_.reads[i].name);
+        EXPECT_TRUE(dump.extensions[i].extensions.empty());
+    }
 }
 
 /** An unset flag changes nothing: stopped stays false. */

@@ -2,7 +2,8 @@
  * mg::resilience tests: deterministic budget caps with degraded-GAF
  * tagging, watchdog stall detection and cooperative batch cancellation,
  * the retry/bisect stats double-count regression, and FailureReport
- * determinism across schedulers.
+ * determinism across schedulers.  The watchdog and retry cases run the
+ * shared batch loop through both runners, parent and proxy.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "fault/fault.h"
 #include "giraffe/parent.h"
+#include "giraffe/proxy.h"
 #include "io/gaf.h"
 #include "resilience/budget.h"
 #include "sched/watchdog.h"
@@ -219,6 +221,54 @@ class ResiliencePipelineFixture : public ::testing::Test
         return params;
     }
 
+    /** The two runners built on the shared batch loop. */
+    enum class Runner { Parent, Proxy };
+
+    /** What the shared loop leaves behind, whichever runner drove it. */
+    struct LoopRun
+    {
+        giraffe::RunTotals totals;
+        /** Output records, one per read even when reads fail. */
+        size_t records = 0;
+        /** GAF rendering (parent only; empty for the proxy). */
+        std::string gaf;
+    };
+
+    /**
+     * Run `runner` with the run fields of `params` (scheduler included):
+     * the parent maps reads_, the proxy maps their seed capture.
+     */
+    LoopRun
+    runLoop(Runner runner, const giraffe::ParentParams& params) const
+    {
+        LoopRun run;
+        if (runner == Runner::Parent) {
+            giraffe::ParentOutputs outputs = runParent(params);
+            run.records = outputs.alignments.size();
+            run.gaf = io::formatGaf(outputs.alignments, reads_, pg_.graph);
+            run.totals = std::move(outputs);
+            return run;
+        }
+        giraffe::ParentEmulator parent(pg_.graph, pg_.gbwt, minimizers_,
+                                       distance_, params);
+        io::SeedCapture capture = parent.capturePreprocessing(reads_);
+        giraffe::ProxyParams proxy_params;
+        static_cast<giraffe::RunParams&>(proxy_params) = params;
+        proxy_params.mapper = params.mapper;
+        giraffe::ProxyRunner proxy(pg_.graph, pg_.gbwt, distance_,
+                                   proxy_params);
+        giraffe::ProxyOutputs outputs = proxy.run(capture);
+        run.records = outputs.extensions.size();
+        run.totals = std::move(outputs);
+        return run;
+    }
+
+    static const char*
+    runnerName(Runner runner)
+    {
+        return runner == Runner::Parent ? "parent" : "proxy";
+    }
+
     sim::GeneratedPangenome pg_;
     index::MinimizerIndex minimizers_;
     index::DistanceIndex distance_;
@@ -294,32 +344,38 @@ TEST_F(ResiliencePipelineFixture, UnlimitedBudgetDegradesNothing)
 
 TEST_F(ResiliencePipelineFixture, WatchdogCancelsAStalledBatch)
 {
-    // One injected 400 ms stall inside mapFromSeeds; the watchdog's
-    // threshold is 50 ms, so it must cancel the stalled worker's batch
-    // while the other worker keeps mapping.
-    fault::armFromText("map.read=stall,stall=400,limit=1");
     giraffe::ParentParams params = baseParams();
     params.watchdog = true;
     params.watchdogParams.stallSeconds = 0.05;
     params.watchdogParams.pollMillis = 5.0;
-    giraffe::ParentOutputs outputs = runParent(params);
+    for (Runner runner : {Runner::Parent, Runner::Proxy}) {
+        SCOPED_TRACE(runnerName(runner));
+        // One injected 400 ms stall inside mapFromSeeds; the watchdog's
+        // threshold is 50 ms, so it must cancel the stalled worker's
+        // batch while the other worker keeps mapping.
+        fault::disarmAll();
+        fault::armFromText("map.read=stall,stall=400,limit=1");
+        LoopRun run = runLoop(runner, params);
+        const giraffe::RunTotals& outputs = run.totals;
 
-    EXPECT_GE(outputs.failures.watchdogCancels, 1u);
-    EXPECT_GT(outputs.resilience.watchdogCancels, 0u);
-    // A cancelled batch completes degraded; it is not a failure.
-    EXPECT_TRUE(outputs.failures.batches.empty());
-    EXPECT_TRUE(outputs.failures.poisoned.empty());
-    EXPECT_NE(outputs.failures.summary().find("watchdog"),
-              std::string::npos);
+        EXPECT_GE(outputs.failures.watchdogCancels, 1u);
+        EXPECT_GT(outputs.resilience.watchdogCancels, 0u);
+        // A cancelled batch completes degraded; it is not a failure.
+        EXPECT_TRUE(outputs.failures.batches.empty());
+        EXPECT_TRUE(outputs.failures.poisoned.empty());
+        EXPECT_NE(outputs.failures.summary().find("watchdog"),
+                  std::string::npos);
 
-    // No reads lost or left unmapped-by-accident: every read has its
-    // alignment slot and the GAF tags the degraded ones.
-    ASSERT_EQ(outputs.alignments.size(), reads_.size());
-    std::string gaf = io::formatGaf(outputs.alignments, reads_, pg_.graph);
-    EXPECT_EQ(static_cast<size_t>(
-                  std::count(gaf.begin(), gaf.end(), '\n')),
-              reads_.size());
-    EXPECT_NE(gaf.find("\tdg:Z:watchdog"), std::string::npos);
+        // No reads lost or left unmapped-by-accident: every read has its
+        // output slot and the GAF tags the degraded ones.
+        ASSERT_EQ(run.records, reads_.size());
+        if (runner == Runner::Parent) {
+            EXPECT_EQ(static_cast<size_t>(std::count(
+                          run.gaf.begin(), run.gaf.end(), '\n')),
+                      reads_.size());
+            EXPECT_NE(run.gaf.find("\tdg:Z:watchdog"), std::string::npos);
+        }
+    }
 }
 
 TEST_F(ResiliencePipelineFixture, WatchdogIdlesOnAHealthyRun)
@@ -342,27 +398,31 @@ TEST_F(ResiliencePipelineFixture, RetriedBatchesCountStatsOnce)
     // attempt leaked its cache and degradation counters into the totals.
     giraffe::ParentParams params = baseParams(/*threads=*/1);
     params.budget.maxExtendSteps = 16; // nonzero degradation counters too
-    giraffe::ParentOutputs baseline = runParent(params);
-    ASSERT_TRUE(baseline.failures.ok());
+    for (Runner runner : {Runner::Parent, Runner::Proxy}) {
+        SCOPED_TRACE(runnerName(runner));
+        fault::disarmAll();
+        const giraffe::RunTotals baseline = runLoop(runner, params).totals;
+        ASSERT_TRUE(baseline.failures.ok());
 
-    fault::armFromText("sched.worker=throw,limit=3");
-    giraffe::ParentOutputs faulted = runParent(params);
-    ASSERT_EQ(faulted.failures.batches.size(), 3u);
-    for (const sched::BatchFailure& failure : faulted.failures.batches) {
-        EXPECT_TRUE(failure.recovered);
+        fault::armFromText("sched.worker=throw,limit=3");
+        const giraffe::RunTotals faulted = runLoop(runner, params).totals;
+        ASSERT_EQ(faulted.failures.batches.size(), 3u);
+        for (const sched::BatchFailure& failure : faulted.failures.batches) {
+            EXPECT_TRUE(failure.recovered);
+        }
+
+        // The retried run's aggregate stats equal the clean run's
+        // exactly: failed attempts contribute nothing, retries count once.
+        EXPECT_EQ(faulted.cacheStats.lookups, baseline.cacheStats.lookups);
+        EXPECT_EQ(faulted.cacheStats.hits, baseline.cacheStats.hits);
+        EXPECT_EQ(faulted.cacheStats.decodes, baseline.cacheStats.decodes);
+        EXPECT_EQ(faulted.resilience.stepCapHits,
+                  baseline.resilience.stepCapHits);
+        EXPECT_EQ(faulted.resilience.degradedReads(),
+                  baseline.resilience.degradedReads());
+        EXPECT_EQ(faulted.resilience.latency.count(),
+                  baseline.resilience.latency.count());
     }
-
-    // The retried run's aggregate stats equal the clean run's exactly:
-    // failed attempts contribute nothing, retries count once.
-    EXPECT_EQ(faulted.cacheStats.lookups, baseline.cacheStats.lookups);
-    EXPECT_EQ(faulted.cacheStats.hits, baseline.cacheStats.hits);
-    EXPECT_EQ(faulted.cacheStats.decodes, baseline.cacheStats.decodes);
-    EXPECT_EQ(faulted.resilience.stepCapHits,
-              baseline.resilience.stepCapHits);
-    EXPECT_EQ(faulted.resilience.degradedReads(),
-              baseline.resilience.degradedReads());
-    EXPECT_EQ(faulted.resilience.latency.count(),
-              baseline.resilience.latency.count());
 }
 
 TEST_F(ResiliencePipelineFixture, FailureReportIsSortedOnEveryScheduler)
