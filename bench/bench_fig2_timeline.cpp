@@ -50,9 +50,10 @@ main(int argc, char** argv)
         ThreadRow& row = rows[total.thread];
         // The extend region nests inside process_until_threshold_c; skip
         // it in the busy sum so busy time is not double counted.
-        if (total.region != mg::perf::regions::kExtend) {
+        if (total.stage != mg::perf::Stage::Extend) {
             row.busyNs += total.totalNanos;
-            row.regionNs[total.region] += total.totalNanos;
+            row.regionNs[mg::perf::regionName(total.stage)] +=
+                total.totalNanos;
         }
         row.tasks += total.invocations;
     }

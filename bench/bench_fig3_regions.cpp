@@ -26,12 +26,14 @@ main(int argc, char** argv)
                       "Region share of total mapping time per input set "
                       "(parent emulator, averaged across threads)");
 
-    std::vector<std::string> region_order = {
-        mg::perf::regions::kFindSeeds,
-        mg::perf::regions::kClusterSeeds,
-        mg::perf::regions::kProcessUntilThresholdC,
-        mg::perf::regions::kScoreExtensions,
-        mg::perf::regions::kAlign,
+    // The extension region nests inside process_until_threshold_c; count
+    // the parent region only (as the paper's regions do).
+    const mg::perf::Stage stage_order[] = {
+        mg::perf::Stage::FindSeeds,
+        mg::perf::Stage::ClusterSeeds,
+        mg::perf::Stage::ProcessUntilThresholdC,
+        mg::perf::Stage::ScoreExtensions,
+        mg::perf::Stage::Align,
     };
 
     std::map<std::string, std::map<std::string, double>> share;
@@ -48,16 +50,13 @@ main(int argc, char** argv)
 
         double total = 0.0;
         std::map<std::string, double> seconds;
-        for (const std::string& region : region_order) {
-            // The extension region nests inside process_until_threshold_c;
-            // count the parent region only (as the paper's regions do).
-            if (region == mg::perf::regions::kExtend) {
-                continue;
-            }
-            seconds[region] = profiler.regionSeconds(region);
+        for (mg::perf::Stage stage : stage_order) {
+            const std::string region = mg::perf::regionName(stage);
+            seconds[region] = profiler.regionSeconds(stage);
             total += seconds[region];
         }
-        for (const std::string& region : region_order) {
+        for (mg::perf::Stage stage : stage_order) {
+            const std::string region = mg::perf::regionName(stage);
             share[region][spec.name] =
                 total > 0.0 ? 100.0 * seconds[region] / total : 0.0;
         }
@@ -68,7 +67,8 @@ main(int argc, char** argv)
         std::printf(" %10s", name.c_str());
     }
     std::printf("\n");
-    for (const std::string& region : region_order) {
+    for (mg::perf::Stage stage : stage_order) {
+        const std::string region = mg::perf::regionName(stage);
         std::printf("%-28s", region.c_str());
         for (const std::string& name : input_names) {
             std::printf(" %9.1f%%", share[region][name]);
@@ -84,7 +84,8 @@ main(int argc, char** argv)
         header.insert(header.end(), input_names.begin(),
                       input_names.end());
         mg::util::CsvWriter csv(flags.str("csv"), header);
-        for (const std::string& region : region_order) {
+        for (mg::perf::Stage stage : stage_order) {
+            const std::string region = mg::perf::regionName(stage);
             std::vector<std::string> row = {region};
             for (const std::string& name : input_names) {
                 row.push_back(mg::util::fixed(share[region][name], 2));

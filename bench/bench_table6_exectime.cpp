@@ -53,9 +53,9 @@ main(int argc, char** argv)
             mg::perf::Profiler profiler;
             parent.run(world->set.reads, &profiler);
             parent_runs.push_back(
-                profiler.regionSeconds(mg::perf::regions::kClusterSeeds) +
+                profiler.regionSeconds(mg::perf::Stage::ClusterSeeds) +
                 profiler.regionSeconds(
-                    mg::perf::regions::kProcessUntilThresholdC));
+                    mg::perf::Stage::ProcessUntilThresholdC));
             // Proxy: whole-run makespan (it *is* the critical region).
             proxy_runs.push_back(proxy.run(capture).wallSeconds);
         }

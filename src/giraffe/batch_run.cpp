@@ -24,9 +24,6 @@ BatchRun::BatchRun(const map::Mapper& mapper, const RunParams& params,
              "telemetry hub sized for ",
              hub == nullptr ? 0 : hub->flight().workers(),
              " workers, run uses ", params.numThreads);
-    if (profiler != nullptr) {
-        mapper_.bindProfiler(*profiler);
-    }
 }
 
 map::MapperState&

@@ -82,9 +82,9 @@ class BatchRun
     using SlotFn = std::function<void(size_t index)>;
 
     /**
-     * @param params Must outlive the run (the runner's own params).
-     * @param profiler Optional region instrumentation, bound to a copy of
-     *        `mapper` and registered per worker thread.
+     * @param mapper,params Must outlive the run (the runner's own).
+     * @param profiler Optional region instrumentation, registered per
+     *        worker thread.
      * @param tracer Optional memory tracer (single-threaded runs only).
      * @param hub Optional telemetry hub; must be sized for at least
      *        params.numThreads workers.
@@ -96,9 +96,6 @@ class BatchRun
     // Workers and the watchdog hold the board's and the states' addresses.
     BatchRun(const BatchRun&) = delete;
     BatchRun& operator=(const BatchRun&) = delete;
-
-    /** The run's mapper (profiler-bound when a profiler was given). */
-    const map::Mapper& mapper() const { return mapper_; }
 
     /** Worker `thread`'s state, created on first use. */
     map::MapperState& state(size_t thread);
@@ -127,7 +124,7 @@ class BatchRun
     perf::Profiler* profiler_;
     util::MemTracer* tracer_;
     obs::Hub* hub_;
-    map::Mapper mapper_;
+    const map::Mapper& mapper_;
     /** Absolute, so late-created states inherit the same cutoff. */
     uint64_t deadlineNanos_ = 0;
     sched::HeartbeatBoard board_;

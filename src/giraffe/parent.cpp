@@ -20,31 +20,23 @@ ParentEmulator::run(const map::ReadSet& reads, perf::Profiler* profiler,
     outputs.alignments.resize(n);
     outputs.extensions.resize(n);
 
-    // Region ids (cheap to look up even when profiling is off).
-    perf::RegionId region_score = 0;
-    perf::RegionId region_align = 0;
-    if (profiler) {
-        region_score = profiler->regionId(perf::regions::kScoreExtensions);
-        region_align = profiler->regionId(perf::regions::kAlign);
-    }
-
     BatchRun run(mapper_, params_, profiler, tracer, hub);
-    const map::Mapper& mapper = run.mapper();
     run.mapReads(
         n,
         [&](map::MapperState& state, size_t i) {
             const map::Read& read = reads.reads[i];
             // Preprocessing + critical functions (instrumented inside).
-            map::MapResult result = mapper.mapRead(read, state);
+            map::MapResult result = mapper_.mapRead(read, state);
 
             // Post-processing: score/filter extensions, emit alignment.
             {
-                perf::ScopedRegion region(state.log, region_score);
+                const auto scope =
+                    state.stage(perf::Stage::ScoreExtensions);
                 outputs.extensions[i].readName = read.name;
                 outputs.extensions[i].extensions = result.extensions;
             }
             {
-                perf::ScopedRegion region(state.log, region_align);
+                const auto scope = state.stage(perf::Stage::Align);
                 outputs.alignments[i] =
                     postProcess(read.name, result.extensions, params_.post);
                 outputs.alignments[i].degraded = result.degraded;
@@ -66,7 +58,7 @@ ParentEmulator::run(const map::ReadSet& reads, perf::Profiler* profiler,
                                        distance_, params_.pairing);
         if (params_.mateRescue) {
             outputs.rescue = rescuePairs(
-                mapper, minimizers_, distance_, reads, outputs.alignments,
+                mapper_, minimizers_, distance_, reads, outputs.alignments,
                 outputs.pairs, run.state(0), params_.pairing,
                 params_.post, params_.rescue);
         }

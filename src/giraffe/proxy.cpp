@@ -21,13 +21,12 @@ ProxyRunner::run(const io::SeedCapture& capture, perf::Profiler* profiler,
     // The mapping loop: nested iteration over reads and their seeds, the
     // outer loop parallelized by the selected scheduler (Section V).
     BatchRun run(mapper_, params_, profiler, tracer, hub);
-    const map::Mapper& mapper = run.mapper();
     outputs.readsMapped = run.mapReads(
         n,
         [&](map::MapperState& state, size_t i) {
             const io::ReadWithSeeds& entry = capture.entries[i];
             map::MapResult result =
-                mapper.mapFromSeeds(entry.read, entry.seeds, state);
+                mapper_.mapFromSeeds(entry.read, entry.seeds, state);
             outputs.extensions[i].readName = entry.read.name;
             outputs.extensions[i].extensions = std::move(result.extensions);
         },

@@ -63,68 +63,82 @@ rescuePairs(const map::Mapper& mapper,
         const Alignment& anchor = alignments[anchor_index];
         const map::Read& target_read = reads.reads[target_index];
         ++stats.attempted;
-
-        // Window filter: the target must sit within a plausible fragment
-        // of the anchor, on the opposite strand.
-        int64_t anchor_coord = alignmentCoordinate(anchor, distance);
-        bool want_reverse = !anchor.onReverseRead;
-        map::SeedVector seeds =
-            map::findSeeds(minimizers, target_read,
-                           mapper.params().seeding, state.tracer);
-        map::SeedVector windowed;
-        for (const map::Seed& seed : seeds) {
-            if (seed.onReverseRead != want_reverse) {
-                continue;
+        // Each attempt claims its own flight slot, named by the target
+        // read, so a report never shows a finished read back in a stage.
+        if (state.flight != nullptr) {
+            state.flight->begin(target_index);
+            state.flight->stage(obs::ReadStage::Rescue);
+        }
+        const bool rescued = [&] {
+            // Window filter: the target must sit within a plausible
+            // fragment of the anchor, on the opposite strand.
+            int64_t anchor_coord = alignmentCoordinate(anchor, distance);
+            bool want_reverse = !anchor.onReverseRead;
+            map::SeedVector seeds =
+                map::findSeeds(minimizers, target_read,
+                               mapper.params().seeding, state.tracer);
+            map::SeedVector windowed;
+            for (const map::Seed& seed : seeds) {
+                if (seed.onReverseRead != want_reverse) {
+                    continue;
+                }
+                int64_t coord = distance.chainCoordinate(seed.position) -
+                                static_cast<int64_t>(seed.readOffset);
+                if (std::llabs(coord - anchor_coord) <=
+                    static_cast<int64_t>(window)) {
+                    windowed.push_back(seed);
+                }
             }
-            int64_t coord = distance.chainCoordinate(seed.position) -
-                            static_cast<int64_t>(seed.readOffset);
-            if (std::llabs(coord - anchor_coord) <=
-                static_cast<int64_t>(window)) {
-                windowed.push_back(seed);
+            if (windowed.empty() ||
+                windowed.size() > params.maxWindowSeeds) {
+                return false;
             }
-        }
-        if (windowed.empty() || windowed.size() > params.maxWindowSeeds) {
-            continue;
-        }
 
-        map::MapResult result =
-            mapper.mapFromSeeds(target_read, windowed, state);
-        Alignment candidate =
-            postProcess(target_read.name, result.extensions, post);
-        if (!candidate.mapped) {
-            continue;
-        }
+            map::MapResult result =
+                mapper.mapFromSeeds(target_read, windowed, state);
+            Alignment candidate =
+                postProcess(target_read.name, result.extensions, post);
+            if (!candidate.mapped) {
+                return false;
+            }
 
-        // Accept only if the rescued placement completes a proper pair.
-        const Alignment& fwd =
-            candidate.onReverseRead ? anchor : candidate;
-        const Alignment& rev =
-            candidate.onReverseRead ? candidate : anchor;
-        if (fwd.onReverseRead || !rev.onReverseRead) {
-            continue;
-        }
-        int64_t fragment =
-            alignmentCoordinate(rev, distance) +
-            static_cast<int64_t>(rev.length()) -
-            alignmentCoordinate(fwd, distance);
-        if (fragment <= 0 || static_cast<double>(fragment) < frag_lo ||
-            static_cast<double>(fragment) > frag_hi) {
-            continue;
-        }
+            // Accept only if the rescued placement completes a proper
+            // pair.
+            const Alignment& fwd =
+                candidate.onReverseRead ? anchor : candidate;
+            const Alignment& rev =
+                candidate.onReverseRead ? candidate : anchor;
+            if (fwd.onReverseRead || !rev.onReverseRead) {
+                return false;
+            }
+            int64_t fragment =
+                alignmentCoordinate(rev, distance) +
+                static_cast<int64_t>(rev.length()) -
+                alignmentCoordinate(fwd, distance);
+            if (fragment <= 0 ||
+                static_cast<double>(fragment) < frag_lo ||
+                static_cast<double>(fragment) > frag_hi) {
+                return false;
+            }
 
-        alignments[target_index] = candidate;
-        pair.bothMapped = true;
-        pair.properPair = true;
-        pair.observedFragment = fragment;
-        auto boost = [&](Alignment& alignment) {
-            int mapq =
-                alignment.mappingQuality + pairing.properPairBonus;
-            alignment.mappingQuality =
-                static_cast<uint8_t>(std::min(mapq, 60));
-        };
-        boost(alignments[pair.firstRead]);
-        boost(alignments[pair.secondRead]);
-        ++stats.rescued;
+            alignments[target_index] = candidate;
+            pair.bothMapped = true;
+            pair.properPair = true;
+            pair.observedFragment = fragment;
+            auto boost = [&](Alignment& alignment) {
+                int mapq =
+                    alignment.mappingQuality + pairing.properPairBonus;
+                alignment.mappingQuality =
+                    static_cast<uint8_t>(std::min(mapq, 60));
+            };
+            boost(alignments[pair.firstRead]);
+            boost(alignments[pair.secondRead]);
+            return true;
+        }();
+        if (state.flight != nullptr) {
+            state.flight->done();
+        }
+        stats.rescued += rescued ? 1 : 0;
     }
     return stats;
 }

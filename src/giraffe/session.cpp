@@ -74,27 +74,19 @@ MapSession::map(size_t worker, const std::vector<map::Read>& reads,
             state.flight->begin(i);
         }
         const map::Read& read = reads[i];
-        util::WallTimer read_timer;
         map::MapResult mapped = mapper_.mapRead(read, state);
-        const uint64_t emit_start =
-            stage_trace != nullptr ? util::nowNanos() : 0;
-        Alignment alignment =
-            postProcess(read.name, mapped.extensions, params_.post);
-        alignment.degraded = mapped.degraded;
-        result.gaf += io::formatGafLine(alignment, read, graph_);
-        result.gaf += '\n';
-        if (stage_trace != nullptr) {
-            stage_trace->add(obs::SpanStage::GafEmit,
-                             util::nowNanos() - emit_start);
-        }
-        if (alignment.mapped) {
-            ++result.mappedReads;
+        {
+            const auto scope = state.stage(perf::Stage::Align);
+            Alignment alignment =
+                postProcess(read.name, mapped.extensions, params_.post);
+            alignment.degraded = mapped.degraded;
+            result.gaf += io::formatGafLine(alignment, read, graph_);
+            result.gaf += '\n';
+            result.mappedReads += alignment.mapped ? 1 : 0;
         }
         if (mapped.degraded != resilience::CancelReason::None) {
             ++result.degradedReads;
         }
-        result.stats.countDegraded(mapped.degraded);
-        result.stats.latency.record(read_timer.nanos());
         if (state.flight != nullptr) {
             state.flight->done();
         }

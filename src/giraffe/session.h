@@ -54,8 +54,6 @@ struct SessionResult
     uint64_t mappedReads = 0;
     /** Reads cut short by the budget/watchdog (best-so-far output). */
     uint64_t degradedReads = 0;
-    /** Degradation reasons + per-read latency for this request only. */
-    resilience::ResilienceStats stats;
 };
 
 /** One loaded index set serving many mapping requests. */
@@ -82,9 +80,9 @@ class MapSession
      * deterministic tests want.
      *
      * `stage_trace` (nullable) receives the request's per-stage wall
-     * time (seed/cluster/extend from the mapper, gaf-emit from the
-     * post-process + format step) when the request is traced.  The hook
-     * is timing-only: traced and untraced requests produce byte-identical
+     * time from the mapper's stage hook when the request is traced; the
+     * post-process + GAF format step counts as Align.  The hook is
+     * timing-only: traced and untraced requests produce byte-identical
      * GAF.
      */
     SessionResult map(size_t worker, const std::vector<map::Read>& reads,

@@ -44,30 +44,13 @@ Mapper::Mapper(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
       distance_(distance), params_(params), extender_(graph, params.extend)
 {}
 
-void
-Mapper::bindProfiler(perf::Profiler& profiler)
-{
-    regionFindSeeds_ = profiler.regionId(perf::regions::kFindSeeds);
-    regionCluster_ = profiler.regionId(perf::regions::kClusterSeeds);
-    regionProcess_ =
-        profiler.regionId(perf::regions::kProcessUntilThresholdC);
-    regionExtend_ = profiler.regionId(perf::regions::kExtend);
-    profilerBound_ = true;
-}
-
 MapResult
 Mapper::mapRead(const Read& read, MapperState& state) const
 {
     SeedVector seeds;
     {
-        const uint64_t seed_start =
-            state.stageTrace != nullptr ? util::nowNanos() : 0;
-        perf::ScopedRegion region(state.log, regionFindSeeds_);
+        const auto scope = state.stage(perf::Stage::FindSeeds);
         seeds = findSeeds(minimizers_, read, params_.seeding, state.tracer);
-        if (state.stageTrace != nullptr) {
-            state.stageTrace->add(obs::SpanStage::Seed,
-                                  util::nowNanos() - seed_start);
-        }
     }
     return mapFromSeeds(read, seeds, state);
 }
@@ -90,33 +73,15 @@ Mapper::mapFromSeeds(const Read& read, const SeedVector& seeds,
     // different contents.  Force a repack on first use.
     state.extendScratch.query.invalidate();
     std::vector<Cluster>& clusters = state.clusters;
-    if (state.flight != nullptr) {
-        state.flight->stage(obs::ReadStage::Cluster);
-    }
     {
-        const uint64_t cluster_start =
-            state.stageTrace != nullptr ? util::nowNanos() : 0;
-        perf::ScopedRegion region(state.log, regionCluster_);
+        const auto scope = state.stage(perf::Stage::ClusterSeeds);
         clusterSeedsInto(graph_, distance_, seeds, params_.cluster,
                          clusters, state.tracer);
-        if (state.stageTrace != nullptr) {
-            state.stageTrace->add(obs::SpanStage::Cluster,
-                                  util::nowNanos() - cluster_start);
-        }
     }
     result.clustersFormed = static_cast<uint32_t>(clusters.size());
-    if (state.flight != nullptr) {
-        state.flight->stage(obs::ReadStage::Process);
-    }
     {
-        const uint64_t extend_start =
-            state.stageTrace != nullptr ? util::nowNanos() : 0;
-        perf::ScopedRegion region(state.log, regionProcess_);
+        const auto scope = state.stage(perf::Stage::ProcessUntilThresholdC);
         processUntilThresholdC(read, seeds, clusters, state, result);
-        if (state.stageTrace != nullptr) {
-            state.stageTrace->add(obs::SpanStage::Extend,
-                                  util::nowNanos() - extend_start);
-        }
     }
     result.degraded = state.budget.reason();
     state.resilience.countDegraded(result.degraded);
@@ -236,10 +201,7 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
             }
         }
 
-        if (state.flight != nullptr) {
-            state.flight->stage(obs::ReadStage::Extend);
-        }
-        perf::ScopedRegion region(state.log, regionExtend_);
+        const auto scope = state.stage(perf::Stage::Extend);
         // Seeds extend one after another, so every extension an earlier
         // seed produced is known before the next seed is chosen to walk.
         for (uint32_t idx : chosen) {

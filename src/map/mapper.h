@@ -27,6 +27,7 @@
 #include "obs/hub.h"
 #include "perf/profiler.h"
 #include "resilience/budget.h"
+#include "util/timer.h"
 
 namespace mg::map {
 
@@ -281,6 +282,59 @@ class MapperState
         flushed_ = total;
     }
 
+    /**
+     * The one instrumentation hook: times one pipeline stage from
+     * construction to destruction into every sink attached to the state —
+     * the region log, the request stage accumulator and (at entry, for
+     * the stages it tracks) the flight ring.  Each edge reads the clock
+     * once, so all sinks see the same interval; with no sink attached it
+     * reads none.
+     */
+    class StageScope
+    {
+      public:
+        StageScope(MapperState& state, perf::Stage stage)
+            : state_(state), stage_(stage),
+              timed_(state.log != nullptr || state.stageTrace != nullptr)
+        {
+            const obs::ReadStage flight = obs::flightStage(stage);
+            const bool track =
+                state.flight != nullptr && flight != obs::ReadStage::Idle;
+            if (timed_ || track) {
+                start_ = util::nowNanos();
+            }
+            if (track) {
+                state.flight->stage(flight, start_);
+            }
+        }
+
+        StageScope(const StageScope&) = delete;
+        StageScope& operator=(const StageScope&) = delete;
+
+        ~StageScope()
+        {
+            if (!timed_) {
+                return;
+            }
+            const uint64_t end = util::nowNanos();
+            if (state_.log != nullptr) {
+                state_.log->add(stage_, start_, end);
+            }
+            if (state_.stageTrace != nullptr) {
+                state_.stageTrace->add(stage_, end - start_);
+            }
+        }
+
+      private:
+        MapperState& state_;
+        perf::Stage stage_;
+        bool timed_;
+        uint64_t start_ = 0;
+    };
+
+    /** Time `stage` until the returned scope ends (see StageScope). */
+    StageScope stage(perf::Stage stage) { return StageScope(*this, stage); }
+
     util::MemTracer* tracer = nullptr;
     /** Region instrumentation (null when profiling is off). */
     perf::Profiler::ThreadLog* log = nullptr;
@@ -292,9 +346,9 @@ class MapperState
     obs::FlightRecorder::Ring* flight = nullptr;
     /**
      * Per-request stage-time accumulator for traced requests (null when
-     * the request is untraced).  The mapper adds the wall time of each
-     * pipeline stage (seed/cluster/extend) here; timing-only, so a
-     * traced request's GAF stays byte-identical to an untraced one.
+     * the request is untraced).  The stage hook adds the wall time of
+     * each pipeline stage here; timing-only, so a traced request's GAF
+     * stays byte-identical to an untraced one.
      */
     obs::StageAccumulator* stageTrace = nullptr;
     PendingFunnel pending;
@@ -369,9 +423,6 @@ class Mapper
     MapResult mapFromSeeds(const Read& read, const SeedVector& seeds,
                            MapperState& state) const;
 
-    /** Register the region ids used for instrumentation. */
-    void bindProfiler(perf::Profiler& profiler);
-
   private:
     /**
      * The paper's process_until_threshold_c over scored clusters.  Chosen
@@ -389,13 +440,6 @@ class Mapper
     const index::DistanceIndex& distance_;
     MapperParams params_;
     Extender extender_;
-
-    // Region ids (registered once; zero-cost when no log is attached).
-    perf::RegionId regionFindSeeds_ = 0;
-    perf::RegionId regionCluster_ = 0;
-    perf::RegionId regionProcess_ = 0;
-    perf::RegionId regionExtend_ = 0;
-    bool profilerBound_ = false;
 };
 
 } // namespace mg::map

@@ -41,14 +41,14 @@ FlightRecorder::Ring::begin(uint64_t read_index)
 }
 
 void
-FlightRecorder::Ring::stage(ReadStage s)
+FlightRecorder::Ring::stage(ReadStage s, uint64_t now_nanos)
 {
     uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == 0) {
         return; // stage() before any begin(): nothing to attribute
     }
     Slot& slot = slots_[(head - 1) % slots_.size()];
-    slot.enterNanos.store(util::nowNanos(), std::memory_order_relaxed);
+    slot.enterNanos.store(now_nanos, std::memory_order_relaxed);
     slot.stage.store(static_cast<uint8_t>(s), std::memory_order_relaxed);
 }
 

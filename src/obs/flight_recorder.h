@@ -23,19 +23,41 @@
 #include <string>
 #include <vector>
 
+#include "perf/profiler.h"
+#include "util/timer.h"
+
 namespace mg::obs {
 
-/** Pipeline stage a read is in, coarse on purpose (one store per change). */
+/**
+ * What a flight slot shows.  The ring's mapping stages are the
+ * perf::Stage values themselves; the lifecycle marks sit past them.
+ */
 enum class ReadStage : uint8_t
 {
-    Idle = 0,    // slot never used
-    Start,       // read picked up, before clustering
-    Cluster,     // cluster_seeds
-    Process,     // process_until_threshold_c scoring loop
-    Extend,      // extension kernel
-    Rescue,      // mate rescue
-    Done         // mapping finished
+    Cluster = static_cast<uint8_t>(perf::Stage::ClusterSeeds),
+    Process = static_cast<uint8_t>(perf::Stage::ProcessUntilThresholdC),
+    Extend = static_cast<uint8_t>(perf::Stage::Extend),
+    Idle = static_cast<uint8_t>(perf::kStages), // slot never used
+    Start,  // read picked up, before clustering
+    Rescue, // mate rescue, before its seeds are clustered
+    Done    // mapping finished
 };
+
+/**
+ * The ring stage a mapping stage shows as, or Idle for the stages the
+ * ring does not track: seeding stays "start" and post-processing stays
+ * in the last stage entered.
+ */
+constexpr ReadStage
+flightStage(perf::Stage stage)
+{
+    switch (stage) {
+    case perf::Stage::ClusterSeeds:
+    case perf::Stage::ProcessUntilThresholdC:
+    case perf::Stage::Extend: return static_cast<ReadStage>(stage);
+    default: return ReadStage::Idle;
+    }
+}
 
 const char* stageName(ReadStage stage);
 
@@ -74,8 +96,9 @@ class FlightRecorder
             currentTrace_.store(trace_id, std::memory_order_relaxed);
         }
 
-        /** Record a stage change for the read begin() last claimed. */
-        void stage(ReadStage s);
+        /** Record a stage change, entered at `now_nanos`, for the read
+         *  begin() last claimed. */
+        void stage(ReadStage s, uint64_t now_nanos = util::nowNanos());
 
         /** Mark the current read finished. */
         void done() { stage(ReadStage::Done); }

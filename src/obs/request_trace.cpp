@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "obs/json.h"
+#include "obs/trace.h"
 #include "util/common.h"
 
 namespace mg::obs {
@@ -250,53 +251,19 @@ RequestTracer::writeChromeTrace(const std::string& path,
     for (const std::unique_ptr<Lane>& lane : lanes_) {
         all.insert(all.end(), lane->spans.begin(), lane->spans.end());
     }
-    uint64_t origin = UINT64_MAX;
-    for (const StoredSpan& stored : all) {
-        origin = std::min(origin, stored.span.beginNanos);
-    }
-    if (all.empty()) {
-        origin = 0;
-    }
-    auto micros = [origin](uint64_t nanos) {
-        return static_cast<double>(nanos - origin) / 1000.0;
-    };
-
-    JsonWriter w;
-    w.beginObject();
-    w.key("traceEvents").beginArray();
-
-    w.beginObject();
-    w.field("ph", "M").field("name", "process_name").field("pid", 1);
-    w.key("args").beginObject().field("name", process_name).endObject();
-    w.endObject();
+    ChromeTrace trace;
+    trace.processName = process_name;
     for (size_t lane = 0; lane < lanes_.size(); ++lane) {
-        w.beginObject();
-        w.field("ph", "M").field("name", "thread_name").field("pid", 1);
-        w.field("tid", static_cast<uint64_t>(lane + 1));
-        w.key("args").beginObject();
-        w.field("name", lane == params_.lanes
-                            ? std::string("reader")
-                            : "worker " + std::to_string(lane));
-        w.endObject();
-        w.endObject();
+        trace.threads.emplace_back(lane + 1,
+                                   lane == params_.lanes
+                                       ? std::string("reader")
+                                       : "worker " + std::to_string(lane));
     }
-
     for (const StoredSpan& stored : all) {
         const Span& span = stored.span;
-        w.beginObject();
-        w.field("ph", "X");
-        w.field("name", spanStageName(span.stage));
-        w.field("cat", "request");
-        w.field("pid", 1);
-        w.field("tid", static_cast<uint64_t>(span.lane + 1));
-        w.field("ts", micros(span.beginNanos));
-        w.field("dur", static_cast<double>(span.endNanos -
-                                           span.beginNanos) /
-                           1000.0);
-        w.key("args").beginObject();
-        w.field("trace", traceIdHex(stored.traceId));
-        w.endObject();
-        w.endObject();
+        trace.events.push_back(TraceEvent{
+            'X', spanStageName(span.stage), "request", span.lane + 1u,
+            span.beginNanos, span.endNanos, stored.traceId });
     }
 
     // Flow arrows: for every trace whose spans sit on more than one lane,
@@ -324,43 +291,24 @@ RequestTracer::writeChromeTrace(const std::string& path,
             }
         }
         if (source != nullptr) {
-            bool started = false;
             for (size_t k = i; k < j; ++k) {
                 const Span& span = sorted[k].span;
                 if (span.lane == params_.lanes ||
                     span.beginNanos < source->span.endNanos) {
                     continue;
                 }
-                if (!started) {
-                    w.beginObject();
-                    w.field("ph", "s").field("name", "request");
-                    w.field("cat", "flow");
-                    w.field("id", traceIdHex(sorted[i].traceId));
-                    w.field("pid", 1);
-                    w.field("tid",
-                            static_cast<uint64_t>(source->span.lane + 1));
-                    w.field("ts", micros(source->span.endNanos));
-                    w.endObject();
-                    started = true;
-                }
-                w.beginObject();
-                w.field("ph", "f").field("bp", "e");
-                w.field("name", "request").field("cat", "flow");
-                w.field("id", traceIdHex(sorted[k].traceId));
-                w.field("pid", 1);
-                w.field("tid", static_cast<uint64_t>(span.lane + 1));
-                w.field("ts", micros(span.beginNanos));
-                w.endObject();
+                trace.events.push_back(TraceEvent{
+                    's', "request", "flow", source->span.lane + 1u,
+                    source->span.endNanos, 0, sorted[i].traceId });
+                trace.events.push_back(TraceEvent{
+                    'f', "request", "flow", span.lane + 1u,
+                    span.beginNanos, 0, sorted[k].traceId });
                 break; // one arrow per trace: reader -> first worker span
             }
         }
         i = j;
     }
-
-    w.endArray();
-    w.field("displayTimeUnit", "ms");
-    w.endObject();
-    w.writeFile(path);
+    obs::writeChromeTrace(path, trace);
 }
 
 // ------------------------------------------------------------ mgtrace dump

@@ -28,9 +28,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.h"
+#include "perf/profiler.h"
 
 namespace mg::obs {
 
@@ -62,19 +64,28 @@ struct Span
 };
 
 /**
- * Per-request accumulator for the mapping stages.  The mapper adds
- * seed/cluster/extend nanoseconds read by read; the session adds gaf-emit.
+ * Per-request accumulator for the mapping stages, fed by the mapper's
+ * stage hook read by read (the session's GAF formatting counts as Align).
  * Observation only: attaching one must not change mapping output.
  */
 struct StageAccumulator
 {
-    std::array<uint64_t, kSpanStages> nanos{};
+    std::array<uint64_t, perf::kStages> nanos{};
 
     void
-    add(SpanStage stage, uint64_t ns)
+    add(perf::Stage stage, uint64_t ns)
     {
         nanos[static_cast<size_t>(stage)] += ns;
     }
+};
+
+/** The request span each accumulated mapping stage is drawn as, in
+ *  pipeline order; the nested Extend and ScoreExtensions get none. */
+inline constexpr std::pair<perf::Stage, SpanStage> kMapSpans[] = {
+    { perf::Stage::FindSeeds, SpanStage::Seed },
+    { perf::Stage::ClusterSeeds, SpanStage::Cluster },
+    { perf::Stage::ProcessUntilThresholdC, SpanStage::Extend },
+    { perf::Stage::Align, SpanStage::GafEmit },
 };
 
 /** A traced request's identity and span list, carried with the request. */

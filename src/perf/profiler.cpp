@@ -1,57 +1,24 @@
 #include "perf/profiler.h"
 
+#include <array>
 #include <fstream>
 
 #include "util/common.h"
 
 namespace mg::perf {
 
-Profiler::Profiler(bool enabled) : enabled_(enabled)
+const char*
+regionName(Stage stage)
 {
-    // Pre-register the canonical regions so every regions::k* lookup on
-    // the mapping path is a read-only map find, never a mutation.
-    for (const char* name :
-         { regions::kReadIo, regions::kParseSettings,
-           regions::kMinimizerLookup, regions::kFindSeeds,
-           regions::kClusterSeeds, regions::kProcessUntilThresholdC,
-           regions::kExtend, regions::kScoreExtensions, regions::kAlign,
-           regions::kEmitOutput, regions::kScheduler }) {
-        RegionId id = static_cast<RegionId>(regionNames_.size());
-        regionIds_[name] = id;
-        regionNames_.push_back(name);
+    switch (stage) {
+    case Stage::FindSeeds: return "find_seeds";
+    case Stage::ClusterSeeds: return "cluster_seeds";
+    case Stage::ProcessUntilThresholdC: return "process_until_threshold_c";
+    case Stage::Extend: return "extend";
+    case Stage::ScoreExtensions: return "score_extensions";
+    case Stage::Align: return "align";
     }
-}
-
-RegionId
-Profiler::regionId(const std::string& name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = regionIds_.find(name);
-    if (it != regionIds_.end()) {
-        return it->second;
-    }
-    MG_CHECK(!frozen_, "region '", name,
-             "' registered after the first registerThread(); register "
-             "all regions before worker threads start");
-    RegionId id = static_cast<RegionId>(regionNames_.size());
-    regionIds_[name] = id;
-    regionNames_.push_back(name);
-    return id;
-}
-
-const std::string&
-Profiler::regionName(RegionId id) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    MG_ASSERT(id < regionNames_.size());
-    return regionNames_[id];
-}
-
-std::vector<std::string>
-Profiler::regionNames() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return regionNames_;
+    return "?";
 }
 
 Profiler::ThreadLog*
@@ -61,7 +28,6 @@ Profiler::registerThread(size_t thread_index)
         return nullptr;
     }
     std::lock_guard<std::mutex> lock(mutex_);
-    frozen_ = true;
     if (thread_index >= logs_.size()) {
         logs_.resize(thread_index + 1);
     }
@@ -87,16 +53,16 @@ Profiler::aggregate() const
         if (!log) {
             continue;
         }
-        // Dense (region -> slot) map local to this thread.
-        std::vector<size_t> slot(regionNames_.size(), SIZE_MAX);
+        // Dense (stage -> slot) map local to this thread.
+        std::array<size_t, kStages> slot;
+        slot.fill(SIZE_MAX);
         for (const RegionRecord& rec : log->records()) {
-            MG_ASSERT(rec.region < regionNames_.size());
-            if (slot[rec.region] == SIZE_MAX) {
-                slot[rec.region] = totals.size();
-                totals.push_back(RegionTotal{regionNames_[rec.region],
-                                             log->index(), 0, 0});
+            const size_t s = static_cast<size_t>(rec.stage);
+            if (slot[s] == SIZE_MAX) {
+                slot[s] = totals.size();
+                totals.push_back(RegionTotal{rec.stage, log->index(), 0, 0});
             }
-            RegionTotal& total = totals[slot[rec.region]];
+            RegionTotal& total = totals[slot[s]];
             total.totalNanos += rec.endNanos - rec.startNanos;
             ++total.invocations;
         }
@@ -105,11 +71,11 @@ Profiler::aggregate() const
 }
 
 double
-Profiler::regionSeconds(const std::string& name) const
+Profiler::regionSeconds(Stage stage) const
 {
     double seconds = 0.0;
     for (const RegionTotal& total : aggregate()) {
-        if (total.region == name) {
+        if (total.stage == stage) {
             seconds += static_cast<double>(total.totalNanos) * 1e-9;
         }
     }
@@ -128,7 +94,7 @@ Profiler::dumpCsv(const std::string& path) const
             continue;
         }
         for (const RegionRecord& rec : log->records()) {
-            out << log->index() << ',' << regionNames_[rec.region] << ','
+            out << log->index() << ',' << regionName(rec.stage) << ','
                 << rec.startNanos << ',' << rec.endNanos << '\n';
         }
     }

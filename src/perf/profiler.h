@@ -5,40 +5,55 @@
  * with negligible overhead, all records are kept in memory during the run,
  * and everything is aggregated/dumped only at the end of execution.
  *
- * The paper stores records in a UThash hash table keyed by region name; we
- * register region names up front (string -> dense id) and append fixed-size
- * records to per-thread buffers, which is equivalent and allocation-free on
- * the hot path after warm-up.
+ * The paper stores records in a UThash hash table keyed by region name;
+ * here the regions are a fixed enum of the mapping stages and each thread
+ * appends fixed-size records to its own buffer, which is equivalent and
+ * allocation-free on the hot path after warm-up.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "util/timer.h"
-
 namespace mg::perf {
 
-/** Dense id of a registered region name. */
-using RegionId = uint32_t;
+/**
+ * The mapping pipeline's stages: the paper's instrumented regions
+ * (Figures 2 and 3).  Extend nests inside ProcessUntilThresholdC, once
+ * per processed cluster.  On the serve path, Align also covers the GAF
+ * line each alignment is formatted into.
+ */
+enum class Stage : uint8_t
+{
+    FindSeeds,
+    ClusterSeeds,
+    ProcessUntilThresholdC,
+    Extend,
+    ScoreExtensions,
+    Align,
+};
 
-/** One timed interval of one region on one thread. */
+inline constexpr size_t kStages = static_cast<size_t>(Stage::Align) + 1;
+
+/** The paper's region name of a stage ("find_seeds", ...). */
+const char* regionName(Stage stage);
+
+/** One timed interval of one stage on one thread. */
 struct RegionRecord
 {
-    RegionId region;
+    Stage stage;
     uint64_t startNanos;
     uint64_t endNanos;
 };
 
-/** Aggregate of one region on one thread. */
+/** Aggregate of one stage on one thread. */
 struct RegionTotal
 {
-    std::string region;
+    Stage stage;
     size_t thread;
     uint64_t totalNanos = 0;
     uint64_t invocations = 0;
@@ -47,9 +62,10 @@ struct RegionTotal
 /**
  * Collects timed region records across threads.
  *
- * Threads call registerThread() once to obtain a ThreadLog and then time
- * regions with ScopedRegion.  A disabled profiler (the default for
- * production mapping runs) records nothing and costs one branch per region.
+ * Threads call registerThread() once to obtain a ThreadLog, which the
+ * mapper's stage hook (map::MapperState::StageScope) appends to.  A
+ * disabled profiler (the default for production mapping runs) hands out
+ * no logs, so nothing is recorded.
  */
 class Profiler
 {
@@ -64,9 +80,9 @@ class Profiler
         }
 
         void
-        add(RegionId region, uint64_t start_nanos, uint64_t end_nanos)
+        add(Stage stage, uint64_t start_nanos, uint64_t end_nanos)
         {
-            records_.push_back(RegionRecord{region, start_nanos, end_nanos});
+            records_.push_back(RegionRecord{stage, start_nanos, end_nanos});
         }
 
         size_t index() const { return index_; }
@@ -77,28 +93,9 @@ class Profiler
         std::vector<RegionRecord> records_;
     };
 
-    /**
-     * All regions::k* names are pre-registered at construction, so the
-     * usual regionId() calls on canonical names are pure lookups and the
-     * registration mutex never serialises hot-path call sites.
-     */
-    explicit Profiler(bool enabled = true);
+    explicit Profiler(bool enabled = true) : enabled_(enabled) {}
 
     bool enabled() const { return enabled_; }
-
-    /**
-     * Map a region name to its dense id, registering it if new.  New
-     * names are only accepted before the first registerThread(); after
-     * that the region table is frozen (lookups of known names stay legal)
-     * and a late registration throws util::Error.
-     */
-    RegionId regionId(const std::string& name);
-
-    /** Name of a registered region id. */
-    const std::string& regionName(RegionId id) const;
-
-    /** Copy of the region name table, indexed by RegionId. */
-    std::vector<std::string> regionNames() const;
 
     /** Create (or fetch) the log for a worker thread slot. */
     ThreadLog* registerThread(size_t thread_index);
@@ -106,14 +103,14 @@ class Profiler
     /** Number of thread slots seen so far. */
     size_t numThreads() const;
 
-    /** Aggregate per (region, thread) totals over all records. */
+    /** Aggregate per (stage, thread) totals over all records. */
     std::vector<RegionTotal> aggregate() const;
 
     /**
-     * Total time of one region summed over all threads, in seconds.
-     * Returns 0 if the region was never entered.
+     * Total time of one stage summed over all threads, in seconds.
+     * Returns 0 if the stage was never entered.
      */
-    double regionSeconds(const std::string& name) const;
+    double regionSeconds(Stage stage) const;
 
     /** Dump raw records as CSV (thread,region,start_ns,end_ns) to a file. */
     void dumpCsv(const std::string& path) const;
@@ -126,60 +123,13 @@ class Profiler
     void forEachRecord(
         const std::function<void(size_t, const RegionRecord&)>& fn) const;
 
-    /** Forget all records but keep region registrations. */
+    /** Forget all records and thread logs. */
     void clearRecords();
 
   private:
     bool enabled_;
     mutable std::mutex mutex_;
-    std::map<std::string, RegionId> regionIds_;
-    std::vector<std::string> regionNames_;
     std::vector<std::unique_ptr<ThreadLog>> logs_;
-    bool frozen_ = false;
 };
-
-/** RAII region timer: times from construction to destruction. */
-class ScopedRegion
-{
-  public:
-    ScopedRegion(Profiler::ThreadLog* log, RegionId region)
-        : log_(log), region_(region),
-          start_(log ? util::nowNanos() : 0)
-    {}
-
-    ScopedRegion(const ScopedRegion&) = delete;
-    ScopedRegion& operator=(const ScopedRegion&) = delete;
-
-    ~ScopedRegion()
-    {
-        if (log_) {
-            log_->add(region_, start_, util::nowNanos());
-        }
-    }
-
-  private:
-    Profiler::ThreadLog* log_;
-    RegionId region_;
-    uint64_t start_;
-};
-
-/**
- * Canonical region names, matching the paper's instrumented regions
- * (Figures 2 and 3) so that harness output lines up with the publication.
- */
-namespace regions {
-inline constexpr const char* kReadIo = "read_io";
-inline constexpr const char* kParseSettings = "parse_settings";
-inline constexpr const char* kMinimizerLookup = "minimizer_lookup";
-inline constexpr const char* kFindSeeds = "find_seeds";
-inline constexpr const char* kClusterSeeds = "cluster_seeds";
-inline constexpr const char* kProcessUntilThresholdC =
-    "process_until_threshold_c";
-inline constexpr const char* kExtend = "extend";
-inline constexpr const char* kScoreExtensions = "score_extensions";
-inline constexpr const char* kAlign = "align";
-inline constexpr const char* kEmitOutput = "emit_output";
-inline constexpr const char* kScheduler = "scheduler";
-} // namespace regions
 
 } // namespace mg::perf

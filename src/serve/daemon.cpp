@@ -853,17 +853,13 @@ Daemon::processJob(size_t worker, Job& job, uint64_t popped_nanos)
         // lay them end to end inside the map window so the trace shows
         // where the request's mapping time went without a span per read.
         uint64_t at = map_start;
-        constexpr obs::SpanStage kMapStages[] = {
-            obs::SpanStage::Seed, obs::SpanStage::Cluster,
-            obs::SpanStage::Extend, obs::SpanStage::GafEmit
-        };
-        for (obs::SpanStage stage : kMapStages) {
+        for (const auto& [stage, span] : obs::kMapSpans) {
             const uint64_t ns =
                 stage_nanos.nanos[static_cast<size_t>(stage)];
             if (ns == 0) {
                 continue;
             }
-            trace->span(stage, lane, at, at + ns);
+            trace->span(span, lane, at, at + ns);
             at += ns;
         }
     }

@@ -27,6 +27,7 @@
 #include "serve/stop.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_paths.h"
 
 namespace mg {
 namespace {
@@ -81,8 +82,7 @@ class DrainFixture : public ::testing::Test
     std::string
     freshDir(const std::string& name) const
     {
-        std::filesystem::path dir =
-            std::filesystem::path(::testing::TempDir()) / name;
+        std::filesystem::path dir = testPath(name);
         std::filesystem::remove_all(dir);
         return dir.string();
     }

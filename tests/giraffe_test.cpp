@@ -10,6 +10,7 @@
 #include "giraffe/proxy.h"
 #include "machine/tracer.h"
 #include "sim/input_sets.h"
+#include "test_paths.h"
 
 namespace mg::giraffe {
 namespace {
@@ -102,17 +103,16 @@ TEST_F(PipelineFixture, ProfilerSeesThePaperRegions)
     ParentEmulator parent = makeParent();
     perf::Profiler profiler;
     parent.run(reads_, &profiler);
-    EXPECT_GT(profiler.regionSeconds(perf::regions::kFindSeeds), 0.0);
-    EXPECT_GT(profiler.regionSeconds(perf::regions::kClusterSeeds), 0.0);
-    EXPECT_GT(
-        profiler.regionSeconds(perf::regions::kProcessUntilThresholdC),
-        0.0);
-    EXPECT_GT(profiler.regionSeconds(perf::regions::kScoreExtensions), 0.0);
-    EXPECT_GT(profiler.regionSeconds(perf::regions::kAlign), 0.0);
+    EXPECT_GT(profiler.regionSeconds(perf::Stage::FindSeeds), 0.0);
+    EXPECT_GT(profiler.regionSeconds(perf::Stage::ClusterSeeds), 0.0);
+    EXPECT_GT(profiler.regionSeconds(perf::Stage::ProcessUntilThresholdC),
+              0.0);
+    EXPECT_GT(profiler.regionSeconds(perf::Stage::ScoreExtensions), 0.0);
+    EXPECT_GT(profiler.regionSeconds(perf::Stage::Align), 0.0);
     // Extension nests inside process_until_threshold_c.
-    EXPECT_LE(profiler.regionSeconds(perf::regions::kExtend),
-              profiler.regionSeconds(
-                  perf::regions::kProcessUntilThresholdC) + 1e-6);
+    EXPECT_LE(profiler.regionSeconds(perf::Stage::Extend),
+              profiler.regionSeconds(perf::Stage::ProcessUntilThresholdC) +
+                  1e-6);
 }
 
 TEST_F(PipelineFixture, CaptureContainsEveryRead)
@@ -202,7 +202,7 @@ TEST_F(PipelineFixture, CaptureRoundTripThroughDiskPreservesValidation)
     ParentEmulator parent = makeParent();
     ParentOutputs parent_out = parent.run(reads_);
     io::SeedCapture capture = parent.capturePreprocessing(reads_);
-    std::string path = ::testing::TempDir() + "/mg_capture.bin";
+    std::string path = testPath("mg_capture.bin");
     io::saveSeedCapture(path, capture);
     io::SeedCapture loaded = io::loadSeedCapture(path);
 

@@ -7,6 +7,7 @@
 #include "io/mgz.h"
 #include "io/reads_bin.h"
 #include "sim/pangenome_gen.h"
+#include "test_paths.h"
 #include "util/common.h"
 #include "util/status.h"
 
@@ -25,7 +26,7 @@ makePangenome(uint64_t seed = 90)
 
 TEST(FileTest, BytesRoundTrip)
 {
-    std::string path = ::testing::TempDir() + "/mg_file_test.bin";
+    std::string path = testPath("mg_file_test.bin");
     std::vector<uint8_t> bytes = {0, 1, 2, 255, 128, 7};
     writeFileBytes(path, bytes);
     EXPECT_EQ(readFileBytes(path), bytes);
@@ -77,7 +78,7 @@ TEST(MgzTest, RoundTripPreservesEverything)
 TEST(MgzTest, FileRoundTrip)
 {
     sim::GeneratedPangenome pg = makePangenome(91);
-    std::string path = ::testing::TempDir() + "/mg_test.mgz";
+    std::string path = testPath("mg_test.mgz");
     saveMgz(path, pg.graph, pg.gbwt);
     Pangenome loaded = loadMgz(path);
     EXPECT_EQ(loaded.graph.numNodes(), pg.graph.numNodes());

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <vector>
 
 #include "map/mapper.h"
 #include "sim/input_sets.h"
@@ -239,6 +241,35 @@ TEST_F(MappingFixture, MapFromSeedsMatchesMapRead)
             EXPECT_TRUE(inline_result.extensions[i] ==
                         seeded_result.extensions[i]);
         }
+    }
+}
+
+TEST_F(MappingFixture, StageHookGivesEverySinkTheSameInterval)
+{
+    // With a region log and a request stage accumulator on one state,
+    // every stage boundary is one clock read shared by both sinks, so
+    // each read's per-stage times agree exactly.
+    perf::Profiler profiler;
+    state_->log = profiler.registerThread(0);
+    obs::StageAccumulator stages;
+    state_->stageTrace = &stages;
+    util::Rng rng(91);
+    for (int trial = 0; trial < 20; ++trial) {
+        Read read = sampleRead(rng, 150, trial % 2 == 1);
+        stages = obs::StageAccumulator{};
+        const size_t first = state_->log->records().size();
+        mapper_->mapRead(read, *state_);
+        std::array<uint64_t, perf::kStages> logged{};
+        const std::vector<perf::RegionRecord>& records =
+            state_->log->records();
+        for (size_t r = first; r < records.size(); ++r) {
+            logged[static_cast<size_t>(records[r].stage)] +=
+                records[r].endNanos - records[r].startNanos;
+        }
+        EXPECT_EQ(logged, stages.nanos) << "read " << trial;
+        EXPECT_GT(stages.nanos[static_cast<size_t>(
+                      perf::Stage::ProcessUntilThresholdC)],
+                  0u);
     }
 }
 

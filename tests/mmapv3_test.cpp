@@ -31,16 +31,11 @@
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "sim/input_sets.h"
+#include "test_paths.h"
 #include "util/status.h"
 
 namespace mg::io {
 namespace {
-
-std::string
-tempPath(const std::string& name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
 
 /** One input-set analog with prebuilt indexes and its v2/v3 containers. */
 struct V3World
@@ -71,8 +66,8 @@ V3World
 buildV3World(const std::string& input_set, double scale)
 {
     V3World world = indexV3World(input_set, scale);
-    world.v2Path = tempPath("mmapv3_" + input_set + ".mgz");
-    world.v3Path = tempPath("mmapv3_" + input_set + ".mgz3");
+    world.v2Path = testPath("mmapv3_" + input_set + ".mgz");
+    world.v3Path = testPath("mmapv3_" + input_set + ".mgz3");
     saveMgz(world.v2Path, world.set.pangenome.graph,
             world.set.pangenome.gbwt);
     saveMgz3(world.v3Path, world.set.pangenome.graph,
@@ -94,7 +89,7 @@ mapToGaf(const IndexedPangenome& pg, const map::ReadSet& reads)
 
 TEST(MappedFileTest, OpensMapsAndReportsResidency)
 {
-    std::string path = tempPath("mmapv3_basic.bin");
+    std::string path = testPath("mmapv3_basic.bin");
     std::vector<uint8_t> bytes(3 * mem::MappedFile::pageSize() + 17);
     for (size_t i = 0; i < bytes.size(); ++i) {
         bytes[i] = static_cast<uint8_t>(i * 31u);
@@ -117,7 +112,7 @@ TEST(MappedFileTest, OpensMapsAndReportsResidency)
 
 TEST(MappedFileTest, OpenMissingFileThrows)
 {
-    EXPECT_THROW(mem::MappedFile::open(tempPath("mmapv3_missing.bin")),
+    EXPECT_THROW(mem::MappedFile::open(testPath("mmapv3_missing.bin")),
                  util::Error);
 }
 
@@ -131,7 +126,7 @@ TEST(ArenaViewTest, OwnedAndMappedBackingsAgree)
     EXPECT_EQ(owned.back(), 5u);
     EXPECT_EQ(owned.bytes(), 5 * sizeof(uint64_t));
 
-    std::string path = tempPath("mmapv3_arena.bin");
+    std::string path = testPath("mmapv3_arena.bin");
     std::vector<uint8_t> raw(5 * sizeof(uint64_t));
     std::memcpy(raw.data(), owned.data(), raw.size());
     writeFileBytes(path, raw);
@@ -264,7 +259,7 @@ TEST(V3Publish, SaveOverMappedContainerLeavesOldMappingIntact)
     V3World large = indexV3World("A-human", 0.02);
     for (const bool v3 : {true, false}) {
         const std::string path =
-            tempPath(std::string("mmapv3_publish_") +
+            testPath(std::string("mmapv3_publish_") +
                      std::to_string(::getpid()) + (v3 ? ".mgz3" : ".mgz"));
         auto save = [&](const V3World& world) {
             if (v3) {
@@ -326,7 +321,7 @@ class V3Container : public ::testing::Test
     std::string
     writeMutant(const std::string& name, std::vector<uint8_t> bytes) const
     {
-        std::string path = tempPath("mmapv3_mut_" + name + ".mgz3");
+        std::string path = testPath("mmapv3_mut_" + name + ".mgz3");
         writeFileBytes(path, bytes);
         return path;
     }
@@ -451,7 +446,7 @@ TEST_F(V3Container, DamagedContainerFuzz400)
     std::uniform_int_distribution<size_t> pick_offset(0,
                                                       bytes_->size() - 1);
     std::uniform_int_distribution<int> pick_bit(0, 7);
-    std::string path = tempPath("mmapv3_fuzz.mgz3");
+    std::string path = testPath("mmapv3_fuzz.mgz3");
 
     LoadOptions options;
     options.verifySectionCrcs = true;
@@ -537,8 +532,7 @@ TEST_F(V3Container, TwoDaemonsShareOneMappedContainer)
     auto make_params = [&](const IndexedPangenome& pg,
                            const std::string& name) {
         serve::DaemonParams params;
-        params.socketPath =
-            std::string(::testing::TempDir()) + "/" + name + ".sock";
+        params.socketPath = testPath(name + ".sock");
         params.workers = 2;
         params.queueCapacity = 16;
         params.indexLoadMode = loadModeName(pg.info.mode);

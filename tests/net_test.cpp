@@ -20,6 +20,7 @@
 
 #include "io/fd.h"
 #include "serve/frame.h"
+#include "test_paths.h"
 #include "util/rng.h"
 
 namespace mg::serve {
@@ -132,8 +133,7 @@ TEST(FdFullTest, WriteFullToClosedPeerFailsWithoutSignal)
 
 TEST(UnixSocketTest, ListenConnectRoundtrip)
 {
-    const std::string path =
-        std::string(::testing::TempDir()) + "/net_test.sock";
+    const std::string path = testPath("net_test.sock");
     int listener = io::listenUnix(path);
     ASSERT_GE(listener, 0);
 

@@ -22,6 +22,7 @@
 #include "obs/trace.h"
 #include "perf/profiler.h"
 #include "sim/input_sets.h"
+#include "test_paths.h"
 #include "util/common.h"
 #include "util/timer.h"
 
@@ -275,8 +276,7 @@ TEST(Emitter, ConcurrentWithWorkerIncrements)
     Registry::ThreadSlab* slabs[2] = { reg.registerThread(0),
                                        reg.registerThread(1) };
 
-    const std::string path =
-        ::testing::TempDir() + "/obs_emitter_test.json";
+    const std::string path = testPath("obs_emitter_test.json");
     MetricsEmitter emitter(reg, path, 0.005);
     emitter.start();
 
@@ -319,7 +319,7 @@ TEST(Emitter, PrometheusExtensionWritesExposition)
     Registry reg;
     CounterId c = reg.counter("mg_test_prom_total", "a counter");
     reg.registerThread(0)->add(c, 9);
-    const std::string path = ::testing::TempDir() + "/obs_test.prom";
+    const std::string path = testPath("obs_test.prom");
     MetricsEmitter emitter(reg, path);
     EXPECT_TRUE(emitter.prometheus());
     Snapshot final_snap = emitter.finalize();
@@ -335,7 +335,7 @@ TEST(Emitter, FinalizeAppendsExtras)
     Registry reg;
     reg.counter("mg_test_base_total", "base");
     reg.registerThread(0);
-    const std::string path = ::testing::TempDir() + "/obs_extras.prom";
+    const std::string path = testPath("obs_extras.prom");
     MetricsEmitter emitter(reg, path);
     MetricValue extra;
     extra.name = "mg_fault_fires_total{site=\"io.read\"}";
@@ -354,15 +354,11 @@ TEST(Emitter, FinalizeAppendsExtras)
 TEST(Trace, ChromeTraceParsesAndCarriesEvents)
 {
     perf::Profiler profiler(true);
-    perf::RegionId extend = profiler.regionId(perf::regions::kExtend);
     perf::Profiler::ThreadLog* log = profiler.registerThread(0);
-    for (int i = 0; i < 3; ++i) {
-        perf::ScopedRegion region(log, extend);
-        util::WallTimer spin;
-        while (spin.nanos() < 1000) {
-        }
+    for (uint64_t i = 0; i < 3; ++i) {
+        log->add(perf::Stage::Extend, 2000 * i, 2000 * i + 1000);
     }
-    const std::string path = ::testing::TempDir() + "/obs_trace.json";
+    const std::string path = testPath("obs_trace.json");
     std::vector<TraceInstant> instants;
     instants.push_back(TraceInstant{ "watchdog cancel", 0, 0 });
     writeChromeTrace(path, profiler, instants, "obs_test");
@@ -378,7 +374,7 @@ TEST(Trace, ChromeTraceParsesAndCarriesEvents)
         const std::string& ph = event.find("ph")->text;
         if (ph == "X") {
             ++complete;
-            EXPECT_EQ(event.find("name")->text, perf::regions::kExtend);
+            EXPECT_EQ(event.find("name")->text, "extend");
         } else if (ph == "i") {
             ++instant;
             EXPECT_EQ(event.find("name")->text, "watchdog cancel");

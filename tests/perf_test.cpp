@@ -2,93 +2,68 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "perf/profiler.h"
-#include "util/common.h"
+#include "test_paths.h"
 
 namespace mg::perf {
 namespace {
 
-TEST(ProfilerTest, RegionIdsAreStable)
+TEST(ProfilerTest, StagesHaveThePaperRegionNames)
 {
-    Profiler profiler;
-    RegionId a = profiler.regionId("cluster_seeds");
-    RegionId b = profiler.regionId("extend");
-    EXPECT_NE(a, b);
-    EXPECT_EQ(profiler.regionId("cluster_seeds"), a);
-    EXPECT_EQ(profiler.regionName(a), "cluster_seeds");
-}
-
-TEST(ProfilerTest, CanonicalRegionsArePreRegistered)
-{
-    // The canonical regions are registered at construction so trace export
-    // and region tables never depend on which code paths happened to run.
-    Profiler profiler;
-    EXPECT_EQ(profiler.regionName(profiler.regionId(regions::kFindSeeds)),
-              regions::kFindSeeds);
-    EXPECT_EQ(profiler.regionName(profiler.regionId(regions::kExtend)),
-              regions::kExtend);
-}
-
-TEST(ProfilerTest, RegionTableFreezesAtFirstRegisterThread)
-{
-    Profiler profiler;
-    RegionId known = profiler.regionId("early_region");
-    profiler.registerThread(0);
-    // Lookups of known names stay legal after the freeze...
-    EXPECT_EQ(profiler.regionId("early_region"), known);
-    EXPECT_EQ(profiler.regionId(regions::kClusterSeeds),
-              profiler.regionId(regions::kClusterSeeds));
-    // ...but new-name registration must throw: the region table is shared
-    // with running worker threads.
-    EXPECT_THROW(profiler.regionId("late_region"), util::Error);
+    // Every stage has its own name from the paper's instrumented regions
+    // (Figures 2 and 3), with no registration step.
+    EXPECT_STREQ(regionName(Stage::FindSeeds), "find_seeds");
+    EXPECT_STREQ(regionName(Stage::ClusterSeeds), "cluster_seeds");
+    EXPECT_STREQ(regionName(Stage::ProcessUntilThresholdC),
+                 "process_until_threshold_c");
+    EXPECT_STREQ(regionName(Stage::Extend), "extend");
+    EXPECT_STREQ(regionName(Stage::ScoreExtensions), "score_extensions");
+    EXPECT_STREQ(regionName(Stage::Align), "align");
+    std::set<std::string> names;
+    for (size_t s = 0; s < kStages; ++s) {
+        names.insert(regionName(static_cast<Stage>(s)));
+    }
+    EXPECT_EQ(names.size(), kStages);
 }
 
 TEST(ProfilerTest, DisabledProfilerRecordsNothing)
 {
     Profiler profiler(false);
     EXPECT_EQ(profiler.registerThread(0), nullptr);
-    {
-        ScopedRegion region(nullptr, 0); // must be a safe no-op
-    }
     EXPECT_TRUE(profiler.aggregate().empty());
 }
 
-TEST(ProfilerTest, ScopedRegionAccumulatesTime)
+TEST(ProfilerTest, ThreadLogAccumulatesTime)
 {
     Profiler profiler;
-    RegionId region = profiler.regionId("work");
     Profiler::ThreadLog* log = profiler.registerThread(0);
     ASSERT_NE(log, nullptr);
-    for (int i = 0; i < 3; ++i) {
-        ScopedRegion scoped(log, region);
-        // Busy loop long enough to be measurable.
-        volatile uint64_t x = 0;
-        for (int j = 0; j < 10000; ++j) {
-            x += j;
-        }
+    for (uint64_t i = 0; i < 3; ++i) {
+        log->add(Stage::Extend, 1000 * i, 1000 * i + 250);
     }
     auto totals = profiler.aggregate();
     ASSERT_EQ(totals.size(), 1u);
-    EXPECT_EQ(totals[0].region, "work");
+    EXPECT_EQ(totals[0].stage, Stage::Extend);
     EXPECT_EQ(totals[0].invocations, 3u);
-    EXPECT_GT(totals[0].totalNanos, 0u);
-    EXPECT_GT(profiler.regionSeconds("work"), 0.0);
-    EXPECT_DOUBLE_EQ(profiler.regionSeconds("absent"), 0.0);
+    EXPECT_EQ(totals[0].totalNanos, 750u);
+    EXPECT_DOUBLE_EQ(profiler.regionSeconds(Stage::Extend), 750e-9);
+    EXPECT_DOUBLE_EQ(profiler.regionSeconds(Stage::Align), 0.0);
 }
 
 TEST(ProfilerTest, PerThreadAggregation)
 {
     Profiler profiler;
-    RegionId region = profiler.regionId("map");
     std::vector<std::thread> threads;
     for (size_t t = 0; t < 4; ++t) {
-        threads.emplace_back([&profiler, region, t] {
+        threads.emplace_back([&profiler, t] {
             Profiler::ThreadLog* log = profiler.registerThread(t);
             for (size_t i = 0; i <= t; ++i) {
-                ScopedRegion scoped(log, region);
+                log->add(Stage::ClusterSeeds, i, i + 1);
             }
         });
     }
@@ -108,12 +83,8 @@ TEST(ProfilerTest, PerThreadAggregation)
 TEST(ProfilerTest, DumpCsvWritesRecords)
 {
     Profiler profiler;
-    RegionId region = profiler.regionId("io");
-    Profiler::ThreadLog* log = profiler.registerThread(0);
-    {
-        ScopedRegion scoped(log, region);
-    }
-    std::string path = ::testing::TempDir() + "/mg_profile.csv";
+    profiler.registerThread(0)->add(Stage::ClusterSeeds, 10, 20);
+    std::string path = testPath("mg_profile.csv");
     profiler.dumpCsv(path);
     std::ifstream in(path);
     std::string header;
@@ -121,20 +92,21 @@ TEST(ProfilerTest, DumpCsvWritesRecords)
     EXPECT_EQ(header, "thread,region,start_ns,end_ns");
     std::string row;
     std::getline(in, row);
-    EXPECT_NE(row.find("0,io,"), std::string::npos);
+    EXPECT_EQ(row, "0,cluster_seeds,10,20");
 }
 
 TEST(ProfilerTest, ClearRecordsKeepsRegions)
 {
     Profiler profiler;
-    RegionId region = profiler.regionId("r");
-    Profiler::ThreadLog* log = profiler.registerThread(0);
-    {
-        ScopedRegion scoped(log, region);
-    }
+    profiler.registerThread(0)->add(Stage::Align, 0, 5);
     profiler.clearRecords();
     EXPECT_TRUE(profiler.aggregate().empty());
-    EXPECT_EQ(profiler.regionId("r"), region);
+    // A new log after the clear aggregates under the same stage.
+    profiler.registerThread(0)->add(Stage::Align, 0, 7);
+    auto totals = profiler.aggregate();
+    ASSERT_EQ(totals.size(), 1u);
+    EXPECT_EQ(totals[0].stage, Stage::Align);
+    EXPECT_EQ(totals[0].totalNanos, 7u);
 }
 
 } // namespace

@@ -38,15 +38,10 @@
 #include "serve/index_manager.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_paths.h"
 
 namespace mg::serve {
 namespace {
-
-std::string
-tempPath(const std::string& name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
 
 class ReloadFixture : public ::testing::Test
 {
@@ -74,7 +69,7 @@ class ReloadFixture : public ::testing::Test
         rparams.errorRate = 0.005;
         reads_ = sim::simulateReads(pg_, rparams).reads;
 
-        v3Path_ = tempPath("reload_base.mgz3");
+        v3Path_ = testPath("reload_base.mgz3");
         io::saveMgz3(v3Path_, pg_.graph, pg_.gbwt, minimizers_,
                      distance_);
     }
@@ -84,7 +79,7 @@ class ReloadFixture : public ::testing::Test
     std::string
     socketPath(const std::string& name) const
     {
-        return tempPath(name + ".sock");
+        return testPath(name + ".sock");
     }
 
     DaemonParams
@@ -123,7 +118,7 @@ class ReloadFixture : public ::testing::Test
     std::string
     replacementPath(const std::string& name) const
     {
-        std::string path = tempPath("reload_" + name + ".mgz3");
+        std::string path = testPath("reload_" + name + ".mgz3");
         io::writeFileBytes(path, io::readFileBytes(v3Path_));
         return path;
     }
@@ -340,7 +335,7 @@ TEST_F(ReloadFixture, DamagedReplacementFuzz400AlwaysRollsBack)
     std::mt19937_64 rng(0xBADC0DEull);
     std::uniform_int_distribution<size_t> pick_range(0, ranges.size() - 1);
     std::uniform_int_distribution<int> pick_bit(0, 7);
-    const std::string path = tempPath("reload_fuzz.mgz3");
+    const std::string path = testPath("reload_fuzz.mgz3");
 
     for (int round = 0; round < 400; ++round) {
         std::vector<uint8_t> damaged = clean;

@@ -1,7 +1,11 @@
 /** Tests for mate rescue. */
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "giraffe/parent.h"
+#include "obs/hub.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
 
@@ -101,6 +105,36 @@ TEST_F(RescueFixture, RescuedPairsHavePlausibleFragments)
             EXPECT_LT(pair.observedFragment, 1500);
         }
     }
+}
+
+TEST_F(RescueFixture, RescueAttemptsFinishTheirOwnFlightSlots)
+{
+    // Rescue runs on worker 0's state after the batch loop.  Each attempt
+    // must claim its own ring slot rather than re-staging worker 0's last
+    // batch read, which had already finished.
+    ParentParams params;
+    ParentEmulator parent(pg_.graph, pg_.gbwt, minimizers_, distance_,
+                          params);
+    obs::Hub hub(params.numThreads);
+    const std::vector<PairResult> before = run(false).pairs;
+    ParentOutputs outputs = parent.run(reads_, nullptr, nullptr, &hub);
+    ASSERT_GT(outputs.rescue.attempted, 0u);
+    // Rescue reached mapFromSeeds: it mapped reads past the batch loop's.
+    ASSERT_GT(hub.registry().snapshot().valueOf("mg_map_reads_total"),
+              reads_.size());
+
+    std::set<uint64_t> targets;
+    for (const PairResult& pair : before) {
+        if (!pair.properPair) {
+            targets.insert(pair.firstRead);
+            targets.insert(pair.secondRead);
+        }
+    }
+    const std::vector<obs::FlightEntry> ring = hub.flight().snapshot(0);
+    ASSERT_FALSE(ring.empty());
+    EXPECT_EQ(ring.front().stage, obs::ReadStage::Done);
+    EXPECT_EQ(targets.count(ring.front().readIndex), 1u)
+        << "newest slot names read " << ring.front().readIndex;
 }
 
 TEST_F(RescueFixture, RescueDisabledReportsNothing)

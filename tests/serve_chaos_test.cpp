@@ -21,6 +21,7 @@
 #include "serve/daemon.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_paths.h"
 
 namespace mg::serve {
 namespace {
@@ -57,7 +58,7 @@ class ServeChaosFixture : public ::testing::Test
     std::string
     socketPath(const std::string& name) const
     {
-        return std::string(::testing::TempDir()) + "/" + name + ".sock";
+        return testPath(name + ".sock");
     }
 
     DaemonParams

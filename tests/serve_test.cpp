@@ -24,6 +24,7 @@
 #include "serve/daemon.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_paths.h"
 
 namespace mg::serve {
 namespace {
@@ -60,7 +61,7 @@ class ServeFixture : public ::testing::Test
     std::string
     socketPath(const std::string& name) const
     {
-        return std::string(::testing::TempDir()) + "/" + name + ".sock";
+        return testPath(name + ".sock");
     }
 
     DaemonParams
@@ -376,8 +377,7 @@ TEST_F(ServeFixture, CaptureFilesValidateAfterRetries)
     daemon->start();
 
     ClientParams cparams = clientParams("capture");
-    cparams.capturePrefix =
-        std::string(::testing::TempDir()) + "/serve_capture";
+    cparams.capturePrefix = testPath("serve_capture");
     {
         Client client(cparams);
         Response response;

@@ -40,15 +40,10 @@
 #include "serve/frame.h"
 #include "sim/pangenome_gen.h"
 #include "sim/read_sim.h"
+#include "test_paths.h"
 
 namespace mg::serve {
 namespace {
-
-std::string
-tempPath(const std::string& name)
-{
-    return std::string(::testing::TempDir()) + "/" + name;
-}
 
 // --------------------------------------------------------------------
 // Wire compatibility: the trace fields are optional trailing varints.
@@ -264,7 +259,7 @@ TEST(RequestTracer, ChromeTraceHasTracksAndFlowArrows)
     tracer.commit(0, makeContext(77, 10'000, 30'000,
                                  static_cast<uint32_t>(
                                      tracer.controlLane())));
-    const std::string path = tempPath("chrome_trace.json");
+    const std::string path = testPath("chrome_trace.json");
     tracer.writeChromeTrace(path, "test");
 
     std::vector<uint8_t> bytes = io::readFileBytes(path);
@@ -306,7 +301,7 @@ TEST(RequestTracer, TraceDumpWritesValidatableJson)
     flight[0].stage = obs::ReadStage::Extend;
     flight[0].traceId = 0x5555;
 
-    const std::string path = tempPath("exemplar.mgtrace");
+    const std::string path = testPath("exemplar.mgtrace");
     obs::writeTraceDump(path, exemplar, flight);
 
     std::vector<uint8_t> bytes = io::readFileBytes(path);
@@ -524,7 +519,7 @@ class TracingFixture : public ::testing::Test
     std::string
     socketPath(const std::string& name) const
     {
-        return tempPath(name + ".sock");
+        return testPath(name + ".sock");
     }
 
     DaemonParams
@@ -760,8 +755,8 @@ TEST_F(TracingFixture, StatsControlAnswersIntrospectionSnapshot)
 TEST_F(TracingFixture, StopExportsChromeTraceAndExemplarDumps)
 {
     DaemonParams dparams = daemonParams("export");
-    dparams.traceOut = tempPath("mgd_trace.json");
-    dparams.traceDumpPrefix = tempPath("mgd_slow_");
+    dparams.traceOut = testPath("mgd_trace.json");
+    dparams.traceDumpPrefix = testPath("mgd_slow_");
     dparams.traceExemplars = 2;
     std::unique_ptr<Daemon> daemon = makeDaemon(dparams);
     daemon->start();

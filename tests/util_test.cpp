@@ -5,6 +5,7 @@
 #include <limits>
 #include <set>
 
+#include "test_paths.h"
 #include "util/common.h"
 #include "util/crc32.h"
 #include "util/csv.h"
@@ -339,7 +340,7 @@ TEST(StrTest, FixedFormatting)
 
 TEST(CsvTest, WritesHeaderAndEscapesFields)
 {
-    std::string path = ::testing::TempDir() + "/mg_csv_test.csv";
+    std::string path = testPath("mg_csv_test.csv");
     {
         CsvWriter csv(path, {"a", "b"});
         csv.row({"1", "plain"});
