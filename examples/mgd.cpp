@@ -98,9 +98,6 @@ try {
                  "ceiling on per-read GBWT-lookup caps (0 = none)")
          .define("k", "15", "minimizer k-mer length")
          .define("w", "8", "minimizer window size")
-         .define("gaf-generation-comment", "false",
-                 "prefix each GAF payload with a '# mg:gen=N' comment "
-                 "naming the index generation that mapped it")
          .define("fault", "",
                  "arm fault injection, e.g. 'serve.read=throw,limit=2'")
          .define("metrics-out", "",
@@ -200,7 +197,6 @@ try {
         static_cast<uint64_t>(flags.integer("max-gbwt-lookups"));
     params.indexLoadMode = load_mode;
     params.indexLoadSeconds = load_seconds;
-    params.gafGenerationComment = flags.boolean("gaf-generation-comment");
     params.traceSample = flags.real("trace-sample");
     params.traceOut = flags.str("trace-out");
     params.traceExemplars =

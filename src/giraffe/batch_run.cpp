@@ -2,21 +2,73 @@
 
 #include <algorithm>
 
+#include "io/gaf.h"
 #include "util/common.h"
 
 namespace mg::giraffe {
 
+uint64_t
+deadlineNanos(const resilience::WorkBudget& budget)
+{
+    return budget.wallSeconds > 0.0
+               ? util::nowNanos() +
+                     static_cast<uint64_t>(budget.wallSeconds * 1e9)
+               : 0;
+}
+
+StateTable::StateTable(const map::Mapper& mapper, size_t workers,
+                       perf::Profiler* profiler, util::MemTracer* tracer)
+    : mapper_(mapper), profiler_(profiler), tracer_(tracer),
+      states_(workers)
+{}
+
+map::MapperState&
+StateTable::state(size_t worker, obs::Hub* hub)
+{
+    // Callers use dense worker indexes below the table's size.
+    MG_ASSERT(worker < states_.size());
+    if (!states_[worker]) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!states_[worker]) {
+            auto state = mapper_.makeState(tracer_);
+            if (profiler_ != nullptr) {
+                state->log = profiler_->registerThread(worker);
+            }
+            state->attachHub(hub, worker);
+            states_[worker] = std::move(state);
+        }
+    }
+    return *states_[worker];
+}
+
+Alignment
+alignRead(const map::Mapper& mapper, const PostProcessParams& post,
+          const map::Read& read, map::MapperState& state,
+          io::ReadExtensions* kept, std::string* gaf)
+{
+    // Preprocessing + critical functions (instrumented inside).
+    const map::MapResult result = mapper.mapRead(read, state);
+    if (kept != nullptr) {
+        const auto scope = state.stage(perf::Stage::ScoreExtensions);
+        kept->readName = read.name;
+        kept->extensions = result.extensions;
+    }
+    const auto scope = state.stage(perf::Stage::Align);
+    Alignment alignment = postProcess(read.name, result.extensions, post);
+    alignment.degraded = result.degraded;
+    if (gaf != nullptr) {
+        *gaf += io::formatGafLine(alignment, read, mapper.graph());
+        *gaf += '\n';
+    }
+    return alignment;
+}
+
 BatchRun::BatchRun(const map::Mapper& mapper, const RunParams& params,
                    perf::Profiler* profiler, util::MemTracer* tracer,
                    obs::Hub* hub)
-    : params_(params), profiler_(profiler), tracer_(tracer), hub_(hub),
-      mapper_(mapper),
-      deadlineNanos_(params.budget.wallSeconds > 0.0
-                         ? util::nowNanos() +
-                               static_cast<uint64_t>(
-                                   params.budget.wallSeconds * 1e9)
-                         : 0),
-      board_(params.numThreads), states_(params.numThreads)
+    : params_(params), hub_(hub), deadlineNanos_(deadlineNanos(params.budget)),
+      board_(params.numThreads),
+      states_(mapper, params.numThreads, profiler, tracer)
 {
     MG_CHECK(tracer == nullptr || params.numThreads == 1,
              "memory tracing requires a single-threaded run");
@@ -29,23 +81,11 @@ BatchRun::BatchRun(const map::Mapper& mapper, const RunParams& params,
 map::MapperState&
 BatchRun::state(size_t thread)
 {
-    // The scheduler guarantees a dense thread index below numThreads.
-    MG_ASSERT(thread < states_.size());
-    if (!states_[thread]) {
-        std::lock_guard<std::mutex> lock(stateMutex_);
-        if (!states_[thread]) {
-            auto state = mapper_.makeState(tracer_);
-            if (profiler_ != nullptr) {
-                state->log = profiler_->registerThread(thread);
-            }
-            state->budget.configure(
-                params_.budget, deadlineNanos_,
-                params_.watchdog ? &board_.slot(thread).token : nullptr);
-            state->attachHub(hub_, thread);
-            states_[thread] = std::move(state);
-        }
-    }
-    return *states_[thread];
+    map::MapperState& state = states_.state(thread, hub_);
+    state.budget.configure(
+        params_.budget, deadlineNanos_,
+        params_.watchdog ? &board_.slot(thread).token : nullptr);
+    return state;
 }
 
 size_t
@@ -69,7 +109,6 @@ BatchRun::mapReads(size_t n, const ReadFn& map_read, const SlotFn& unmapped,
         *scheduler, n, params_.batchSize, params_.numThreads,
         [&](size_t thread, size_t begin, size_t end) {
         map::MapperState& state = this->state(thread);
-        board_.beginBatch(thread, begin, end);
         // Snapshot so a failed attempt contributes nothing to the final
         // counters: runGuarded retries/bisects a throwing batch, and
         // without the restore the partial work before the throw would be
@@ -78,19 +117,10 @@ BatchRun::mapReads(size_t n, const ReadFn& map_read, const SlotFn& unmapped,
             state.statsSnapshot();
         util::WallTimer batch_timer;
         try {
-            for (size_t i = begin; i < end; ++i) {
-                board_.beat(thread);
-                if (state.flight != nullptr) {
-                    state.flight->begin(i);
-                }
-                map_read(state, i);
-                if (state.flight != nullptr) {
-                    state.flight->done();
-                }
-            }
+            mapRange(state, &board_, thread, begin, end,
+                     [&](size_t i) { map_read(state, i); });
         } catch (...) {
             state.restoreStats(snapshot);
-            board_.endBatch(thread);
             throw;
         }
         // Only a *completed* batch publishes: its buffered funnel counts
@@ -102,7 +132,6 @@ BatchRun::mapReads(size_t n, const ReadFn& map_read, const SlotFn& unmapped,
                                    batch_timer.nanos());
         }
         std::fill(completed.begin() + begin, completed.begin() + end, 1);
-        board_.endBatch(thread);
     });
     watchdog.stop();
     totals.failures.watchdogCancels = watchdog.events().size();
@@ -128,7 +157,7 @@ void
 BatchRun::finish(RunTotals& totals)
 {
     totals.wallSeconds = timer_.seconds();
-    for (const auto& state : states_) {
+    for (const auto& state : states_.slots()) {
         if (!state) {
             continue;
         }

@@ -1,10 +1,10 @@
 /**
  * @file
- * The batch run loop shared by ParentEmulator and ProxyRunner, which
- * differ only in what they do per read (full pipeline + post-processing
- * vs critical functions from captured seeds) and in what they keep.
- * The scheduling, retry, watchdog and telemetry around that per-read
- * body live here, once.
+ * The read driver of ParentEmulator, ProxyRunner and MapSession, which
+ * differ only in what they do per read and in what they keep: the
+ * per-worker MapperState table, the deadline rule, the heartbeat/flight
+ * loop over a range of reads, the full pipeline's per-read body, and the
+ * batch runs' scheduling, retry, watchdog and telemetry (BatchRun).
  */
 #pragma once
 
@@ -12,9 +12,12 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "gbwt/cached_gbwt.h"
+#include "giraffe/alignment.h"
+#include "io/extensions_io.h"
 #include "map/mapper.h"
 #include "obs/hub.h"
 #include "perf/profiler.h"
@@ -26,6 +29,96 @@
 #include "util/timer.h"
 
 namespace mg::giraffe {
+
+/** The absolute deadline (util::nowNanos domain) of a budget's wall
+ *  time, counted from now; 0 when the budget sets none. */
+uint64_t deadlineNanos(const resilience::WorkBudget& budget);
+
+/**
+ * Per-worker MapperStates, each created on first use and wired to its
+ * worker's profiler log and hub slot.  Distinct workers may call state()
+ * concurrently.
+ */
+class StateTable
+{
+  public:
+    /** `mapper` must outlive the table; the profiler (registered per
+     *  worker) and the memory tracer are optional. */
+    StateTable(const map::Mapper& mapper, size_t workers,
+               perf::Profiler* profiler = nullptr,
+               util::MemTracer* tracer = nullptr);
+
+    size_t size() const { return states_.size(); }
+
+    /** Worker `worker`'s state; a state created now is wired to `hub`
+     *  (null for none). */
+    map::MapperState& state(size_t worker, obs::Hub* hub);
+
+    /** One slot per worker, null until its state is created. */
+    const std::vector<std::unique_ptr<map::MapperState>>&
+    slots() const
+    {
+        return states_;
+    }
+
+  private:
+    const map::Mapper& mapper_;
+    perf::Profiler* profiler_;
+    util::MemTracer* tracer_;
+    std::mutex mutex_;
+    std::vector<std::unique_ptr<map::MapperState>> states_;
+};
+
+/**
+ * Map reads [begin, end) on worker `worker`, calling body(i) per read
+ * inside the flight recorder's begin/done marks.  With a board the worker
+ * follows the heartbeat protocol: beginBatch re-arms its cancel token,
+ * every read beats, and the slot is parked on the way out, also when
+ * body throws.
+ */
+template <typename Body>
+void
+mapRange(map::MapperState& state, sched::HeartbeatBoard* board,
+         size_t worker, size_t begin, size_t end, Body&& body)
+{
+    if (board != nullptr) {
+        board->beginBatch(worker, begin, end);
+    }
+    try {
+        for (size_t i = begin; i < end; ++i) {
+            if (board != nullptr) {
+                board->beat(worker);
+            }
+            if (state.flight != nullptr) {
+                state.flight->begin(i);
+            }
+            body(i);
+            if (state.flight != nullptr) {
+                state.flight->done();
+            }
+        }
+    } catch (...) {
+        if (board != nullptr) {
+            board->endBatch(worker);
+        }
+        throw;
+    }
+    if (board != nullptr) {
+        board->endBatch(worker);
+    }
+}
+
+/**
+ * The full pipeline for one read: seed, cluster and extend, then
+ * post-process under the Align stage; the alignment carries the read's
+ * degradation reason.  `kept` (nullable) receives the raw extensions
+ * under ScoreExtensions — the parent's record of the critical functions'
+ * output.  `gaf` (nullable) gets the read's GAF line, formatted inside
+ * Align.
+ */
+Alignment alignRead(const map::Mapper& mapper, const PostProcessParams& post,
+                    const map::Read& read, map::MapperState& state,
+                    io::ReadExtensions* kept, std::string* gaf);
 
 /** Run configuration common to the batch runners. */
 struct RunParams
@@ -70,8 +163,8 @@ struct RunTotals
 
 /**
  * One batch mapping run: construct, mapReads() once, finish().  Owns the
- * lazily created per-thread MapperStates, the absolute deadline, the
- * heartbeat board and watchdog, and the scheduler under sched::runGuarded.
+ * per-thread StateTable, the absolute deadline, the heartbeat board and
+ * watchdog, and the scheduler under sched::runGuarded.
  */
 class BatchRun
 {
@@ -97,7 +190,8 @@ class BatchRun
     BatchRun(const BatchRun&) = delete;
     BatchRun& operator=(const BatchRun&) = delete;
 
-    /** Worker `thread`'s state, created on first use. */
+    /** Worker `thread`'s state, created on first use, its budget bound
+     *  to the run's limits and deadline. */
     map::MapperState& state(size_t thread);
 
     /**
@@ -121,16 +215,12 @@ class BatchRun
 
   private:
     const RunParams& params_;
-    perf::Profiler* profiler_;
-    util::MemTracer* tracer_;
     obs::Hub* hub_;
-    const map::Mapper& mapper_;
     /** Absolute, so late-created states inherit the same cutoff. */
-    uint64_t deadlineNanos_ = 0;
+    uint64_t deadlineNanos_;
     sched::HeartbeatBoard board_;
     sched::SchedStats schedStats_;
-    std::mutex stateMutex_;
-    std::vector<std::unique_ptr<map::MapperState>> states_;
+    StateTable states_;
     util::WallTimer timer_;
 };
 

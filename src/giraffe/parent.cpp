@@ -24,23 +24,9 @@ ParentEmulator::run(const map::ReadSet& reads, perf::Profiler* profiler,
     run.mapReads(
         n,
         [&](map::MapperState& state, size_t i) {
-            const map::Read& read = reads.reads[i];
-            // Preprocessing + critical functions (instrumented inside).
-            map::MapResult result = mapper_.mapRead(read, state);
-
-            // Post-processing: score/filter extensions, emit alignment.
-            {
-                const auto scope =
-                    state.stage(perf::Stage::ScoreExtensions);
-                outputs.extensions[i].readName = read.name;
-                outputs.extensions[i].extensions = result.extensions;
-            }
-            {
-                const auto scope = state.stage(perf::Stage::Align);
-                outputs.alignments[i] =
-                    postProcess(read.name, result.extensions, params_.post);
-                outputs.alignments[i].degraded = result.degraded;
-            }
+            outputs.alignments[i] =
+                alignRead(mapper_, params_.post, reads.reads[i], state,
+                          &outputs.extensions[i], nullptr);
         },
         [&](size_t i) {
             outputs.alignments[i] = Alignment{};

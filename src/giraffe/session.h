@@ -3,7 +3,11 @@
  * Session-oriented mapping: one MapSession holds one loaded index set
  * (graph + GBWT + minimizer + distance) and serves many small mapping
  * requests against it — the daemon-shaped entry point, where
- * ParentEmulator::run is the batch-shaped one.  Differences that matter:
+ * ParentEmulator::run is the batch-shaped one.  Both map through the
+ * same read driver (batch_run.h): one worker-state table, one deadline
+ * rule, one heartbeat/flight loop and the parent's per-read body, so a
+ * request's GAF is the batch run's GAF for the same reads.  Differences
+ * that matter:
  *
  *  - Per-worker MapperState persists *across requests* (the whole point
  *    of a daemon: indexes load once, scratch stays warm), instead of
@@ -23,12 +27,11 @@
  */
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "giraffe/alignment.h"
+#include "giraffe/batch_run.h"
 #include "map/mapper.h"
 #include "obs/hub.h"
 #include "resilience/budget.h"
@@ -64,20 +67,14 @@ class MapSession
                const index::MinimizerIndex& minimizers,
                const index::DistanceIndex& distance, SessionParams params);
 
-    size_t workers() const { return params_.workers; }
-    const SessionParams& params() const { return params_; }
-    const map::Mapper& mapper() const { return mapper_; }
-
     /**
      * Map one request's reads on worker slot `worker`.
      *
      * The budget is rebound per request (wallSeconds becomes an absolute
-     * deadline sampled now).  When `board` is non-null the worker follows
-     * the heartbeat protocol — beginBatch re-arms its CancelToken, every
-     * read beats, endBatch parks the slot — so a daemon watchdog can
-     * cancel a stalled request cooperatively.  Without a board, `token`
-     * (may be null) is used directly and never reset, which is what
-     * deterministic tests want.
+     * deadline sampled now).  With a `board` the request is one
+     * heartbeat batch (mapRange), so a daemon watchdog can cancel it
+     * cooperatively.  Without one, `token` (may be null) is used
+     * directly and never reset, which is what deterministic tests want.
      *
      * `stage_trace` (nullable) receives the request's per-stage wall
      * time from the mapper's stage hook when the request is traced; the
@@ -102,13 +99,9 @@ class MapSession
     void warmup(obs::Hub* hub = nullptr);
 
   private:
-    map::MapperState& workerState(size_t worker, obs::Hub* hub);
-
-    const graph::VariationGraph& graph_;
     SessionParams params_;
     map::Mapper mapper_;
-    std::mutex stateMutex_;
-    std::vector<std::unique_ptr<map::MapperState>> states_;
+    StateTable states_;
 };
 
 } // namespace mg::giraffe

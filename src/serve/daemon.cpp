@@ -67,36 +67,24 @@ Daemon::Connection::~Connection()
 Daemon::Daemon(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
                const index::MinimizerIndex& minimizers,
                const index::DistanceIndex& distance, DaemonParams params)
-    : params_(std::move(params)),
-      hub_(std::make_unique<obs::Hub>(
-          params_.workers + 1,
-          tenantNames(params_.tenants.empty() ? defaultTenants()
-                                              : params_.tenants),
-          params_.flightRingSize)),
-      board_(params_.workers)
-{
-    MG_CHECK(params_.workers > 0, "daemon needs at least one worker");
-    MG_CHECK(!params_.socketPath.empty(), "daemon needs a socket path");
-    report_.indexLoadMode = params_.indexLoadMode;
-    report_.indexLoadSeconds = params_.indexLoadSeconds;
-    if (params_.tenants.empty()) {
-        params_.tenants = defaultTenants();
-    }
-    giraffe::SessionParams session = params_.session;
-    session.workers = params_.workers;
-    index_ = std::make_unique<IndexManager>(
-        graph, gbwt, minimizers, distance, session, "generated",
-        params_.indexLoadMode, params_.indexLoadSeconds);
-    queue_ = std::make_unique<AdmissionQueue<Job>>(
-        params_.queueCapacity, params_.tenants, params_.retryBaseMillis);
-    watchdog_ =
-        std::make_unique<sched::Watchdog>(board_, params_.watchdogParams);
-    watchdog_->attachFlightRecorder(&hub_->flight());
-    initTracing();
-}
+    : Daemon(std::move(params), [&](const giraffe::SessionParams& session) {
+          return std::make_unique<IndexManager>(
+              graph, gbwt, minimizers, distance, session, "generated",
+              params_.indexLoadMode, params_.indexLoadSeconds);
+      })
+{}
 
 Daemon::Daemon(io::IndexedPangenome&& pangenome, std::string source,
                DaemonParams params)
+    : Daemon(std::move(params), [&](const giraffe::SessionParams& session) {
+          return std::make_unique<IndexManager>(std::move(pangenome),
+                                                session, std::move(source));
+      })
+{}
+
+Daemon::Daemon(DaemonParams&& params,
+               const std::function<std::unique_ptr<IndexManager>(
+                   const giraffe::SessionParams&)>& make_index)
     : params_(std::move(params)),
       hub_(std::make_unique<obs::Hub>(
           params_.workers + 1,
@@ -107,38 +95,31 @@ Daemon::Daemon(io::IndexedPangenome&& pangenome, std::string source,
 {
     MG_CHECK(params_.workers > 0, "daemon needs at least one worker");
     MG_CHECK(!params_.socketPath.empty(), "daemon needs a socket path");
-    params_.indexLoadMode = io::loadModeName(pangenome.info.mode);
-    params_.indexLoadSeconds = pangenome.info.loadSeconds;
-    report_.indexLoadMode = params_.indexLoadMode;
-    report_.indexLoadSeconds = params_.indexLoadSeconds;
     if (params_.tenants.empty()) {
         params_.tenants = defaultTenants();
     }
     giraffe::SessionParams session = params_.session;
     session.workers = params_.workers;
-    index_ = std::make_unique<IndexManager>(std::move(pangenome), session,
-                                            std::move(source));
+    index_ = make_index(session);
+    // The first generation says how the served index got into memory.
+    const IndexManager::Handle first = index_->pin();
+    params_.indexLoadMode = first->loadMode;
+    params_.indexLoadSeconds = first->loadSeconds;
+    report_.indexLoadMode = params_.indexLoadMode;
+    report_.indexLoadSeconds = params_.indexLoadSeconds;
     queue_ = std::make_unique<AdmissionQueue<Job>>(
         params_.queueCapacity, params_.tenants, params_.retryBaseMillis);
     watchdog_ =
         std::make_unique<sched::Watchdog>(board_, params_.watchdogParams);
     watchdog_->attachFlightRecorder(&hub_->flight());
-    initTracing();
-}
-
-void
-Daemon::initTracing()
-{
     obs::RequestTracer::Params tracer_params;
     tracer_params.lanes = params_.workers;
     tracer_params.sampleRate = params_.traceSample;
     tracer_params.exemplars = params_.traceExemplars;
     tracer_ = std::make_unique<obs::RequestTracer>(tracer_params);
+    // Value-initialized: every tenant's EWMA starts at 0.
     tenantEwmaNanos_ =
         std::make_unique<std::atomic<uint64_t>[]>(params_.tenants.size());
-    for (size_t t = 0; t < params_.tenants.size(); ++t) {
-        tenantEwmaNanos_[t].store(0, std::memory_order_relaxed);
-    }
 }
 
 void
@@ -154,6 +135,20 @@ Daemon::commitTrace(size_t lane, obs::TraceContext&& ctx,
                       span.endNanos - span.beginNanos);
     }
     tracer_->commit(lane, std::move(ctx));
+}
+
+void
+Daemon::endRequest(Connection& conn, Response& response,
+                   std::unique_ptr<obs::TraceContext>& trace, size_t lane,
+                   std::string_view disposition,
+                   obs::Registry::ThreadSlab* slab)
+{
+    if (trace) {
+        response.traceId = trace->traceId;
+        commitTrace(lane, std::move(*trace), disposition, slab);
+        trace.reset();
+    }
+    respond(conn, response);
 }
 
 Daemon::~Daemon()
@@ -242,6 +237,14 @@ void
 Daemon::readerLoop(std::shared_ptr<Connection> conn)
 {
     std::vector<uint8_t> payload;
+    const auto answer_error = [&conn, this](uint64_t id,
+                                            std::string message) {
+        Response error;
+        error.id = id;
+        error.status = ResponseStatus::Error;
+        error.message = std::move(message);
+        respond(*conn, error);
+    };
     while (conn->open.load()) {
         util::Status status;
         uint64_t frame_arrival = 0;
@@ -262,10 +265,7 @@ Daemon::readerLoop(std::shared_ptr<Connection> conn)
             // Damaged frame: the stream may be desynchronized, so answer
             // once (best effort) and drop the connection.
             controlSlab()->add(hub_->serve().badFrames);
-            Response error;
-            error.status = ResponseStatus::Error;
-            error.message = status.toString();
-            respond(*conn, error);
+            answer_error(0, status.toString());
             closeConnection(*conn);
             break;
         }
@@ -276,21 +276,14 @@ Daemon::readerLoop(std::shared_ptr<Connection> conn)
             util::Status decoded = decodeControl(payload, control);
             if (!decoded.ok()) {
                 controlSlab()->add(hub_->serve().badFrames);
-                Response error;
-                error.status = ResponseStatus::Error;
-                error.message = decoded.toString();
-                respond(*conn, error);
+                answer_error(0, decoded.toString());
                 closeConnection(*conn);
                 break;
             }
             try {
                 handleControl(conn, std::move(control));
             } catch (const util::Error& err) {
-                Response error;
-                error.id = control.id;
-                error.status = ResponseStatus::Error;
-                error.message = err.what();
-                respond(*conn, error);
+                answer_error(control.id, err.what());
             }
             continue;
         }
@@ -299,10 +292,7 @@ Daemon::readerLoop(std::shared_ptr<Connection> conn)
         const uint64_t decode_end = util::nowNanos();
         if (!decoded.ok()) {
             controlSlab()->add(hub_->serve().badFrames);
-            Response error;
-            error.status = ResponseStatus::Error;
-            error.message = decoded.toString();
-            respond(*conn, error);
+            answer_error(0, decoded.toString());
             closeConnection(*conn);
             break;
         }
@@ -312,11 +302,7 @@ Daemon::readerLoop(std::shared_ptr<Connection> conn)
         } catch (const util::Error& err) {
             // Nothing past this point may kill the daemon; answer and
             // keep serving the connection.
-            Response error;
-            error.id = request.id;
-            error.status = ResponseStatus::Error;
-            error.message = err.what();
-            respond(*conn, error);
+            answer_error(request.id, err.what());
         }
     }
 }
@@ -562,12 +548,8 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
         error.message =
             util::cat("request carries ", request.reads.size(),
                       " reads; limit is ", params_.maxReadsPerRequest);
-        if (trace) {
-            error.traceId = trace->traceId;
-            commitTrace(tracer_->controlLane(), std::move(*trace),
-                        "error", slab);
-        }
-        respond(*conn, error);
+        endRequest(*conn, error, trace, tracer_->controlLane(), "error",
+                   slab);
         return;
     }
 
@@ -578,12 +560,8 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
         shutdown.status = ResponseStatus::ShuttingDown;
         shutdown.generation = index_->generation();
         shutdown.retryAfterMillis = params_.retryBaseMillis;
-        if (trace) {
-            shutdown.traceId = trace->traceId;
-            commitTrace(tracer_->controlLane(), std::move(*trace),
-                        "shutting-down", slab);
-        }
-        respond(*conn, shutdown);
+        endRequest(*conn, shutdown, trace, tracer_->controlLane(),
+                   "shutting-down", slab);
         return;
     }
 
@@ -597,7 +575,8 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
     // RETRY_AFTER whose hint grows with consecutive refusals, so clients
     // back off a stretched publish instead of hammering it.
     const uint64_t pin_start = trace ? util::nowNanos() : 0;
-    IndexManager::Handle handle = index_->pin();
+    uint64_t serving = 0;
+    IndexManager::Handle handle = index_->pin(&serving);
     if (trace) {
         trace->span(obs::SpanStage::GenerationPin,
                     static_cast<uint32_t>(tracer_->controlLane()),
@@ -613,14 +592,10 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
         Response retry;
         retry.id = request.id;
         retry.status = ResponseStatus::RetryAfter;
-        retry.generation = index_->generation();
+        retry.generation = serving;
         retry.retryAfterMillis = params_.retryBaseMillis * rejects;
-        if (trace) {
-            retry.traceId = trace->traceId;
-            commitTrace(tracer_->controlLane(), std::move(*trace),
-                        "retry-after", slab);
-        }
-        respond(*conn, retry);
+        endRequest(*conn, retry, trace, tracer_->controlLane(),
+                   "retry-after", slab);
         return;
     }
     publishRejects_.store(0, std::memory_order_relaxed);
@@ -643,9 +618,9 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
     job.trace = std::move(trace);
     // tryPush destroys the job on rejection, trace and all; a cheap copy
     // of the context (a handful of spans) keeps the shed committable.
-    obs::TraceContext rejected_copy;
+    std::unique_ptr<obs::TraceContext> rejected_copy;
     if (job.trace) {
-        rejected_copy = *job.trace;
+        rejected_copy = std::make_unique<obs::TraceContext>(*job.trace);
     }
     AdmissionVerdict verdict = queue_->tryPush(tenant, std::move(job));
     if (verdict.admitted()) {
@@ -661,15 +636,10 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
                       : ResponseStatus::RetryAfter;
     shed.generation = generation;
     shed.retryAfterMillis = verdict.retryAfterMillis;
-    if (rejected_copy.traceId != 0) {
-        shed.traceId = rejected_copy.traceId;
-        commitTrace(tracer_->controlLane(), std::move(rejected_copy),
-                    verdict.outcome == Admission::Closed
-                        ? "shutting-down"
-                        : "retry-after",
-                    slab);
-    }
-    respond(*conn, shed);
+    endRequest(*conn, shed, rejected_copy, tracer_->controlLane(),
+               verdict.outcome == Admission::Closed ? "shutting-down"
+                                                    : "retry-after",
+               slab);
 }
 
 void
@@ -698,12 +668,9 @@ Daemon::workerLoop(size_t worker)
                 // disposition.
                 hub_->flight().ring(worker)->setTrace(0);
                 tracer_->endInFlight(worker);
-                error.traceId = job.trace->traceId;
-                commitTrace(worker, std::move(*job.trace), "error",
-                            hub_->slab(worker));
-                job.trace.reset();
             }
-            respond(*job.conn, error);
+            endRequest(*job.conn, error, job.trace, worker, "error",
+                       hub_->slab(worker));
         }
         // Drop the pin before blocking on the next pop: an idle worker
         // must not keep a retired generation's arenas mapped.
@@ -745,12 +712,9 @@ Daemon::shedExpiredJobs(size_t worker)
             job.trace->span(obs::SpanStage::QueueWait,
                             static_cast<uint32_t>(tracer_->controlLane()),
                             job.admittedNanos, now);
-            response.traceId = job.trace->traceId;
-            commitTrace(worker, std::move(*job.trace), "deadline-shed",
-                        slab);
-            job.trace.reset();
         }
-        respond(*job.conn, response);
+        endRequest(*job.conn, response, job.trace, worker, "deadline-shed",
+                   slab);
         job.conn.reset();
         job.handle.reset();
     }
@@ -789,13 +753,8 @@ Daemon::processJob(size_t worker, Job& job, uint64_t popped_nanos)
         shed.status = ResponseStatus::ShuttingDown;
         shed.generation = generation;
         shed.retryAfterMillis = params_.retryBaseMillis;
-        if (trace != nullptr) {
-            shed.traceId = trace->traceId;
-            shed.queueNanos = queue_wait;
-            commitTrace(worker, std::move(*job.trace), "drain-shed", slab);
-            job.trace.reset();
-        }
-        respond(*job.conn, shed);
+        shed.queueNanos = trace != nullptr ? queue_wait : 0;
+        endRequest(*job.conn, shed, job.trace, worker, "drain-shed", slab);
         return;
     }
 
@@ -807,14 +766,9 @@ Daemon::processJob(size_t worker, Job& job, uint64_t popped_nanos)
         shed.id = job.request.id;
         shed.status = ResponseStatus::DeadlineShed;
         shed.generation = generation;
-        if (trace != nullptr) {
-            shed.traceId = trace->traceId;
-            shed.queueNanos = queue_wait;
-            commitTrace(worker, std::move(*job.trace), "deadline-shed",
-                        slab);
-            job.trace.reset();
-        }
-        respond(*job.conn, shed);
+        shed.queueNanos = trace != nullptr ? queue_wait : 0;
+        endRequest(*job.conn, shed, job.trace, worker, "deadline-shed",
+                   slab);
         return;
     }
 
@@ -870,13 +824,7 @@ Daemon::processJob(size_t worker, Job& job, uint64_t popped_nanos)
     ok.generation = generation;
     ok.mappedReads = result.mappedReads;
     ok.degradedReads = result.degradedReads;
-    if (params_.gafGenerationComment) {
-        ok.gaf = util::cat("# mg:gen=", generation,
-                           " source=", job.handle->source, "\n");
-        ok.gaf += result.gaf;
-    } else {
-        ok.gaf = std::move(result.gaf);
-    }
+    ok.gaf = std::move(result.gaf);
     if (trace != nullptr) {
         ok.traceId = trace->traceId;
         ok.queueNanos = queue_wait;

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -80,15 +81,6 @@ struct DaemonParams
      */
     std::string indexLoadMode = "parsed";
     double indexLoadSeconds = 0.0;
-    /**
-     * Prefix each Ok response's GAF with a `# mg:gen=<N>` comment naming
-     * the generation that mapped it.  Off by default: the comment makes
-     * daemon GAF differ from direct-session GAF byte-for-byte, so it is
-     * opt-in for deployments that want generation attribution in the
-     * output stream itself (the Response.generation field always
-     * carries it).
-     */
-    bool gafGenerationComment = false;
     /**
      * Head-sampling probability for tracing untagged requests, [0, 1].
      * Client-tagged requests (Request.traceId != 0) are always traced
@@ -213,6 +205,13 @@ class Daemon
     std::string statsJson();
 
   private:
+    /** The one construction path behind both public constructors:
+     *  `make_index` builds the index manager from the session
+     *  parameters derived from `params`. */
+    Daemon(DaemonParams&& params,
+           const std::function<std::unique_ptr<IndexManager>(
+               const giraffe::SessionParams&)>& make_index);
+
     /** One client connection; workers and the reader share the fd. */
     struct Connection
     {
@@ -256,7 +255,13 @@ class Daemon
     void commitTrace(size_t lane, obs::TraceContext&& ctx,
                      std::string_view disposition,
                      obs::Registry::ThreadSlab* slab);
-    void initTracing();
+    /** End a request that will not be answered Ok: a traced one's id is
+     *  stamped into `response` and its context committed to `lane` as
+     *  `disposition`, then the response is written. */
+    void endRequest(Connection& conn, Response& response,
+                    std::unique_ptr<obs::TraceContext>& trace, size_t lane,
+                    std::string_view disposition,
+                    obs::Registry::ThreadSlab* slab);
     /** Shed still-queued jobs whose client deadline can no longer be
      *  met (DEADLINE_SHED), using the service-time EWMA as the cost
      *  estimate for work not yet started. */

@@ -32,57 +32,54 @@ IndexManager::IndexManager(const graph::VariationGraph& graph,
                            giraffe::SessionParams session,
                            std::string source, std::string load_mode,
                            double load_seconds)
-    : sessionParams_(session)
-{
-    auto gen = std::make_shared<Generation>();
-    gen->number = 1;
-    gen->source = std::move(source);
-    gen->loadMode = std::move(load_mode);
-    gen->loadSeconds = load_seconds;
-    gen->graph = &graph;
-    gen->gbwt = &gbwt;
-    gen->minimizers = &minimizers;
-    gen->distance = &distance;
-    gen->session = std::make_unique<giraffe::MapSession>(
-        graph, gbwt, minimizers, distance, sessionParams_);
-    current_ = std::move(gen);
-}
+    : sessionParams_(session),
+      current_(bind({ 1, std::move(source), std::move(load_mode),
+                      load_seconds, std::nullopt, &graph, &gbwt,
+                      &minimizers, &distance, nullptr }))
+{}
 
 IndexManager::IndexManager(io::IndexedPangenome&& pangenome,
                            giraffe::SessionParams session,
                            std::string source)
     : sessionParams_(session)
 {
-    auto gen = std::make_shared<Generation>();
-    gen->number = 1;
-    gen->source = std::move(source);
-    gen->loadMode = io::loadModeName(pangenome.info.mode);
-    gen->loadSeconds = pangenome.info.loadSeconds;
-    gen->owned.emplace(std::move(pangenome));
-    gen->graph = &gen->owned->graph;
-    gen->gbwt = &gen->owned->gbwt;
-    gen->minimizers = &gen->owned->minimizers;
-    gen->distance = &gen->owned->distance;
-    gen->session = std::make_unique<giraffe::MapSession>(
-        *gen->graph, *gen->gbwt, *gen->minimizers, *gen->distance,
+    Generation gen;
+    gen.number = 1;
+    gen.source = std::move(source);
+    gen.loadMode = io::loadModeName(pangenome.info.mode);
+    gen.loadSeconds = pangenome.info.loadSeconds;
+    gen.owned.emplace(std::move(pangenome));
+    current_ = bind(std::move(gen));
+}
+
+std::shared_ptr<IndexManager::Generation>
+IndexManager::bind(Generation&& gen) const
+{
+    auto bound = std::make_shared<Generation>(std::move(gen));
+    if (bound->owned) {
+        bound->graph = &bound->owned->graph;
+        bound->gbwt = &bound->owned->gbwt;
+        bound->minimizers = &bound->owned->minimizers;
+        bound->distance = &bound->owned->distance;
+    }
+    bound->session = std::make_unique<giraffe::MapSession>(
+        *bound->graph, *bound->gbwt, *bound->minimizers, *bound->distance,
         sessionParams_);
-    current_ = std::move(gen);
+    return bound;
 }
 
 IndexManager::Handle
-IndexManager::pin() const
+IndexManager::pin(uint64_t* serving) const
 {
+    std::lock_guard<std::mutex> lock(pinMutex_);
+    if (serving != nullptr) {
+        *serving = current_->number;
+    }
+    // Read under the pin mutex, like the flip that closes the window:
+    // a refusal always names the generation that was serving.
     if (publishing_.load(std::memory_order_acquire)) {
         return nullptr;
     }
-    std::lock_guard<std::mutex> lock(pinMutex_);
-    return current_;
-}
-
-IndexManager::Handle
-IndexManager::current() const
-{
-    std::lock_guard<std::mutex> lock(pinMutex_);
     return current_;
 }
 
@@ -106,6 +103,9 @@ IndexManager::publish(Handle next)
     retired_.push_back(std::move(retired));
     ++retiredCount_;
     current_ = std::move(next);
+    // The flip closes the window in the same critical section, so no
+    // pin sees the new generation while still being refused.
+    publishing_.store(false, std::memory_order_release);
 }
 
 SwapOutcome
@@ -113,11 +113,13 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
 {
     std::lock_guard<std::mutex> swap_lock(swapMutex_);
     SwapOutcome outcome;
-    Handle serving = current();
+    // Swaps are serialized and only a swap opens the window, so this
+    // pin cannot be refused.
+    Handle serving = pin();
     outcome.generation = serving->number;
 
     util::WallTimer timer;
-    auto gen = std::make_shared<Generation>();
+    Generation gen;
     try {
         // -- load: read and deep-validate the image before binding it.
         // This is the open/validate split: a corrupt replacement is
@@ -133,12 +135,12 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
         io::LoadOptions options;
         options.minimizer = serving->minimizers->params();
         options.prefetchFirstQuery = true;
-        gen->owned.emplace(io::loadPangenome(path, options));
+        gen.owned.emplace(io::loadPangenome(path, options));
 
         // -- validate: the image is structurally sound; now check it is
         // compatible with the serving contract.
         fault::inject("serve.swap.validate");
-        const io::IndexedPangenome& loaded = *gen->owned;
+        const io::IndexedPangenome& loaded = *gen.owned;
         if (loaded.graph.numNodes() == 0) {
             outcome.reason = "replacement pangenome has no nodes";
             return outcome;
@@ -154,19 +156,13 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
             return outcome;
         }
 
-        gen->number = serving->number + 1;
-        gen->source = path;
-        gen->loadMode = io::loadModeName(loaded.info.mode);
-        gen->graph = &gen->owned->graph;
-        gen->gbwt = &gen->owned->gbwt;
-        gen->minimizers = &gen->owned->minimizers;
-        gen->distance = &gen->owned->distance;
-        gen->session = std::make_unique<giraffe::MapSession>(
-            *gen->graph, *gen->gbwt, *gen->minimizers, *gen->distance,
-            sessionParams_);
+        gen.number = serving->number + 1;
+        gen.source = path;
+        gen.loadMode = io::loadModeName(loaded.info.mode);
+        std::shared_ptr<Generation> bound = bind(std::move(gen));
         // Warm every worker slot *before* publish so the first post-swap
         // request pays no lazy-init cost inside the new generation.
-        gen->session->warmup(hub);
+        bound->session->warmup(hub);
 
         // -- publish: raise the window (late pins -> RETRY_AFTER), then
         // flip the handle under the pin mutex.  A fault here fires with
@@ -176,10 +172,10 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
         {
             PublishWindow window(publishing_);
             fault::inject("serve.swap.publish");
-            gen->loadSeconds = timer.seconds();
-            outcome.loadSeconds = gen->loadSeconds;
-            outcome.generation = gen->number;
-            publish(std::move(gen));
+            bound->loadSeconds = timer.seconds();
+            outcome.loadSeconds = bound->loadSeconds;
+            outcome.generation = bound->number;
+            publish(std::move(bound));
         }
     } catch (const util::Error& err) {
         outcome.accepted = false;

@@ -27,8 +27,10 @@
  *   publish   warm the new generation's MapSession, raise `publishing_`
  *             (late pins see nullptr and the daemon answers RETRY_AFTER
  *             with a growing hint instead of racing the flip), then swap
- *             the current handle under the pin mutex — pins only ever
- *             observe a complete, fully-constructed generation
+ *             the current handle and lower the flag in one critical
+ *             section of the pin mutex — pins only ever observe a
+ *             complete, fully-constructed generation, and a refused pin
+ *             always names the generation it was refused by
  *   retire    the old handle moves to the retired list as weak_ptrs;
  *             expiry of those weak_ptrs is the *proof* that the last
  *             pinned request finished and the old arenas were unmapped
@@ -118,9 +120,11 @@ class IndexManager
      * Pin the current generation.  Returns nullptr only while a swap is
      * inside its publish window — the daemon answers those admissions
      * with RETRY_AFTER instead of racing the flip.  A non-null handle is
-     * always a complete, fully-constructed generation.
+     * always a complete, fully-constructed generation.  `serving`
+     * (nullable) receives the number of the generation serving at the
+     * pin, read together with the verdict, also when it refuses.
      */
-    Handle pin() const;
+    Handle pin(uint64_t* serving = nullptr) const;
 
     /** Number of the currently published generation (1-based). */
     uint64_t generation() const;
@@ -165,7 +169,13 @@ class IndexManager
         std::weak_ptr<mem::MappedFile> mapping;
     };
 
-    Handle current() const;
+    /** The one way a Generation becomes servable, for the first one and
+     *  for every swap: point its indexes at its owned pangenome (a
+     *  borrowed generation arrives with them set) and build its
+     *  MapSession. */
+    std::shared_ptr<Generation> bind(Generation&& gen) const;
+    /** Flip the current handle to `next` and close the publish window,
+     *  in one critical section. */
     void publish(Handle next);
 
     giraffe::SessionParams sessionParams_;

@@ -56,23 +56,6 @@ enum class Admission : uint8_t
     Closed,
 };
 
-/** Short stable name ("admitted", "queue-full", ...). */
-inline const char*
-admissionName(Admission admission)
-{
-    switch (admission) {
-      case Admission::Admitted:
-        return "admitted";
-      case Admission::QueueFull:
-        return "queue-full";
-      case Admission::TenantSaturated:
-        return "tenant-saturated";
-      case Admission::Closed:
-        return "closed";
-    }
-    return "?";
-}
-
 /** One tenant's instantaneous load (live introspection snapshot). */
 struct TenantLoad
 {

@@ -229,36 +229,6 @@ TEST_F(ReloadFixture, SwapPublishesNewGenerationWithIdenticalGaf)
     EXPECT_EQ(client.stats().reloadsOk, 1u);
 }
 
-TEST_F(ReloadFixture, GafGenerationCommentTagsEachResponse)
-{
-    DaemonParams dparams = daemonParams("gencomment");
-    dparams.gafGenerationComment = true;
-    std::unique_ptr<Daemon> daemon = makeDaemon(dparams);
-    daemon->start();
-
-    Client client(clientParams("gencomment"));
-    Response response;
-    ASSERT_TRUE(client
-                    .mapReads("", slice(0, 8), resilience::WorkBudget{},
-                              response)
-                    .ok());
-    ASSERT_EQ(response.status, ResponseStatus::Ok);
-    EXPECT_EQ(response.gaf.rfind("# mg:gen=1 ", 0), 0u) << response.gaf;
-
-    Response verdict;
-    ASSERT_TRUE(client.reload(replacementPath("gencomment"), verdict).ok());
-    ASSERT_EQ(verdict.status, ResponseStatus::ReloadOk) << verdict.message;
-
-    ASSERT_TRUE(client
-                    .mapReads("", slice(0, 8), resilience::WorkBudget{},
-                              response)
-                    .ok());
-    ASSERT_EQ(response.status, ResponseStatus::Ok);
-    EXPECT_EQ(response.gaf.rfind("# mg:gen=2 ", 0), 0u) << response.gaf;
-
-    daemon->stop();
-}
-
 // --------------------------------------------------------------------
 // Validated rollback.
 
@@ -503,20 +473,26 @@ TEST_F(ReloadFixture, StalledPublishYieldsRetryAfterNeverHalfPublished)
     spec.limit = 1;
     fault::arm("serve.swap.publish", spec);
 
+    std::atomic<bool> swapped{false};
     std::thread swapper([&] {
         SwapOutcome outcome =
             daemon->reloadIndex(replacementPath("publish"));
         EXPECT_TRUE(outcome.accepted) << outcome.reason;
+        swapped.store(true);
     });
 
     // Hammer the admission path with unretried calls while the publish
-    // window is held open.  Every response must be a *complete* verdict:
-    // Ok from generation 1 or 2 with non-empty GAF, or RETRY_AFTER with
-    // a hint.  Anything else is a half-published observation.
+    // window is held open, and on until a call starts after the swapper
+    // has returned, so the calls span the whole window and the flip.
+    // Every response must be a *complete* verdict: Ok from generation 1
+    // or 2 with non-empty GAF, or RETRY_AFTER with a hint.  Anything
+    // else is a half-published observation.
     Client client(clientParams("publish"));
     size_t retry_after = 0;
     size_t ok = 0;
-    for (int i = 0; i < 400; ++i) {
+    bool after_swap = false;
+    for (int i = 0; i < 400 || !after_swap; ++i) {
+        after_swap = swapped.load();
         Request request;
         request.id = client.nextId();
         request.reads = slice(0, 2);

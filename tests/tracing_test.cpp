@@ -693,9 +693,9 @@ TEST_F(TracingFixture, StatsControlAnswersIntrospectionSnapshot)
     // response is written; settle before snapshotting.
     settleCommitted(*daemon, 1);
     for (int spin = 0; spin < 2000; ++spin) {
+        const obs::Snapshot snapshot = daemon->hub().registry().snapshot();
         const obs::MetricValue* done =
-            daemon->hub().registry().snapshot().find(
-                "mg_serve_completed_total{tenant=\"gold\"}");
+            snapshot.find("mg_serve_completed_total{tenant=\"gold\"}");
         if (done != nullptr && done->value >= 1) {
             break;
         }
