@@ -75,12 +75,12 @@ main(int argc, char** argv)
         std::printf("   %-22s %12.3f %14llu %12llu\n", "GBWT-guided",
                     timeProxy(*world, capture, consistent),
                     static_cast<unsigned long long>(
-                        out_on.cacheStats.lookups),
+                        out_on.tally.cache().lookups),
                     static_cast<unsigned long long>(ext_on));
         std::printf("   %-22s %12.3f %14llu %12llu\n", "all graph edges",
                     timeProxy(*world, capture, unconstrained),
                     static_cast<unsigned long long>(
-                        out_off.cacheStats.lookups),
+                        out_off.tally.cache().lookups),
                     static_cast<unsigned long long>(ext_off));
         std::printf("   (unconstrained walks can spell recombinant paths "
                     "no haplotype supports)\n\n");
@@ -102,11 +102,11 @@ main(int argc, char** argv)
         std::printf("   %-22s %12.3f %14llu\n", "cache (capacity 256)",
                     timeProxy(*world, capture, cached),
                     static_cast<unsigned long long>(
-                        out_on.cacheStats.decodes));
+                        out_on.tally.cache().decodes));
         std::printf("   %-22s %12.3f %14llu\n", "no cache",
                     timeProxy(*world, capture, uncached),
                     static_cast<unsigned long long>(
-                        out_off.cacheStats.decodes));
+                        out_off.tally.cache().decodes));
         std::printf("\n");
     }
 

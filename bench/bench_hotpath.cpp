@@ -210,8 +210,7 @@ measureMapping(const Workload& wl, int reps, obs::Hub* hub = nullptr,
         state->metrics = hub->slab(0);
         state->metricIds = &hub->map();
     }
-    const gbwt::CacheStats warm = state->totalStats();
-    state->resilience.latency.clear(); // drop warm-up samples
+    state->tally = map::Tally{}; // drop warm-up counts and samples
     obs::StageAccumulator trace_accum;
     size_t read_index = 0;
     AllocSnapshot before = allocNow();
@@ -243,12 +242,8 @@ measureMapping(const Workload& wl, int reps, obs::Hub* hub = nullptr,
     out.readsPerSec = reads / seconds;
     out.bytesPerRead = static_cast<double>(delta.bytes) / reads;
     out.allocsPerRead = static_cast<double>(delta.calls) / reads;
-    uint64_t lookups = total.lookups - warm.lookups;
-    uint64_t hits = total.hits - warm.hits;
-    out.hitRate = lookups == 0
-        ? 0.0
-        : static_cast<double>(hits) / static_cast<double>(lookups);
-    const stats::LatencyHistogram& latency = state->resilience.latency;
+    out.hitRate = total.hitRate();
+    const stats::LatencyHistogram& latency = state->tally.latency;
     out.p50Nanos = latency.p50();
     out.p99Nanos = latency.p99();
     out.p999Nanos = latency.p999();

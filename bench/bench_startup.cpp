@@ -57,10 +57,8 @@ struct StartupRow
     double parsedReadsPerSec = 0.0;
     double mappedReadsPerSec = 0.0;
     double throughputRatio = 0.0; // mapped / parsed
-    /** First mapping query after a fresh v3 bind: with the one-shot
-     *  MADV_WILLNEED prefetch of the minimizer tables vs without. */
-    double firstQueryPrefetchSeconds = 0.0;
-    double firstQueryNoPrefetchSeconds = 0.0;
+    /** First mapping query after a fresh v3 bind. */
+    double firstQuerySeconds = 0.0;
     double serialBuildSeconds = 0.0;
     double parallelBuildSeconds = 0.0; // at min(8, hardware) threads
     unsigned parallelThreads = 1;
@@ -88,13 +86,10 @@ readsPerSec(const io::IndexedPangenome& pg, const map::ReadSet& reads)
 /**
  * Bind the v3 container fresh and time ONE small mapping batch — the
  * first-query latency a daemon pays right after startup or a hot swap.
- * The prefetch flag toggles the one-shot MADV_WILLNEED on the minimizer
- * bucket/key tables that the first findSeeds otherwise faults in page by
- * page.  Best of 3 binds (each bind gets exactly one first query).
+ * Best of 3 binds (each bind gets exactly one first query).
  */
 double
-firstQuerySeconds(const std::string& v3, bool prefetch,
-                  const map::ReadSet& reads)
+firstQuerySeconds(const std::string& v3, const map::ReadSet& reads)
 {
     map::ReadSet batch;
     const size_t count = std::min<size_t>(32, reads.reads.size());
@@ -103,9 +98,7 @@ firstQuerySeconds(const std::string& v3, bool prefetch,
                            static_cast<std::ptrdiff_t>(count));
     double best = 1e9;
     for (int rep = 0; rep < 3; ++rep) {
-        io::LoadOptions options;
-        options.prefetchFirstQuery = prefetch;
-        io::IndexedPangenome pg = io::loadPangenome(v3, options);
+        io::IndexedPangenome pg = io::loadPangenome(v3);
         giraffe::ParentEmulator parent(pg.graph, pg.gbwt, pg.minimizers,
                                        pg.distance,
                                        giraffe::ParentParams());
@@ -194,11 +187,8 @@ measure(const std::string& input_set, double scale)
                               / row.parsedReadsPerSec;
     }
 
-    // First-query latency after a fresh bind, prefetch on vs off.
-    row.firstQueryPrefetchSeconds =
-        firstQuerySeconds(v3, true, world->set.reads);
-    row.firstQueryNoPrefetchSeconds =
-        firstQuerySeconds(v3, false, world->set.reads);
+    // First-query latency after a fresh bind.
+    row.firstQuerySeconds = firstQuerySeconds(v3, world->set.reads);
 
     // Parallel index construction vs serial.
     unsigned hardware = std::thread::hardware_concurrency();
@@ -224,10 +214,8 @@ printRow(const StartupRow& row)
                 "(ratio %.3f)\n",
                 row.parsedReadsPerSec, row.mappedReadsPerSec,
                 row.throughputRatio);
-    std::printf("          first query after bind: prefetch %8.4f s, "
-                "no prefetch %8.4f s\n",
-                row.firstQueryPrefetchSeconds,
-                row.firstQueryNoPrefetchSeconds);
+    std::printf("          first query after bind %8.4f s\n",
+                row.firstQuerySeconds);
     std::printf("          index build serial %.3f s, %u-thread %.3f s "
                 "(speedup %.2fx)\n",
                 row.serialBuildSeconds, row.parallelThreads,
@@ -256,10 +244,7 @@ writeJson(const std::string& path, double scale,
         w.field("parsed_reads_per_sec", row.parsedReadsPerSec);
         w.field("mapped_reads_per_sec", row.mappedReadsPerSec);
         w.field("throughput_ratio", row.throughputRatio);
-        w.field("first_query_prefetch_seconds",
-                row.firstQueryPrefetchSeconds);
-        w.field("first_query_no_prefetch_seconds",
-                row.firstQueryNoPrefetchSeconds);
+        w.field("first_query_seconds", row.firstQuerySeconds);
         w.field("serial_build_seconds", row.serialBuildSeconds);
         w.field("parallel_build_seconds", row.parallelBuildSeconds);
         w.field("parallel_build_threads",

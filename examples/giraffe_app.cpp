@@ -228,7 +228,7 @@ try {
                     result.wallSeconds,
                     static_cast<unsigned long long>(result.droppedShards));
         std::printf("resilience: %s\n",
-                    result.resilience.summary().c_str());
+                    result.tally.summary().c_str());
         if (!result.failures.ok()) {
             std::printf("failures: %s\n",
                         result.failures.summary().c_str());
@@ -271,8 +271,8 @@ try {
     std::printf("mapped %zu / %zu reads in %.3f s "
                 "(GBWT cache hit rate %.3f)\n",
                 mapped, reads.size(), outputs.wallSeconds,
-                outputs.cacheStats.hitRate());
-    std::printf("resilience: %s\n", outputs.resilience.summary().c_str());
+                outputs.tally.cache().hitRate());
+    std::printf("resilience: %s\n", outputs.tally.summary().c_str());
     auto read_name = [&](uint64_t index) -> std::string {
         return index < reads.size() ? reads.reads[index].name : "?";
     };

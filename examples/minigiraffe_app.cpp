@@ -210,12 +210,12 @@ try {
                 mg::sched::schedulerName(params.scheduler),
                 params.batchSize, params.mapper.gbwtCacheCapacity,
                 params.numThreads);
+    const mg::gbwt::CacheStats cache = outputs.tally.cache();
     std::printf("CachedGBWT: %.3f hit rate, %llu decodes, %llu rehashes\n",
-                outputs.cacheStats.hitRate(),
-                static_cast<unsigned long long>(outputs.cacheStats.decodes),
-                static_cast<unsigned long long>(
-                    outputs.cacheStats.rehashes));
-    std::printf("resilience: %s\n", outputs.resilience.summary().c_str());
+                cache.hitRate(),
+                static_cast<unsigned long long>(cache.decodes),
+                static_cast<unsigned long long>(cache.rehashes));
+    std::printf("resilience: %s\n", outputs.tally.summary().c_str());
     auto read_name = [&](uint64_t index) -> std::string {
         return index < capture.entries.size()
                    ? capture.entries[index].read.name

@@ -93,6 +93,6 @@ main(int argc, char** argv)
     }
     std::printf("\nmapped %zu reads in %.3f s; GBWT cache hit rate %.3f\n",
                 reads.size(), outputs.wallSeconds,
-                outputs.cacheStats.hitRate());
+                outputs.tally.cache().hitRate());
     return 0;
 }

@@ -109,22 +109,19 @@ BatchRun::mapReads(size_t n, const ReadFn& map_read, const SlotFn& unmapped,
         *scheduler, n, params_.batchSize, params_.numThreads,
         [&](size_t thread, size_t begin, size_t end) {
         map::MapperState& state = this->state(thread);
-        // Snapshot so a failed attempt contributes nothing to the final
-        // counters: runGuarded retries/bisects a throwing batch, and
-        // without the restore the partial work before the throw would be
-        // double-counted by the retry.
-        const map::MapperState::StatsSnapshot snapshot =
-            state.statsSnapshot();
+        // A failed attempt must count nowhere: runGuarded retries or
+        // bisects a throwing batch, and without the rollback the partial
+        // work before the throw would be counted again by the retry.
+        const map::Tally before = state.tally;
         util::WallTimer batch_timer;
         try {
             mapRange(state, &board_, thread, begin, end,
                      [&](size_t i) { map_read(state, i); });
         } catch (...) {
-            state.restoreStats(snapshot);
+            state.tally = before;
             throw;
         }
-        // Only a *completed* batch publishes: its buffered funnel counts
-        // flush to the live slab and its latency lands in the histogram.
+        // Only a *completed* batch publishes its counts and latencies.
         if (state.metrics != nullptr && hub_ != nullptr) {
             state.flushMetrics();
             state.metrics->add(hub_->sched().batches);
@@ -161,11 +158,9 @@ BatchRun::finish(RunTotals& totals)
         if (!state) {
             continue;
         }
-        totals.cacheStats.accumulate(state->totalStats());
-        totals.extensionTotals.accumulate(state->extensionTotals);
-        totals.resilience.accumulate(state->resilience);
+        totals.tally.accumulate(state->tally);
         // Work done outside any batch (the parent's pairing/rescue tail
-        // on state(0)) is still buffered here.
+        // on state(0)) is not yet published.
         state->flushMetrics();
     }
     if (hub_ != nullptr) {

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "gbwt/cached_gbwt.h"
 #include "giraffe/alignment.h"
 #include "io/extensions_io.h"
 #include "map/mapper.h"
@@ -142,15 +141,12 @@ struct RunParams
 /** Run results common to the batch runners. */
 struct RunTotals
 {
-    /** Aggregated CachedGBWT statistics over all worker threads. */
-    gbwt::CacheStats cacheStats;
-    /** Seeds walked vs skipped as covered, over all worker threads. */
-    map::ExtensionTotals extensionTotals;
+    /** Every worker's tally, summed: the mapping funnel, degraded reads,
+     *  CachedGBWT statistics and per-read latency of the run. */
+    map::Tally tally;
     /** Batch failures, recoveries, and quarantined reads of the run.
      *  Quarantined reads stay in the output as named placeholders. */
     sched::FailureReport failures;
-    /** Degradation counters + per-read latency over all worker threads. */
-    resilience::ResilienceStats resilience;
     /** Watchdog cancellations with flight-recorder context (when a hub
      *  with a recorder was attached), in detection order. */
     std::vector<sched::WatchdogEvent> watchdogEvents;
@@ -196,8 +192,8 @@ class BatchRun
 
     /**
      * Map reads [0, n) in guarded batches, calling map_read once per read
-     * of every batch attempt; a failed attempt's stats are rolled back
-     * and only completed batches publish metrics.  Afterwards `unmapped`
+     * of every batch attempt; a failed attempt's tally is rolled back and
+     * only completed batches publish metrics.  Afterwards `unmapped`
      * is called for every read that did not complete — quarantined, or
      * never dispatched because the stop flag fired — so the output still
      * holds one record per read.  Fills totals.failures, watchdogEvents
@@ -207,9 +203,9 @@ class BatchRun
                     RunTotals& totals);
 
     /**
-     * End the run: stamp wallSeconds, roll up every worker's totals,
-     * flush funnel counts still buffered by work done outside a batch,
-     * and fold the run-level scheduler counters into hub slab 0.
+     * End the run: stamp wallSeconds, sum every worker's tally, publish
+     * what work outside a batch counted, and fold the run-level scheduler
+     * counters into hub slab 0.
      */
     void finish(RunTotals& totals);
 

@@ -57,10 +57,11 @@ struct CheckpointRunResult
     /** Failure accounting over the newly mapped ranges, with batch and
      *  item indices rebased to the full read set. */
     sched::FailureReport failures;
-    /** Run totals: restored shard deltas + newly mapped ranges.  The
-     *  latency histogram covers only reads mapped by *this* process. */
-    resilience::ResilienceStats resilience;
-    gbwt::CacheStats cacheStats;
+    /** Run totals: restored shard deltas + newly mapped ranges.  Only
+     *  the counts a shard delta persists are summed (degraded reads and
+     *  the cache counts but recycles); the latency histogram covers only
+     *  reads mapped by *this* process. */
+    map::Tally tally;
     /** Reads restored from durable shards (0 on a fresh run). */
     uint64_t resumedReads = 0;
     /** Reads mapped by this process. */

@@ -199,31 +199,6 @@ buildBuckets(const std::vector<uint64_t>& keys,
 
 } // namespace
 
-MinimizerIndex::MinimizerIndex(MinimizerIndex&& other) noexcept
-    : params_(other.params_), keys_(std::move(other.keys_)),
-      keyOffsets_(std::move(other.keyOffsets_)),
-      positions_(std::move(other.positions_)),
-      buckets_(std::move(other.buckets_)),
-      prefetchArmed_(
-          other.prefetchArmed_.load(std::memory_order_relaxed))
-{}
-
-MinimizerIndex&
-MinimizerIndex::operator=(MinimizerIndex&& other) noexcept
-{
-    if (this != &other) {
-        params_ = other.params_;
-        keys_ = std::move(other.keys_);
-        keyOffsets_ = std::move(other.keyOffsets_);
-        positions_ = std::move(other.positions_);
-        buckets_ = std::move(other.buckets_);
-        prefetchArmed_.store(
-            other.prefetchArmed_.load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-    }
-    return *this;
-}
-
 MinimizerIndex::MinimizerIndex(const graph::VariationGraph& graph,
                                const MinimizerParams& params)
     : params_(params)

@@ -10,7 +10,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -97,10 +96,8 @@ class MinimizerIndex
     MinimizerIndex(const graph::VariationGraph& graph,
                    const MinimizerParams& params);
 
-    // The armed-prefetch flag is an atomic, so the moves are spelled out
-    // (the tables and params move; the flag's value is carried over).
-    MinimizerIndex(MinimizerIndex&& other) noexcept;
-    MinimizerIndex& operator=(MinimizerIndex&& other) noexcept;
+    MinimizerIndex(MinimizerIndex&&) noexcept = default;
+    MinimizerIndex& operator=(MinimizerIndex&&) noexcept = default;
     MinimizerIndex(const MinimizerIndex&) = delete;
     MinimizerIndex& operator=(const MinimizerIndex&) = delete;
 
@@ -163,39 +160,6 @@ class MinimizerIndex
     /** True when the tables are mmap-backed (MGZ v3 load). */
     bool isMapped() const { return positions_.isMapped(); }
 
-    /**
-     * Arm a one-shot madvise(MADV_WILLNEED) of the bucket + key tables,
-     * issued by the first query that reaches this index (map::findSeeds
-     * calls maybePrefetch() once per read).  The v3 loader and the hot-swap
-     * path arm this so the kernel starts faulting the lookup tables in
-     * while the first request is still being decoded, instead of paying
-     * one major fault per random probe.  No-op for heap-backed tables.
-     */
-    void
-    armPrefetch() const
-    {
-        prefetchArmed_.store(isMapped(), std::memory_order_relaxed);
-    }
-
-    /** Issue the armed prefetch, if any (first-query trigger; one relaxed
-     *  load per call once disarmed). */
-    void
-    maybePrefetch() const
-    {
-        if (prefetchArmed_.load(std::memory_order_relaxed) &&
-            prefetchArmed_.exchange(false, std::memory_order_relaxed)) {
-            buckets_.advise(mem::Advice::WillNeed);
-            keys_.advise(mem::Advice::WillNeed);
-        }
-    }
-
-    /** True while an armed prefetch is pending (tests, bench). */
-    bool
-    prefetchArmed() const
-    {
-        return prefetchArmed_.load(std::memory_order_relaxed);
-    }
-
     /** Heap/mapped bytes across all four tables. */
     size_t
     footprintBytes() const
@@ -224,8 +188,6 @@ class MinimizerIndex
     mem::ArenaView<uint32_t> keyOffsets_;  // keys_.size() + 1 entries
     mem::ArenaView<graph::Position> positions_;
     mem::ArenaView<MinimizerBucket> buckets_;  // pow2 open addressing
-    /** One-shot WILLNEED advice pending for the lookup tables. */
-    mutable std::atomic<bool> prefetchArmed_{false};
 };
 
 } // namespace mg::index

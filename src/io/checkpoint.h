@@ -38,7 +38,7 @@ namespace mg::io {
  *  persisted — resumed summaries cover newly mapped reads only). */
 struct ShardStatsDelta
 {
-    /** Degradation counters (resilience::ResilienceStats counters). */
+    /** Degraded reads by reason (map::Tally Degraded* counts). */
     uint64_t deadlineHits = 0;
     uint64_t stepCapHits = 0;
     uint64_t lookupCapHits = 0;

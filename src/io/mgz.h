@@ -176,16 +176,6 @@ struct LoadOptions
      * path trusts the container and relies on the structural scans only.
      */
     bool verifySectionCrcs = false;
-    /** madvise hint applied to the mapping after binding (v3 only). */
-    mem::Advice advice = mem::Advice::Normal;
-    /**
-     * Arm a one-shot madvise(MADV_WILLNEED) of the minimizer lookup
-     * tables, issued by the first query against the loaded index (v3
-     * only; see index::MinimizerIndex::armPrefetch).  The bucket table is
-     * probed randomly, so without the hint the first request pays one
-     * major fault per probe.
-     */
-    bool prefetchFirstQuery = true;
 };
 
 /**

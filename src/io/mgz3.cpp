@@ -497,13 +497,6 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     }
     out.distance.bindMapped(file, dist_min, dist_max, num_nodes);
 
-    if (options.advice != mem::Advice::Normal) {
-        file->advise(options.advice);
-    }
-    if (options.prefetchFirstQuery) {
-        out.minimizers.armPrefetch();
-    }
-
     out.info.mode = LoadMode::Mapped;
     out.info.fileBytes = size;
     out.info.mappedBytes = size;

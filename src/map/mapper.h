@@ -24,6 +24,7 @@
 #include "map/extender.h"
 #include "map/read.h"
 #include "map/seeding.h"
+#include "map/tally.h"
 #include "obs/hub.h"
 #include "perf/profiler.h"
 #include "resilience/budget.h"
@@ -103,20 +104,6 @@ const ExtensionAnchor*
 coveringAnchor(const Seed& seed, const std::vector<ExtensionAnchor>& anchors,
                const std::vector<GaplessExtension>& candidates);
 
-/** Seeds walked vs skipped as covered, summed over reads (run summaries). */
-struct ExtensionTotals
-{
-    uint64_t attempted = 0;
-    uint64_t covered = 0;
-
-    void
-    accumulate(const ExtensionTotals& other)
-    {
-        attempted += other.attempted;
-        covered += other.covered;
-    }
-};
-
 /**
  * Per-worker-thread mutable state plus optional instrumentation handles.
  *
@@ -142,85 +129,16 @@ class MapperState
     /** The current read's decode cache. */
     gbwt::CachedGbwt& cache() { return cache_; }
 
-    /** Start a new read: accumulate stats, reset the cache (O(1)). */
-    void
-    freshCache()
-    {
-        accumulated_.accumulate(cache_.stats());
-        cache_.clear();
-    }
+    /** Start a new read: reset the cache (O(1)); mapFromSeeds adds the
+     *  read's cache statistics to the tally when the read ends. */
+    void freshCache() { cache_.clear(); }
 
-    /** Cache statistics accumulated across all reads so far. */
-    gbwt::CacheStats
-    totalStats() const
-    {
-        gbwt::CacheStats total = accumulated_;
-        total.accumulate(cache_.stats());
-        return total;
-    }
-
-    /**
-     * Stats snapshot/restore around retryable batch attempts: a failed
-     * attempt's partial work must contribute nothing to the final counters,
-     * so callers (sched::runGuarded batch lambdas) snapshot before each
-     * attempt and restore before letting the scheduler retry or bisect.
-     * Restoring folds the snapshot into accumulated_ and clears the live
-     * cache (clear() zeroes its stats), so totalStats() returns exactly
-     * the snapshot value.
-     */
-    struct StatsSnapshot
-    {
-        gbwt::CacheStats cache;
-        resilience::ResilienceStats resilience;
-        ExtensionTotals extensions;
-    };
-
-    StatsSnapshot
-    statsSnapshot() const
-    {
-        return StatsSnapshot{totalStats(), resilience, extensionTotals};
-    }
-
-    void
-    restoreStats(const StatsSnapshot& snapshot)
-    {
-        accumulated_ = snapshot.cache;
-        cache_.clear();
-        resilience = snapshot.resilience;
-        extensionTotals = snapshot.extensions;
-        // The failed attempt's buffered funnel counts must vanish with it
-        // (flushMetrics at the successful attempt's end is the only path
-        // into the live metrics slab, so totals never double-count).
-        pending = PendingFunnel{};
-    }
-
-    /**
-     * Per-batch funnel increments, buffered in plain fields.  Buffering is
-     * what makes metrics retry-safe: sched::runGuarded may run a batch
-     * several times (retry, bisect), and only the attempt that *completes*
-     * may contribute — the batch lambda calls flushMetrics() on success
-     * and restoreStats() (which drops the buffer) on failure.
-     */
-    struct PendingFunnel
-    {
-        uint64_t reads = 0;
-        uint64_t seeds = 0;
-        uint64_t clustersFormed = 0;
-        uint64_t clustersProcessed = 0;
-        uint64_t extensionsAttempted = 0;
-        uint64_t extensionsAborted = 0;
-        uint64_t extensionsPrefiltered = 0;
-        uint64_t extensionsCovered = 0;
-        uint64_t extensionsEmitted = 0;
-        uint64_t degradedDeadline = 0;
-        uint64_t degradedStepCap = 0;
-        uint64_t degradedLookupCap = 0;
-        uint64_t degradedWatchdog = 0;
-    };
+    /** Cache statistics over all reads so far. */
+    gbwt::CacheStats totalStats() const { return tally.cache(); }
 
     /**
      * Wire this worker's telemetry sinks to slot `worker` of the hub: its
-     * metrics slab, the funnel metric ids and its flight-recorder ring.
+     * metrics slab, the map metric ids and its flight-recorder ring.
      * No-op for a null hub.
      */
     void
@@ -235,9 +153,10 @@ class MapperState
     }
 
     /**
-     * Publish the pending funnel counts, and the cache-stat and read-
-     * latency growth since the last flush, to the metrics slab.  No-op
-     * when telemetry is off.
+     * Publish what the tally counted since the last flush to the metrics
+     * slab.  No-op when telemetry is off.  A batch rollback restores a
+     * tally copied after the last flush, so the difference is always the
+     * completed work since then.
      */
     void
     flushMetrics()
@@ -245,41 +164,12 @@ class MapperState
         if (metrics == nullptr || metricIds == nullptr) {
             return;
         }
-        const obs::MapMetricIds& ids = *metricIds;
-        metrics->add(ids.reads, pending.reads);
-        metrics->add(ids.seeds, pending.seeds);
-        metrics->add(ids.clustersFormed, pending.clustersFormed);
-        metrics->add(ids.clustersProcessed, pending.clustersProcessed);
-        metrics->add(ids.extensionsAttempted,
-                     pending.extensionsAttempted);
-        metrics->add(ids.extensionsAborted, pending.extensionsAborted);
-        metrics->add(ids.extensionsPrefiltered,
-                     pending.extensionsPrefiltered);
-        metrics->add(ids.extensionsCovered, pending.extensionsCovered);
-        metrics->add(ids.extensionsEmitted, pending.extensionsEmitted);
-        metrics->add(ids.degradedDeadline, pending.degradedDeadline);
-        metrics->add(ids.degradedStepCap, pending.degradedStepCap);
-        metrics->add(ids.degradedLookupCap, pending.degradedLookupCap);
-        metrics->add(ids.degradedWatchdog, pending.degradedWatchdog);
-        pending = PendingFunnel{};
-
-        // Cache stats and the latency histogram grow monotonically except
-        // across restoreStats, which rolls them back exactly to the last
-        // flushed watermark — so the deltas below are the completed work
-        // since that flush.
-        metrics->mergeHistogram(ids.readLatency,
-                                resilience.latency.since(flushedLatency_));
-        flushedLatency_ = resilience.latency;
-        gbwt::CacheStats total = totalStats();
-        metrics->add(ids.gbwtLookups, total.lookups - flushed_.lookups);
-        metrics->add(ids.gbwtHits, total.hits - flushed_.hits);
-        metrics->add(ids.gbwtDecodes, total.decodes - flushed_.decodes);
-        metrics->add(ids.gbwtRehashes,
-                     total.rehashes - flushed_.rehashes);
-        metrics->add(ids.gbwtProbes, total.probes - flushed_.probes);
-        metrics->add(ids.gbwtRecycles,
-                     total.recycles - flushed_.recycles);
-        flushed_ = total;
+        const Tally delta = tally.since(flushed_);
+        for (size_t c = 0; c < obs::kMapCounts; ++c) {
+            metrics->add(metricIds->counts[c], delta.counts[c]);
+        }
+        metrics->mergeHistogram(metricIds->readLatency, delta.latency);
+        flushed_ = tally;
     }
 
     /**
@@ -351,7 +241,6 @@ class MapperState
      * stays byte-identical to an untraced one.
      */
     obs::StageAccumulator* stageTrace = nullptr;
-    PendingFunnel pending;
 
     /**
      * Per-read work budget (deadline + step/lookup caps + cancel token).
@@ -359,10 +248,12 @@ class MapperState
      * construction so the extension kernel charges it.
      */
     resilience::ReadBudget budget;
-    /** Degradation counters + per-read latency histogram for this worker. */
-    resilience::ResilienceStats resilience;
-    /** Seeds walked vs covered across all reads (run summaries). */
-    ExtensionTotals extensionTotals;
+    /**
+     * Every per-read count and the read-latency histogram of this worker.
+     * A copy is a snapshot: a batch attempt that fails restores the copy
+     * taken before it, so its partial work counts nowhere.
+     */
+    Tally tally;
 
     /** Extension-kernel buffers reused across seeds and reads. */
     ExtendScratch extendScratch;
@@ -383,10 +274,8 @@ class MapperState
 
   private:
     gbwt::CachedGbwt cache_;
-    gbwt::CacheStats accumulated_;
-    /** Cache stats and read latencies already published to the slab. */
-    gbwt::CacheStats flushed_;
-    stats::LatencyHistogram flushedLatency_;
+    /** The tally as of the last flushMetrics(). */
+    Tally flushed_;
 };
 
 /**

@@ -39,9 +39,6 @@ SeedVector
 findSeeds(const index::MinimizerIndex& index, const Read& read,
           const SeedingParams& params, util::MemTracer* tracer)
 {
-    // First query after an mmap/hot-swap: start faulting the mapped
-    // lookup tables in now (one relaxed load per read once disarmed).
-    index.maybePrefetch();
     SeedVector seeds;
     appendSeeds(index, read.sequence, false, params, seeds, tracer);
     std::string rc = util::reverseComplement(read.sequence);

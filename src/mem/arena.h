@@ -151,18 +151,6 @@ class ArenaView
         mappedSize_ = count;
     }
 
-    /** madvise just this view's span (no-op for owned views). */
-    void
-    advise(Advice advice) const
-    {
-        if (!file_) {
-            return;
-        }
-        const auto* base = reinterpret_cast<const uint8_t*>(mapped_);
-        file_->advise(static_cast<size_t>(base - file_->data()), bytes(),
-                      advice);
-    }
-
   private:
     std::vector<T> owned_;
     std::shared_ptr<MappedFile> file_;

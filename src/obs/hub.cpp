@@ -10,66 +10,17 @@ Hub::Hub(size_t workers, const std::vector<std::string>& serve_tenants,
          size_t flight_ring_size)
     : flight_(workers, flight_ring_size)
 {
-    map_.reads = registry_.counter("mg_map_reads_total",
-                                   "Reads entering the mapping funnel");
-    map_.seeds = registry_.counter("mg_map_seeds_total",
-                                   "Minimizer seeds fed to clustering");
-    map_.clustersFormed =
-        registry_.counter("mg_map_clusters_formed_total",
-                          "Seed clusters formed");
-    map_.clustersProcessed =
-        registry_.counter("mg_map_clusters_processed_total",
-                          "Seed clusters scored by process_until_threshold_c");
-    map_.extensionsAttempted =
-        registry_.counter("mg_map_extensions_attempted_total",
-                          "Seed extensions started");
-    map_.extensionsAborted =
-        registry_.counter("mg_map_extensions_aborted_total{reason=\"budget\"}",
-                          "Seed extensions cut short by the budget");
-    map_.extensionsPrefiltered = registry_.counter(
-        "mg_map_extensions_aborted_total{reason=\"prefilter\"}",
-        "Chosen seeds killed by the score prefilter before extension");
-    map_.extensionsCovered = registry_.counter(
-        "mg_map_extensions_aborted_total{reason=\"covered\"}",
-        "Chosen seeds skipped: an earlier seed's extension covers them");
-    map_.extensionsEmitted =
-        registry_.counter("mg_map_extensions_emitted_total",
-                          "Extensions surviving to the result set");
-    map_.rescueAttempts =
-        registry_.counter("mg_map_rescue_attempts_total",
-                          "Paired-end mate rescue attempts");
-    map_.rescueHits = registry_.counter("mg_map_rescue_hits_total",
-                                        "Mate rescues that produced an "
-                                        "alignment");
-    map_.degradedDeadline =
-        registry_.counter("mg_map_degraded_total{reason=\"deadline\"}",
-                          "Reads degraded (dg:Z) by budget or watchdog");
-    map_.degradedStepCap =
-        registry_.counter("mg_map_degraded_total{reason=\"step_cap\"}",
-                          "Reads degraded (dg:Z) by budget or watchdog");
-    map_.degradedLookupCap =
-        registry_.counter("mg_map_degraded_total{reason=\"lookup_cap\"}",
-                          "Reads degraded (dg:Z) by budget or watchdog");
-    map_.degradedWatchdog =
-        registry_.counter("mg_map_degraded_total{reason=\"watchdog\"}",
-                          "Reads degraded (dg:Z) by budget or watchdog");
-    map_.readLatency =
-        registry_.histogram("mg_map_read_latency_ns",
-                            "Per-read mapping latency");
-    map_.gbwtLookups = registry_.counter("mg_gbwt_lookups_total",
-                                         "CachedGbwt record lookups");
-    map_.gbwtHits = registry_.counter("mg_gbwt_hits_total",
-                                      "CachedGbwt cache hits");
-    map_.gbwtDecodes = registry_.counter("mg_gbwt_decodes_total",
-                                         "GBWT record decodes (misses)");
-    map_.gbwtRehashes = registry_.counter("mg_gbwt_rehashes_total",
-                                          "CachedGbwt table rehashes");
-    map_.gbwtProbes = registry_.counter("mg_gbwt_probes_total",
-                                        "CachedGbwt probe steps");
-    map_.gbwtRecycles =
-        registry_.counter("mg_gbwt_recycles_total",
-                          "Cache entries recycled across epochs instead "
-                          "of allocated");
+    for (size_t c = 0; c < kMapCounts; ++c) {
+        // The read-latency histogram keeps its place in the export order,
+        // between the degradation and the GBWT cache counters.
+        if (static_cast<MapCount>(c) == MapCount::GbwtLookups) {
+            map_.readLatency =
+                registry_.histogram("mg_map_read_latency_ns",
+                                    "Per-read mapping latency");
+        }
+        map_.counts[c] = registry_.counter(kMapCountMetrics[c].name,
+                                           kMapCountMetrics[c].help);
+    }
 
     sched_.batches = registry_.counter("mg_sched_batches_total",
                                        "Work batches completed");

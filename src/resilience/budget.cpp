@@ -1,7 +1,5 @@
 #include "resilience/budget.h"
 
-#include "util/common.h"
-
 namespace mg::resilience {
 
 const char*
@@ -20,22 +18,6 @@ cancelReasonName(CancelReason reason)
         return "watchdog";
     }
     return "unknown";
-}
-
-std::string
-ResilienceStats::summary() const
-{
-    std::string out = util::cat(degradedReads(), " degraded (deadline ",
-                                deadlineHits, ", step-cap ", stepCapHits,
-                                ", lookup-cap ", lookupCapHits,
-                                ", watchdog ", watchdogCancels, ")");
-    if (latency.count() > 0) {
-        out += util::cat("; read latency p50 ",
-                         stats::formatNanos(latency.p50()), ", p99 ",
-                         stats::formatNanos(latency.p99()), ", p999 ",
-                         stats::formatNanos(latency.p999()));
-    }
-    return out;
 }
 
 } // namespace mg::resilience

@@ -32,7 +32,6 @@
 #include <atomic>
 #include <cstdint>
 
-#include "stats/latency.h"
 #include "util/timer.h"
 
 namespace mg::resilience {
@@ -229,62 +228,6 @@ class ReadBudget
     uint64_t steps_ = 0;
     uint64_t lookups_ = 0;
     CancelReason reason_ = CancelReason::None;
-};
-
-/**
- * Degradation observability of one run (or one worker, before roll-up):
- * how many reads were cut short and why, plus the per-read latency
- * distribution with tail percentiles.
- */
-struct ResilienceStats
-{
-    uint64_t deadlineHits = 0;
-    uint64_t stepCapHits = 0;
-    uint64_t lookupCapHits = 0;
-    uint64_t watchdogCancels = 0;
-    stats::LatencyHistogram latency;
-
-    /** Count one degraded read by its reason (None is a no-op). */
-    void
-    countDegraded(CancelReason reason)
-    {
-        switch (reason) {
-          case CancelReason::None:
-            break;
-          case CancelReason::Deadline:
-            ++deadlineHits;
-            break;
-          case CancelReason::StepCap:
-            ++stepCapHits;
-            break;
-          case CancelReason::LookupCap:
-            ++lookupCapHits;
-            break;
-          case CancelReason::Watchdog:
-            ++watchdogCancels;
-            break;
-        }
-    }
-
-    uint64_t
-    degradedReads() const
-    {
-        return deadlineHits + stepCapHits + lookupCapHits +
-               watchdogCancels;
-    }
-
-    void
-    accumulate(const ResilienceStats& other)
-    {
-        deadlineHits += other.deadlineHits;
-        stepCapHits += other.stepCapHits;
-        lookupCapHits += other.lookupCapHits;
-        watchdogCancels += other.watchdogCancels;
-        latency.merge(other.latency);
-    }
-
-    /** One-line run summary ("3 degraded (deadline 1, ...), p50 ... "). */
-    std::string summary() const;
 };
 
 } // namespace mg::resilience

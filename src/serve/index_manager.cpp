@@ -134,7 +134,6 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
         }
         io::LoadOptions options;
         options.minimizer = serving->minimizers->params();
-        options.prefetchFirstQuery = true;
         gen.owned.emplace(io::loadPangenome(path, options));
 
         // -- validate: the image is structurally sound; now check it is

@@ -119,7 +119,7 @@ Autotuner::measureCapacity(size_t capacity) const
         profile.perMachine[tracer.hierarchy(m).config().name] =
             tracer.counters(m);
     }
-    profile.cacheStats = outputs.cacheStats;
+    profile.cacheStats = outputs.tally.cache();
     // Standalone measurement: the profile anchors itself.
     profile.anchorHostSeconds = profile.hostSeconds;
     profile.anchorModelSeconds =

@@ -147,8 +147,8 @@ TEST(CachedGbwtTest, ClearResetsStatsAndBumpsEpoch)
     uint64_t epoch_before = cache.epoch();
     cache.clear();
     EXPECT_EQ(cache.epoch(), epoch_before + 1);
-    // Statistics reset with the generation (freshCache() accumulates the
-    // previous interval before clearing).
+    // Statistics reset with the generation (the mapper adds each read's
+    // statistics to its tally before the next read clears them).
     EXPECT_EQ(cache.stats().lookups, 0u);
     EXPECT_EQ(cache.stats().hits, 0u);
     EXPECT_EQ(cache.stats().decodes, 0u);

@@ -4,20 +4,23 @@
  * (finish running batches, leave the rest as unmapped placeholders) and
  * CheckpointRunParams (finish the
  * in-progress shard, flush it durably, resume later to a byte-identical
- * GAF).  The fork test delivers a real SIGTERM to a child process using
+ * GAF).  The SIGTERM test delivers a real signal to a child process using
  * the real serve::installStopHandlers() wiring — the same path
  * giraffe_app and minigiraffe_app use.
  */
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "fault/fault.h"
 #include "giraffe/checkpoint_run.h"
@@ -182,35 +185,40 @@ TEST_F(DrainFixture, CheckpointStopThenResumeIsByteIdentical)
 }
 
 /**
- * The real thing: a forked child installs the app's SIGTERM handlers,
+ * Set in the child of SigtermMidCheckpointRunExitsZeroAndResumes to
+ * "<ready pipe fd>:<checkpoint dir>": the test then plays the child.
+ */
+constexpr const char* kChildEnv = "MG_DRAIN_TEST_CHILD";
+
+/**
+ * The real thing: a child process installs the app's SIGTERM handlers,
  * runs a checkpointed mapping with the serve::stopFlag() wiring (exactly
  * what giraffe_app --checkpoint does), and the parent SIGTERMs it
  * mid-run.  The child must exit 0 with its in-progress shard flushed;
  * the parent resumes the directory to a byte-identical final GAF.
+ *
+ * The child is this test binary re-executed with a filter for this test
+ * and kChildEnv set, as gtest's threadsafe death tests do: a fresh
+ * process starts single-threaded, while a fork() of this one would
+ * inherit the threads earlier tests of the binary left running.
  */
 TEST_F(DrainFixture, SigtermMidCheckpointRunExitsZeroAndResumes)
 {
-    std::string dir = freshDir("drain-sigterm");
-    std::string reference = referenceGaf();
-
-    int ready[2];
-    ASSERT_EQ(::pipe(ready), 0);
-    pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        ::close(ready[0]);
+    if (const char* child = std::getenv(kChildEnv)) {
+        char* dir = nullptr;
+        const int ready_fd = static_cast<int>(std::strtol(child, &dir, 10));
         serve::resetStopForTests();
         serve::installStopHandlers();
         char byte = 'r';
-        if (::write(ready[1], &byte, 1) != 1) {
+        if (::write(ready_fd, &byte, 1) != 1) {
             _exit(4);
         }
-        ::close(ready[1]);
+        ::close(ready_fd);
         try {
             giraffe::ParentEmulator child_parent = makeParent();
             giraffe::CheckpointRunResult result = giraffe::runCheckpointed(
                 child_parent, reads_,
-                runParams(dir, serve::stopFlag()));
+                runParams(dir + 1, serve::stopFlag()));
             // 0: stopped gracefully.  2: the run beat the signal (still
             // a pass for the resume check, but the parent asserts the
             // stop actually happened, so flag it distinctly).
@@ -219,6 +227,30 @@ TEST_F(DrainFixture, SigtermMidCheckpointRunExitsZeroAndResumes)
             _exit(3);
         }
     }
+
+    std::string dir = freshDir("drain-sigterm");
+    std::string reference = referenceGaf();
+
+    int ready[2];
+    ASSERT_EQ(::pipe(ready), 0);
+    const ::testing::TestInfo* test =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    std::string filter = std::string("--gtest_filter=") +
+                         test->test_suite_name() + "." + test->name();
+    std::string marker = std::string(kChildEnv) + "=" +
+                         std::to_string(ready[1]) + ":" + dir;
+    std::string exe = "/proc/self/exe";
+    char* argv[] = {exe.data(), filter.data(), nullptr};
+    std::vector<char*> envp;
+    for (char** var = environ; *var != nullptr; ++var) {
+        envp.push_back(*var);
+    }
+    envp.push_back(marker.data());
+    envp.push_back(nullptr);
+    pid_t pid = 0;
+    ASSERT_EQ(::posix_spawn(&pid, exe.c_str(), nullptr, nullptr, argv,
+                            envp.data()),
+              0);
     ::close(ready[1]);
     char byte = 0;
     ASSERT_EQ(::read(ready[0], &byte, 1), 1);

@@ -93,9 +93,9 @@ TEST_F(PipelineFixture, CacheStatsAccumulate)
 {
     ParentEmulator parent = makeParent();
     ParentOutputs outputs = parent.run(reads_);
-    EXPECT_GT(outputs.cacheStats.lookups, 0u);
-    EXPECT_GT(outputs.cacheStats.hits, 0u);
-    EXPECT_GT(outputs.cacheStats.decodes, 0u);
+    EXPECT_GT(outputs.tally.cache().lookups, 0u);
+    EXPECT_GT(outputs.tally.cache().hits, 0u);
+    EXPECT_GT(outputs.tally.cache().decodes, 0u);
 }
 
 TEST_F(PipelineFixture, ProfilerSeesThePaperRegions)

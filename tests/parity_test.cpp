@@ -4,17 +4,20 @@
  * (unpaired reads), the GAF rendered from ParentEmulator::run equals
  * MapSession::map's GAF byte for byte, with no budget and under a
  * deterministic step cap whose dg:Z: tags must match too; a request
- * through a real Daemon returns the same bytes again.
+ * through a real Daemon returns the same bytes again, and the daemon's
+ * mapping funnel and GBWT counters equal the batch run's.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
 
 #include "giraffe/parent.h"
 #include "giraffe/session.h"
 #include "io/gaf.h"
+#include "obs/hub.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "sim/input_sets.h"
@@ -45,12 +48,27 @@ buildWorld(const std::string& input_set)
     return world;
 }
 
+/** The funnel and GBWT counters batch and serve must agree on. */
+constexpr std::array<const char*, 9> kParityCounters = {
+    "mg_map_reads_total",
+    "mg_map_seeds_total",
+    "mg_map_clusters_formed_total",
+    "mg_map_clusters_processed_total",
+    "mg_map_extensions_attempted_total",
+    "mg_map_extensions_aborted_total{reason=\"covered\"}",
+    "mg_map_extensions_emitted_total",
+    "mg_gbwt_lookups_total",
+    "mg_gbwt_decodes_total",
+};
+
 /** What the batch parent produced for one budget. */
 struct BatchGaf
 {
     std::string gaf;
     uint64_t mapped = 0;
     uint64_t degraded = 0;
+    /** kParityCounters, as the run's hub exported them. */
+    std::array<uint64_t, kParityCounters.size()> counters{};
 };
 
 BatchGaf
@@ -61,8 +79,14 @@ mapBatch(const ParityWorld& world, const resilience::WorkBudget& budget)
     giraffe::ParentEmulator parent(world.set.pangenome.graph,
                                    world.set.pangenome.gbwt,
                                    world.minimizers, world.distance, params);
-    const giraffe::ParentOutputs out = parent.run(world.set.reads);
+    obs::Hub hub(params.numThreads);
+    const giraffe::ParentOutputs out =
+        parent.run(world.set.reads, nullptr, nullptr, &hub);
     BatchGaf batch;
+    const obs::Snapshot metrics = hub.registry().snapshot();
+    for (size_t c = 0; c < kParityCounters.size(); ++c) {
+        batch.counters[c] = metrics.valueOf(kParityCounters[c]);
+    }
     batch.gaf = io::formatGaf(out.alignments, world.set.reads,
                               world.set.pangenome.graph);
     for (const giraffe::Alignment& alignment : out.alignments) {
@@ -101,6 +125,9 @@ TEST_P(BatchServeParity, SessionAndDaemonGafEqualParentGaf)
                                 world.set.pangenome.gbwt, world.minimizers,
                                 world.distance, giraffe::SessionParams{});
 
+    // Summed over both budgets, as the daemon's counters sum over both
+    // requests.
+    std::array<uint64_t, kParityCounters.size()> batch_counters{};
     for (const resilience::WorkBudget& budget :
          { resilience::WorkBudget{}, capped }) {
         SCOPED_TRACE(budget.maxExtendSteps == 0 ? "no budget"
@@ -114,6 +141,9 @@ TEST_P(BatchServeParity, SessionAndDaemonGafEqualParentGaf)
             EXPECT_NE(batch.gaf.find("dg:Z:"), std::string::npos);
         } else {
             EXPECT_EQ(batch.degraded, 0u);
+        }
+        for (size_t c = 0; c < kParityCounters.size(); ++c) {
+            batch_counters[c] += batch.counters[c];
         }
 
         const giraffe::SessionResult direct = session.map(0, reads, budget);
@@ -133,6 +163,14 @@ TEST_P(BatchServeParity, SessionAndDaemonGafEqualParentGaf)
     }
     daemon.stop();
     EXPECT_EQ(daemon.report().completed, 2u);
+
+    // Batch and serve report the same numbers for the same reads.
+    EXPECT_EQ(batch_counters[0], 2 * reads.size());
+    const obs::Snapshot served = daemon.hub().registry().snapshot();
+    for (size_t c = 0; c < kParityCounters.size(); ++c) {
+        EXPECT_EQ(served.valueOf(kParityCounters[c]), batch_counters[c])
+            << kParityCounters[c];
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(InputSets, BatchServeParity,
