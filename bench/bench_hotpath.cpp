@@ -7,7 +7,8 @@
  * CachedGBWT hit rate, on input-set analogs A and B, plus the SWAR match
  * kernel's speedup over its scalar oracle.  Emits `BENCH_hotpath.json`,
  * the repo's one hot-path record: this run's numbers and a `trajectory`
- * array of extends/sec rows, carried over from the previous record with
+ * array of extends/sec rows (with the commit, host, repetitions and
+ * min-max spread behind each), carried over from the previous record with
  * this run appended, so every later change can compare against a recorded
  * baseline.
  *
@@ -19,9 +20,11 @@
  *
  * The smoke mode (CTest label `perf-smoke`) enforces machine-independent
  * invariants of the optimized kernel — zero heap allocations in the
- * steady-state extend loop, and a per-read CachedGBWT that never decodes
- * the same record twice within one read — and runs one quick throughput
- * repetition so gross (>20%) kernel regressions surface in CI timing logs.
+ * steady-state extend loop and in the seed-and-cluster front end, fewer
+ * allocations per mapped read than before the front end reused its
+ * buffers, and a per-read CachedGBWT that never decodes the same record
+ * twice within one read — and runs one quick throughput repetition so
+ * gross (>20%) kernel regressions surface in CI timing logs.
  *
  * The guard mode (also perf-smoke) protects the match kernel: the SWAR
  * loop's speedup over the scalar oracle at 32- and 64-base spans (the
@@ -48,6 +51,7 @@
 #include <string>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -330,6 +334,36 @@ measureExtend(const Workload& wl, int reps)
     return out;
 }
 
+/**
+ * Heap allocations per read inside the seed-and-cluster front end
+ * (findSeedsInto + clusterSeedsInto into a worker's seed and cluster
+ * buffers), at steady state: one warm-up pass over the capture sizes
+ * every reused buffer, then a counted pass over the same reads.
+ */
+double
+frontEndAllocsPerRead(const Workload& wl)
+{
+    map::Mapper mapper(wl.world->graph(), wl.world->gbwt(),
+                       wl.world->minimizers, wl.world->distance,
+                       map::MapperParams());
+    auto state = mapper.makeState();
+    const map::MapperParams& params = mapper.params();
+    auto pass = [&] {
+        for (const auto& entry : wl.capture.entries) {
+            map::findSeedsInto(wl.world->minimizers, entry.read,
+                               params.seeding, state->seeds);
+            map::clusterSeedsInto(wl.world->graph(), wl.world->distance,
+                                  state->seeds, params.cluster,
+                                  state->clusters);
+        }
+    };
+    pass();
+    AllocSnapshot before = allocNow();
+    pass();
+    return static_cast<double>(allocDelta(before).calls) /
+           static_cast<double>(wl.capture.entries.size());
+}
+
 // ------------------------------------------------------------------ gbench
 
 void
@@ -576,6 +610,28 @@ trajectoryRows(const std::string& path)
     return {};
 }
 
+/**
+ * The measured source tree's commit (`git describe --always --dirty`, run
+ * in the working directory), or "unknown" outside a git checkout.
+ */
+std::string
+sourceCommit()
+{
+    std::string out;
+    if (FILE* pipe =
+            popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+            out += buf;
+        }
+        pclose(pipe);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+        out.pop_back();
+    }
+    return out.empty() ? "unknown" : out;
+}
+
 void
 writeJson(const std::string& path, const std::string& trajectory_path,
           const std::string& label, const InputRecord& a,
@@ -640,9 +696,18 @@ writeJson(const std::string& path, const std::string& trajectory_path,
     }
     w.beginObject();
     w.field("label", label);
+    w.field("commit", sourceCommit());
     w.field("host", host.arch + " " + host.features);
+    w.field("threads", static_cast<uint64_t>(1));
+    w.field("repetitions", static_cast<uint64_t>(kRecordSamples));
     w.field("A-human", a.ext.extendsPerSec);
     w.field("B-yeast", b.ext.extendsPerSec);
+    w.key("A-human_range").beginArray();
+    w.value(a.extMin).value(a.extMax).endArray();
+    w.key("B-yeast_range").beginArray();
+    w.value(b.extMin).value(b.extMax).endArray();
+    w.field("A-human_allocs_per_read", a.map.allocsPerRead);
+    w.field("B-yeast_allocs_per_read", b.map.allocsPerRead);
     w.endObject();
     w.endArray();
     w.endObject();
@@ -831,9 +896,48 @@ guardTraceRun(const std::string& committed_path)
     return failures == 0 ? 0 : 1;
 }
 
+/**
+ * Allocations per mapped read (mapFromSeeds) before the seed-and-cluster
+ * front end reused its buffers, as recorded in BENCH_hotpath.json at
+ * scale 0.1; the smoke run's counts must stay below them.
+ */
+constexpr std::pair<const char*, double> kAllocsPerReadCeiling[] = {
+    {"A-human", 39.2},
+    {"B-yeast", 14.8},
+};
+
 int
 smokeRun()
 {
+    int failures = 0;
+    // Machine-independent allocation gates, on both analogs: the front
+    // end allocates nothing per steady-state read, and the whole mapped
+    // read allocates less than before the front end reused its buffers.
+    for (const auto& [input_set, ceiling] : kAllocsPerReadCeiling) {
+        const Workload& wl = workload(input_set);
+        const double front_end = frontEndAllocsPerRead(wl);
+        const double per_read = measureMapping(wl, 1).allocsPerRead;
+        std::printf("perf-smoke %s allocations: %.3f per read in "
+                    "findSeedsInto + clusterSeedsInto, %.2f per mapped "
+                    "read (ceiling %.1f)\n",
+                    input_set, front_end, per_read, ceiling);
+        if (front_end != 0.0) {
+            std::fprintf(stderr,
+                         "FAIL: the seed-and-cluster front end allocates "
+                         "%.2f times per steady-state read on %s; it must "
+                         "reuse its buffers\n",
+                         front_end, input_set);
+            ++failures;
+        }
+        if (per_read >= ceiling) {
+            std::fprintf(stderr,
+                         "FAIL: %.2f allocations per mapped read on %s, "
+                         "not below %.1f\n",
+                         per_read, input_set, ceiling);
+            ++failures;
+        }
+    }
+
     // One quick repetition on the A analog: fast enough for CTest, long
     // enough that a >20% kernel regression is visible in the logged
     // reads/sec, with hard failures only on machine-independent invariants.
@@ -848,7 +952,6 @@ smokeRun()
                 stats::formatNanos(map_a.p50Nanos).c_str(),
                 stats::formatNanos(map_a.p99Nanos).c_str(),
                 stats::formatNanos(map_a.p999Nanos).c_str());
-    int failures = 0;
     if (ext_a.bytesPerExtend != 0.0 || ext_a.allocsPerExtend != 0.0) {
         std::fprintf(stderr,
                      "FAIL: steady-state extend loop allocates "

@@ -113,8 +113,9 @@ runCheckpointed(const ParentEmulator& parent, const map::ReadSet& reads,
         writer.append(shard);
 
         result.mappedReads += end - begin;
-        result.tally.latency.merge(outputs.tally.latency);
-        accumulateDelta(result.tally, shard.stats);
+        // Reads this process mapped count whole, recycles and latency
+        // included; only restored shards are limited to their delta.
+        result.tally.accumulate(outputs.tally);
         // Rebase failure indices to the full read set.
         for (sched::BatchFailure failure : outputs.failures.batches) {
             failure.begin += begin;

@@ -57,10 +57,11 @@ struct CheckpointRunResult
     /** Failure accounting over the newly mapped ranges, with batch and
      *  item indices rebased to the full read set. */
     sched::FailureReport failures;
-    /** Run totals: restored shard deltas + newly mapped ranges.  Only
-     *  the counts a shard delta persists are summed (degraded reads and
-     *  the cache counts but recycles); the latency histogram covers only
-     *  reads mapped by *this* process. */
+    /** Run totals: the whole tally of the reads mapped by *this*
+     *  process, plus what a restored shard's delta persists (degraded
+     *  reads and the cache counts but recycles).  So recycles, the
+     *  funnel counts and the latency histogram cover only this
+     *  process's reads. */
     map::Tally tally;
     /** Reads restored from durable shards (0 on a fresh run). */
     uint64_t resumedReads = 0;

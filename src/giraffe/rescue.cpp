@@ -38,6 +38,9 @@ rescuePairs(const map::Mapper& mapper,
     double frag_hi = model.mean + pairing.fragmentSigmas * model.stdev;
 
     RescueStats stats;
+    // One windowed-seed buffer for every attempt; the target's seeds land
+    // in the worker's seed buffer.
+    map::SeedVector windowed;
     for (PairResult& pair : pairs) {
         if (pair.properPair) {
             continue;
@@ -74,11 +77,11 @@ rescuePairs(const map::Mapper& mapper,
             // fragment of the anchor, on the opposite strand.
             int64_t anchor_coord = alignmentCoordinate(anchor, distance);
             bool want_reverse = !anchor.onReverseRead;
-            map::SeedVector seeds =
-                map::findSeeds(minimizers, target_read,
-                               mapper.params().seeding, state.tracer);
-            map::SeedVector windowed;
-            for (const map::Seed& seed : seeds) {
+            map::findSeedsInto(minimizers, target_read,
+                               mapper.params().seeding, state.seeds,
+                               state.tracer);
+            windowed.clear();
+            for (const map::Seed& seed : state.seeds) {
                 if (seed.onReverseRead != want_reverse) {
                     continue;
                 }

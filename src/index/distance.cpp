@@ -1,12 +1,164 @@
 #include "index/distance.h"
 
 #include <algorithm>
-#include <queue>
-#include <unordered_map>
+#include <functional>
+#include <utility>
 
 #include "util/common.h"
+#include "util/dna.h"
 
 namespace mg::index {
+
+namespace {
+
+/**
+ * Reusable state of one thread's minDistance searches: the Dijkstra queue
+ * (a binary min-heap of (distance, packed handle), the order
+ * std::priority_queue keeps) and an open-addressing map from packed
+ * handle to best known distance.  A new search clears the map by bumping
+ * a generation stamp, so neither structure is ever rebuilt; both grow
+ * only to the largest search the thread has run — the nodes within one
+ * query's cap — never to the graph's node count.
+ */
+class SearchScratch
+{
+  public:
+    void
+    begin()
+    {
+        heap_.clear();
+        live_ = 0;
+        if (slots_.empty()) {
+            slots_.resize(kInitialSlots);
+        }
+        if (++generation_ == 0) { // stamp wrapped: forget every slot
+            for (Slot& slot : slots_) {
+                slot.generation = 0;
+            }
+            generation_ = 1;
+        }
+    }
+
+    bool queueEmpty() const { return heap_.empty(); }
+
+    void
+    push(int64_t distance, uint64_t packed)
+    {
+        heap_.emplace_back(distance, packed);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    }
+
+    std::pair<int64_t, uint64_t>
+    pop()
+    {
+        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+        const std::pair<int64_t, uint64_t> top = heap_.back();
+        heap_.pop_back();
+        return top;
+    }
+
+    /** Best distance recorded for `packed` in this search, or
+     *  kUnreachable. */
+    int64_t
+    best(uint64_t packed) const
+    {
+        const Slot& slot = slots_[probe(packed)];
+        return slot.generation == generation_ ? slot.distance : kUnreachable;
+    }
+
+    /** Record `distance` for `packed` if it is new or shorter; true if
+     *  it was recorded. */
+    bool
+    improve(uint64_t packed, int64_t distance)
+    {
+        size_t i = probe(packed);
+        if (slots_[i].generation == generation_) {
+            if (slots_[i].distance <= distance) {
+                return false;
+            }
+        } else {
+            if (2 * (live_ + 1) > slots_.size()) {
+                grow();
+                i = probe(packed);
+            }
+            slots_[i].key = packed;
+            slots_[i].generation = generation_;
+            ++live_;
+        }
+        slots_[i].distance = distance;
+        return true;
+    }
+
+  private:
+    static constexpr size_t kInitialSlots = 64;
+
+    struct Slot
+    {
+        uint64_t key = 0;
+        int64_t distance = 0;
+        uint32_t generation = 0;
+    };
+
+    /** Slot holding `packed` in this search, or the empty slot where it
+     *  would go (linear probing; the table stays at most half full). */
+    size_t
+    probe(uint64_t packed) const
+    {
+        const size_t mask = slots_.size() - 1;
+        for (size_t i = util::hash64(packed) & mask;; i = (i + 1) & mask) {
+            const Slot& slot = slots_[i];
+            if (slot.generation != generation_ || slot.key == packed) {
+                return i;
+            }
+        }
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        for (const Slot& slot : old) {
+            if (slot.generation == generation_) {
+                slots_[probe(slot.key)] = slot;
+            }
+        }
+    }
+
+    std::vector<std::pair<int64_t, uint64_t>> heap_;
+    std::vector<Slot> slots_;
+    size_t live_ = 0;
+    uint32_t generation_ = 0;
+};
+
+SearchScratch&
+searchScratch()
+{
+    static thread_local SearchScratch s;
+    return s;
+}
+
+/**
+ * Chain coordinates must fit the clusterer's 32-bit sort-key fields:
+ * every base's coordinate, min prefix + offset, stays within
+ * kMaxChainCoordinate.
+ */
+void
+requireCompactCoordinates(const graph::VariationGraph& graph,
+                          const int64_t* min_from_source, size_t num_nodes)
+{
+    for (size_t i = 0; i < num_nodes; ++i) {
+        const int64_t min = min_from_source[i];
+        const auto length = static_cast<int64_t>(
+            graph.length(static_cast<graph::NodeId>(i + 1)));
+        util::require(min >= 0 && min <= kMaxChainCoordinate - length,
+                      "distance index: node ", i + 1, " spans chain "
+                      "coordinates [", min, ", ", min + length,
+                      "), outside [0, ", kMaxChainCoordinate, "]");
+    }
+}
+
+} // namespace
 
 DistanceIndex::DistanceIndex(const graph::VariationGraph& graph)
 {
@@ -30,15 +182,20 @@ DistanceIndex::DistanceIndex(const graph::VariationGraph& graph)
             succ_max = std::max(succ_max, out_max);
         }
     }
+    requireCompactCoordinates(graph, min_from.data(), n);
     minFromSource_.adopt(std::move(min_from));
     maxFromSource_.adopt(std::move(max_from));
 }
 
 void
 DistanceIndex::bindMapped(std::shared_ptr<mem::MappedFile> file,
+                          const graph::VariationGraph& graph,
                           const int64_t* min_from_source,
                           const int64_t* max_from_source, size_t num_nodes)
 {
+    util::require(num_nodes == graph.numNodes(), "distance index: ",
+                  num_nodes, " entries for ", graph.numNodes(), " nodes");
+    requireCompactCoordinates(graph, min_from_source, num_nodes);
     minFromSource_ = mem::ArenaView<int64_t>();
     maxFromSource_ = mem::ArenaView<int64_t>();
     minFromSource_.bind(file, min_from_source, num_nodes);
@@ -76,21 +233,19 @@ DistanceIndex::minDistance(const graph::VariationGraph& graph,
     int64_t from_a_to_node_end =
         static_cast<int64_t>(graph.length(a.handle.id())) -
         static_cast<int64_t>(a.offset);
-    using Item = std::pair<int64_t, uint64_t>; // (distance, handle packed)
-    std::priority_queue<Item, std::vector<Item>, std::greater<>> queue;
-    std::unordered_map<uint64_t, int64_t> dist;
-    for (graph::Handle succ : graph.successors(a.handle)) {
-        if (from_a_to_node_end <= cap) {
-            dist[succ.packed()] = from_a_to_node_end;
-            queue.emplace(from_a_to_node_end, succ.packed());
+    SearchScratch& search = searchScratch();
+    search.begin();
+    if (from_a_to_node_end <= cap) {
+        for (graph::Handle succ : graph.successors(a.handle)) {
+            if (search.improve(succ.packed(), from_a_to_node_end)) {
+                search.push(from_a_to_node_end, succ.packed());
+            }
         }
     }
-    while (!queue.empty()) {
-        auto [d, packed] = queue.top();
-        queue.pop();
+    while (!search.queueEmpty()) {
+        auto [d, packed] = search.pop();
         graph::Handle handle = graph::Handle::fromPacked(packed);
-        auto it = dist.find(packed);
-        if (it != dist.end() && it->second < d) {
+        if (search.best(packed) < d) {
             continue; // stale entry
         }
         if (handle == b.handle) {
@@ -103,10 +258,8 @@ DistanceIndex::minDistance(const graph::VariationGraph& graph,
             continue;
         }
         for (graph::Handle succ : graph.successors(handle)) {
-            auto [sit, inserted] = dist.try_emplace(succ.packed(), next);
-            if (inserted || next < sit->second) {
-                sit->second = next;
-                queue.emplace(next, succ.packed());
+            if (search.improve(succ.packed(), next)) {
+                search.push(next, succ.packed());
             }
         }
     }

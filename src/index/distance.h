@@ -9,8 +9,13 @@
  *  - a *chain coordinate* per node (minimum base distance from any source),
  *    computed by one topological DP, giving an O(1) distance estimate used
  *    by the clusterer, and
- *  - an exact bounded Dijkstra oracle used for verification and for
- *    tie-breaking in tests.
+ *  - an exact bounded Dijkstra used by the clusterer's refinement stage
+ *    to verify that two seeds are co-reachable.
+ *
+ * There is no snarl tree behind minDistance: on the analogs almost every
+ * query the clusterer makes resolves on one node, and the rest visit a
+ * handful of nodes within the cap, so the search is cheap once it stops
+ * allocating (DESIGN.md §3d).
  */
 #pragma once
 
@@ -27,6 +32,13 @@ namespace mg::index {
 inline constexpr int64_t kUnreachable = INT64_MAX;
 
 /**
+ * Largest chain coordinate an index admits.  The clusterer packs
+ * coordinates into 32-bit sort-key fields, and building or binding an
+ * index over a graph whose coordinates exceed this throws.
+ */
+inline constexpr int64_t kMaxChainCoordinate = INT32_MAX;
+
+/**
  * Precomputed distance information over the forward DAG of a variation
  * graph.
  */
@@ -35,7 +47,8 @@ class DistanceIndex
   public:
     DistanceIndex() = default;
 
-    /** Preprocess the graph (one topological sweep). */
+    /** Preprocess the graph (one topological sweep).  Throws util::Error
+     *  if a chain coordinate would exceed kMaxChainCoordinate. */
     explicit DistanceIndex(const graph::VariationGraph& graph);
 
     /**
@@ -60,6 +73,9 @@ class DistanceIndex
      * (0 for a == b, 1 if b immediately follows a), or kUnreachable if no
      * walk within the cap exists.  Consistent with chainCoordinate: on a
      * common shortest walk, minDistance == coordinate(b) - coordinate(a).
+     * Searches in per-thread scratch reused across calls, which grows to
+     * the nodes one search visits (bounded by the cap), not to
+     * numNodes(); warm, a query allocates nothing.
      */
     int64_t minDistance(const graph::VariationGraph& graph,
                         const graph::Position& a, const graph::Position& b,
@@ -91,10 +107,12 @@ class DistanceIndex
 
     /**
      * Rebind onto the two per-node arrays inside a mapped MGZ v3
-     * container.  Throws util::Error if the array sizes disagree with
-     * the node count.
+     * container, for `graph`.  Throws util::Error if the array sizes
+     * disagree with the graph's node count or a chain coordinate falls
+     * outside [0, kMaxChainCoordinate].
      */
     void bindMapped(std::shared_ptr<mem::MappedFile> file,
+                    const graph::VariationGraph& graph,
                     const int64_t* min_from_source,
                     const int64_t* max_from_source, size_t num_nodes);
 

@@ -1,23 +1,29 @@
 #include "index/minimizer.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 #include <thread>
 
 #include "sched/scheduler.h"
 #include "util/common.h"
 #include "util/dna.h"
+#include "util/small_vector.h"
 
 namespace mg::index {
 
 namespace {
 
 /**
- * The monotonic-deque minimizer sweep, fed one 2-bit code at a time so the
- * same machinery serves decoded strings and the packed arena.  Semantics
- * match the historical string sweep exactly: the front of the deque is the
- * minimum of the current window of w consecutive k-mers, each selected
- * occurrence is emitted once.
+ * The minimizer sweep, fed one 2-bit code at a time so the same machinery
+ * serves decoded strings, reverse complements rolled backwards and the
+ * packed arena.  Each window of w consecutive k-mers contributes its
+ * minimum hash, the leftmost on ties, and a selected occurrence is
+ * emitted once.  The sweep keeps the window's k-mers in a fixed
+ * power-of-two ring plus the current minimum: a new k-mer replaces the
+ * minimum only if strictly smaller, and the window is rescanned only when
+ * the minimum slides out, so the per-base branches are predictable.  The
+ * ring lives inline for any w up to 32, so a sweep allocates nothing but
+ * `out`.
  */
 class Sweep
 {
@@ -31,6 +37,8 @@ class Sweep
     {
         MG_ASSERT(params.k >= 1 && params.k <= 32);
         MG_ASSERT(params.w >= 1);
+        ring_.resize(std::bit_ceil(size_t{w_}));
+        ringMask_ = static_cast<uint32_t>(ring_.size() - 1);
     }
 
     void
@@ -41,23 +49,26 @@ class Sweep
             return;
         }
         // The k-mer ending at pos_ - 1 starts at this offset.
-        uint32_t offset = pos_ - k_;
-        uint64_t hash = util::hash64(packed_);
-        while (!window_.empty() && window_.back().hash > hash) {
-            window_.pop_back();
-        }
-        window_.push_back(Minimizer{hash, offset});
-        // Evict candidates left of the window [offset - w + 1, offset].
-        while (offset >= w_ && window_.front().offset <= offset - w_) {
-            window_.pop_front();
+        const uint32_t offset = pos_ - k_;
+        const uint64_t hash = util::hash64(packed_);
+        ring_[offset & ringMask_] = Minimizer{hash, offset};
+        if (offset >= w_ && min_.offset <= offset - w_) {
+            // The minimum left the window [offset - w + 1, offset]:
+            // rescan it left to right, keeping the leftmost minimum.
+            min_ = ring_[(offset - w_ + 1) & ringMask_];
+            for (uint32_t o = offset - w_ + 2; o <= offset; ++o) {
+                const Minimizer& candidate = ring_[o & ringMask_];
+                if (candidate.hash < min_.hash) {
+                    min_ = candidate;
+                }
+            }
+        } else if (offset == 0 || hash < min_.hash) {
+            min_ = Minimizer{hash, offset};
         }
         // Once the first full window has formed, emit its minimum.
-        if (offset + 1 >= w_) {
-            const Minimizer& min = window_.front();
-            if (min.offset != lastEmitted_) {
-                out_.push_back(min);
-                lastEmitted_ = min.offset;
-            }
+        if (offset + 1 >= w_ && min_.offset != lastEmitted_) {
+            out_.push_back(min_);
+            lastEmitted_ = min_.offset;
         }
     }
 
@@ -67,7 +78,10 @@ class Sweep
     const uint64_t mask_;
     uint64_t packed_ = 0;
     uint32_t pos_ = 0;
-    std::deque<Minimizer> window_;
+    // The window's k-mers by offset modulo the ring size.
+    util::SmallVector<Minimizer, 32> ring_;
+    uint32_t ringMask_ = 0;
+    Minimizer min_;
     uint32_t lastEmitted_ = UINT32_MAX;
     std::vector<Minimizer>& out_;
 };
@@ -101,19 +115,33 @@ collectPathEntries(const graph::VariationGraph& graph,
 
 } // namespace
 
+void
+appendMinimizers(std::string_view sequence, bool reverse_complement,
+                 const MinimizerParams& params, std::vector<Minimizer>& out)
+{
+    Sweep sweep(params, out);
+    if (static_cast<int>(sequence.size()) < params.k) {
+        return;
+    }
+    // Post-ingest sequences are pure ACGT; ad-hoc callers get the
+    // canonicalization policy (ambiguity letters roll in as 'A', so on
+    // the reverse strand they complement to 'T').
+    if (!reverse_complement) {
+        for (char base : sequence) {
+            sweep.push(util::canonicalCode(base));
+        }
+        return;
+    }
+    for (size_t i = sequence.size(); i-- > 0;) {
+        sweep.push(static_cast<uint8_t>(3 - util::canonicalCode(sequence[i])));
+    }
+}
+
 std::vector<Minimizer>
 minimizersOf(std::string_view sequence, const MinimizerParams& params)
 {
     std::vector<Minimizer> out;
-    Sweep sweep(params, out);
-    if (static_cast<int>(sequence.size()) < params.k) {
-        return out;
-    }
-    for (char base : sequence) {
-        // Post-ingest sequences are pure ACGT; ad-hoc callers get the
-        // canonicalization policy (ambiguity letters roll in as 'A').
-        sweep.push(util::canonicalCode(base));
-    }
+    appendMinimizers(sequence, false, params, out);
     return out;
 }
 

@@ -17,6 +17,7 @@
 #include "graph/handle.h"
 #include "graph/variation_graph.h"
 #include "mem/arena.h"
+#include "util/prefetch.h"
 
 namespace mg::index {
 
@@ -50,6 +51,18 @@ struct MinimizerParams
  */
 std::vector<Minimizer> minimizersOf(std::string_view sequence,
                                     const MinimizerParams& params);
+
+/**
+ * Append the minimizers of `sequence` to `out` — or, with
+ * `reverse_complement`, those of its reverse complement, rolled backwards
+ * over `sequence` without materializing the complement.  Offsets are into
+ * the oriented sequence, so the reverse pass equals
+ * minimizersOf(reverseComplement(sequence)).  Allocates only when `out`
+ * grows.
+ */
+void appendMinimizers(std::string_view sequence, bool reverse_complement,
+                      const MinimizerParams& params,
+                      std::vector<Minimizer>& out);
 
 /**
  * Minimizers of the sequence spelled by a haplotype path, rolled directly
@@ -133,6 +146,20 @@ class MinimizerIndex
             if (bucket.key == hash) {
                 return {positions_.data() + bucket.offset, bucket.count};
             }
+        }
+    }
+
+    /**
+     * Hint that lookup(hash) is coming: prefetch the bucket its probe
+     * starts at.  Seeding issues these for a whole read before its first
+     * lookup so the table misses overlap.
+     */
+    void
+    prefetch(uint64_t hash) const
+    {
+        if (!buckets_.empty()) {
+            util::prefetchRead(buckets_.data() +
+                               (hash & (buckets_.size() - 1)));
         }
     }
 

@@ -495,7 +495,7 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
                     util::cat("distance arrays hold ", num_min, "/", num_max,
                               " entries for ", num_nodes, " nodes"));
     }
-    out.distance.bindMapped(file, dist_min, dist_max, num_nodes);
+    out.distance.bindMapped(file, out.graph, dist_min, dist_max, num_nodes);
 
     out.info.mode = LoadMode::Mapped;
     out.info.fileBytes = size;

@@ -76,9 +76,10 @@ std::vector<Cluster> clusterSeeds(const graph::VariationGraph& graph,
                                   util::MemTracer* tracer = nullptr);
 
 /**
- * Allocation-lean variant for the hot loop: clears and refills `out`,
- * reusing its capacity (and per-thread internal scratch) across reads.
- * Identical output to clusterSeeds.
+ * The hot-loop variant: refills `out` in place, reusing its Cluster
+ * objects (and their seed-index capacity) and per-thread scratch across
+ * reads, so a caller that keeps one vector clusters without allocating
+ * once the buffers are warm.  Identical output to clusterSeeds.
  */
 void clusterSeedsInto(const graph::VariationGraph& graph,
                       const index::DistanceIndex& distance,

@@ -47,12 +47,12 @@ Mapper::Mapper(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
 MapResult
 Mapper::mapRead(const Read& read, MapperState& state) const
 {
-    SeedVector seeds;
     {
         const auto scope = state.stage(perf::Stage::FindSeeds);
-        seeds = findSeeds(minimizers_, read, params_.seeding, state.tracer);
+        findSeedsInto(minimizers_, read, params_.seeding, state.seeds,
+                      state.tracer);
     }
-    return mapFromSeeds(read, seeds, state);
+    return mapFromSeeds(read, state.seeds, state);
 }
 
 MapResult

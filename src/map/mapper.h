@@ -257,6 +257,8 @@ class MapperState
 
     /** Extension-kernel buffers reused across seeds and reads. */
     ExtendScratch extendScratch;
+    /** The current read's seeds (Mapper::mapRead, mate rescue). */
+    SeedVector seeds;
     /** Cluster-processing buffers reused across clusters and reads. */
     std::vector<Cluster> clusters;
     std::vector<uint32_t> sortedSeeds;

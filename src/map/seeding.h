@@ -10,8 +10,6 @@
  */
 #pragma once
 
-#include <string_view>
-
 #include "index/minimizer.h"
 #include "map/read.h"
 #include "map/seed.h"
@@ -28,16 +26,21 @@ struct SeedingParams
 
 /**
  * Find all seeds of one read against the minimizer index, for the forward
- * read and its reverse complement.  Seed scores reflect minimizer rarity
- * (rarer match == stronger evidence).
+ * read and its reverse complement, into `out` (replacing its contents):
+ * the forward read's seeds first, then the reverse complement's, each in
+ * minimizer order.  Seed scores reflect minimizer rarity (rarer match ==
+ * stronger evidence).  Reuses `out`'s capacity and per-thread scratch, so
+ * a worker that keeps one seed buffer seeds without allocating once the
+ * buffers are warm.  Ambiguity letters follow the canonicalization policy
+ * of util/dna.h ('A' forward, 'T' on the reverse strand).
  */
+void findSeedsInto(const index::MinimizerIndex& index, const Read& read,
+                   const SeedingParams& params, SeedVector& out,
+                   util::MemTracer* tracer = nullptr);
+
+/** findSeedsInto into a fresh vector. */
 SeedVector findSeeds(const index::MinimizerIndex& index, const Read& read,
                      const SeedingParams& params = SeedingParams(),
                      util::MemTracer* tracer = nullptr);
-
-/** Seeds of one linear sequence in one orientation (helper). */
-void appendSeeds(const index::MinimizerIndex& index, std::string_view seq,
-                 bool on_reverse_read, const SeedingParams& params,
-                 SeedVector& out, util::MemTracer* tracer = nullptr);
 
 } // namespace mg::map

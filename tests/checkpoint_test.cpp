@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <string>
@@ -315,6 +316,43 @@ TEST_F(CheckpointRunFixture, UninterruptedRunMatchesPlainRun)
     EXPECT_EQ(again.resumedReads, reads_.size());
     EXPECT_EQ(again.mappedReads, 0u);
     EXPECT_EQ(again.gaf, result.gaf);
+}
+
+TEST_F(CheckpointRunFixture, FreshShardsCountTheirWholeTally)
+{
+    // One worker, so every chunk's cache history, and so its recycles,
+    // is deterministic: the run's totals are the chunks' plain runs.
+    giraffe::ParentParams params;
+    params.numThreads = 1;
+    params.batchSize = 8;
+    const giraffe::ParentEmulator parent(pg_.graph, pg_.gbwt, minimizers_,
+                                         distance_, params);
+    map::Tally expected;
+    const giraffe::CheckpointRunParams run = runParams(freshDir("cp-tally"));
+    for (size_t begin = 0; begin < reads_.size(); begin += run.shardReads) {
+        map::ReadSet chunk;
+        chunk.reads.assign(
+            reads_.reads.begin() + static_cast<long>(begin),
+            reads_.reads.begin() +
+                static_cast<long>(std::min(begin + run.shardReads,
+                                           reads_.size())));
+        expected.accumulate(parent.run(chunk).tally);
+    }
+    ASSERT_GT(expected[obs::MapCount::GbwtRecycles], 0u);
+
+    const giraffe::CheckpointRunResult result =
+        giraffe::runCheckpointed(parent, reads_, run);
+    EXPECT_EQ(result.tally.counts, expected.counts);
+    EXPECT_EQ(result.tally.latency.count(), reads_.size());
+
+    // Resumed shards carry only their persisted delta: the cache counts
+    // but recycles.
+    const giraffe::CheckpointRunResult resumed =
+        giraffe::runCheckpointed(parent, reads_, run);
+    ASSERT_EQ(resumed.mappedReads, 0u);
+    EXPECT_EQ(resumed.tally[obs::MapCount::GbwtLookups],
+              expected[obs::MapCount::GbwtLookups]);
+    EXPECT_EQ(resumed.tally[obs::MapCount::GbwtRecycles], 0u);
 }
 
 TEST_F(CheckpointRunFixture, InterruptedFlushResumesByteIdentical)

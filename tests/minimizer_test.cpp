@@ -67,6 +67,50 @@ TEST(MinimizerTest, MatchesBruteForceOnRandomSequences)
     }
 }
 
+TEST(MinimizerTest, MatchesBruteForceAcrossWindowAndKmerSizes)
+{
+    // Window sizes below, at and above the sweep's inline ring (32), and
+    // k from tie-heavy short k-mers to a full 64-bit word.
+    util::Rng rng(43);
+    for (int k : {3, 15, 32}) {
+        for (int w : {1, 2, 3, 8, 16, 31, 32, 40}) {
+            MinimizerParams params;
+            params.k = k;
+            params.w = w;
+            for (int trial = 0; trial < 10; ++trial) {
+                std::string seq = rng.randomDna(rng.uniform(400));
+                auto fast = minimizersOf(seq, params);
+                auto brute = bruteForceMinimizers(seq, params);
+                ASSERT_EQ(fast.size(), brute.size())
+                    << "k " << k << " w " << w << " trial " << trial;
+                for (size_t i = 0; i < fast.size(); ++i) {
+                    EXPECT_EQ(fast[i].offset, brute[i].offset);
+                    EXPECT_EQ(fast[i].hash, brute[i].hash);
+                }
+            }
+        }
+    }
+}
+
+TEST(MinimizerTest, ReverseComplementPassMatchesTheComplementString)
+{
+    util::Rng rng(44);
+    MinimizerParams params;
+    params.k = 15;
+    params.w = 8;
+    for (int trial = 0; trial < 50; ++trial) {
+        std::string seq = rng.randomDna(rng.uniform(300));
+        std::vector<Minimizer> rolled;
+        appendMinimizers(seq, true, params, rolled);
+        auto expected = minimizersOf(util::reverseComplement(seq), params);
+        ASSERT_EQ(rolled.size(), expected.size()) << "trial " << trial;
+        for (size_t i = 0; i < rolled.size(); ++i) {
+            EXPECT_EQ(rolled[i].offset, expected[i].offset);
+            EXPECT_EQ(rolled[i].hash, expected[i].hash);
+        }
+    }
+}
+
 TEST(MinimizerTest, ShortSequenceYieldsNothing)
 {
     MinimizerParams params;
