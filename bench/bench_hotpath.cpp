@@ -610,28 +610,6 @@ trajectoryRows(const std::string& path)
     return {};
 }
 
-/**
- * The measured source tree's commit (`git describe --always --dirty`, run
- * in the working directory), or "unknown" outside a git checkout.
- */
-std::string
-sourceCommit()
-{
-    std::string out;
-    if (FILE* pipe =
-            popen("git describe --always --dirty 2>/dev/null", "r")) {
-        char buf[128];
-        while (std::fgets(buf, sizeof buf, pipe) != nullptr) {
-            out += buf;
-        }
-        pclose(pipe);
-    }
-    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-        out.pop_back();
-    }
-    return out.empty() ? "unknown" : out;
-}
-
 void
 writeJson(const std::string& path, const std::string& trajectory_path,
           const std::string& label, const InputRecord& a,

@@ -239,4 +239,22 @@ scaleProfileToPaper(const tune::CapacityProfile& p,
     return out;
 }
 
+std::string
+sourceCommit()
+{
+    std::string out;
+    if (FILE* pipe =
+            popen("git describe --always --dirty 2>/dev/null", "r")) {
+        char buf[128];
+        while (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+            out += buf;
+        }
+        pclose(pipe);
+    }
+    while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+        out.pop_back();
+    }
+    return out.empty() ? "unknown" : out;
+}
+
 } // namespace mg::bench

@@ -65,6 +65,13 @@ util::Flags benchFlags(const std::string& program,
 /** Print the harness banner (paper artifact, experiment id). */
 void banner(const std::string& experiment, const std::string& what);
 
+/**
+ * The measured source tree's commit (`git describe --always --dirty`, run
+ * in the working directory), or "unknown" outside a git checkout.  BENCH
+ * records carry it so a number can be traced to the code it measured.
+ */
+std::string sourceCommit();
+
 /** The two match-run kernels: the SWAR loop the extension walk runs
  *  (util::matchRunPacked) and its per-base scalar oracle
  *  (util::matchRunScalar). */

@@ -46,11 +46,22 @@ try {
         return 1;
     }
     const mg::graph::VariationGraph& graph = pangenome.graph;
+    const mg::gbwt::Gbwt& gbwt = pangenome.gbwt;
+    // A v3 container stores no graph paths; the GBWT holds the haplotypes.
+    const bool paths_stored = pangenome.info.mode == mg::io::LoadMode::Parsed;
 
     // --- Graph shape. ---
-    std::printf("graph: %zu nodes, %zu edges, %zu paths, %zu bases\n",
-                graph.numNodes(), graph.numEdges(), graph.numPaths(),
-                graph.totalSequenceLength());
+    if (paths_stored) {
+        std::printf("graph: %zu nodes, %zu edges, %zu paths, %zu bases\n",
+                    graph.numNodes(), graph.numEdges(), graph.numPaths(),
+                    graph.totalSequenceLength());
+    } else {
+        std::printf("graph: %zu nodes, %zu edges, %zu bases; graph paths "
+                    "not stored (v3 container; the GBWT holds the "
+                    "haplotypes)\n",
+                    graph.numNodes(), graph.numEdges(),
+                    graph.totalSequenceLength());
+    }
     std::vector<size_t> lengths;
     size_t max_degree = 0;
     for (mg::graph::NodeId id = 1; id <= graph.numNodes(); ++id) {
@@ -65,17 +76,17 @@ try {
                 lengths.front(), lengths[lengths.size() / 2],
                 lengths.back(), max_degree);
 
-    // --- Haplotypes. ---
-    size_t total_steps = 0;
-    for (const mg::graph::PathEntry& path : graph.paths()) {
-        total_steps += path.steps.size();
-    }
-    std::printf("haplotypes: %zu paths, %zu total steps, "
-                "%.1f steps/path\n",
-                graph.numPaths(), total_steps,
-                graph.numPaths() ? static_cast<double>(total_steps) /
-                                       static_cast<double>(graph.numPaths())
-                                 : 0.0);
+    // --- Haplotypes, from the GBWT: it indexes every haplotype in both
+    // orientations, so each step is one forward and one reverse visit. ---
+    const uint64_t haplotypes = gbwt.numPaths() / 2;
+    const uint64_t total_steps = gbwt.totalVisits() / 2;
+    std::printf("haplotypes: %llu in the GBWT, %llu total steps, "
+                "%.1f steps/haplotype\n",
+                static_cast<unsigned long long>(haplotypes),
+                static_cast<unsigned long long>(total_steps),
+                haplotypes ? static_cast<double>(total_steps) /
+                                 static_cast<double>(haplotypes)
+                           : 0.0);
 
     // --- Packed sequence arena. ---
     const mg::graph::SequenceStore& store = graph.sequenceStore();
@@ -91,7 +102,6 @@ try {
                 store.sanitizedBases());
 
     // --- GBWT. ---
-    const mg::gbwt::Gbwt& gbwt = pangenome.gbwt;
     std::printf("gbwt: %llu oriented paths, %llu visits, %zu compressed "
                 "bytes (%.2f bytes/visit)\n",
                 static_cast<unsigned long long>(gbwt.numPaths()),
@@ -104,8 +114,11 @@ try {
 
     // --- Compression vs naive storage. ---
     size_t haplotype_bases = 0;
-    for (const mg::graph::PathEntry& path : graph.paths()) {
-        haplotype_bases += graph.pathSequence(path.steps).size();
+    for (mg::graph::NodeId id = 1; id <= graph.numNodes(); ++id) {
+        const uint64_t visits =
+            gbwt.nodeCount(mg::graph::Handle(id, false)) +
+            gbwt.nodeCount(mg::graph::Handle(id, true));
+        haplotype_bases += visits / 2 * graph.length(id);
     }
     std::printf("pangenome effect: %zu haplotype bases stored as %zu "
                 "graph bases (%.1fx deduplication)\n",
@@ -125,7 +138,8 @@ try {
         if (info.mode == mg::io::LoadMode::Mapped) {
             std::printf("footprint: %llu bytes mapped (reserved), %llu "
                         "resident in the page cache (%.1f%%); shared "
-                        "across every process mapping this file\n",
+                        "across every process mapping this file; plus "
+                        "%llu heap bytes (edge adjacency, private)\n",
                         static_cast<unsigned long long>(info.mappedBytes),
                         static_cast<unsigned long long>(
                             info.residentBytes),
@@ -133,7 +147,8 @@ try {
                             ? 100.0 *
                                   static_cast<double>(info.residentBytes) /
                                   static_cast<double>(info.mappedBytes)
-                            : 0.0);
+                            : 0.0,
+                        static_cast<unsigned long long>(info.heapBytes));
         } else {
             std::printf("footprint: %llu heap bytes across arenas and "
                         "indexes (private to this process)\n",
@@ -147,7 +162,11 @@ try {
 
     if (!flags.str("gfa").empty()) {
         mg::io::saveGfa(flags.str("gfa"), graph);
-        std::printf("wrote GFA to %s\n", flags.str("gfa").c_str());
+        std::printf("wrote GFA to %s%s\n", flags.str("gfa").c_str(),
+                    paths_stored ? ""
+                                 : " (no P lines: the v3 container stores "
+                                   "no graph paths; export from the v2 "
+                                   ".mgz to keep them)");
     }
     return 0;
 } catch (const mg::util::Error& e) {

@@ -467,14 +467,17 @@ verifyFile(const std::string& path, bool deep)
             options.verifySectionCrcs = true;
             mg::io::IndexedPangenome indexed =
                 mg::io::loadPangenome(path, options);
-            std::printf("  mapped: %zu nodes, %llu paths, %zu minimizer "
-                        "keys, %s load in %.4f s\n",
+            std::printf("  mapped: %zu nodes, %llu haplotypes in the GBWT "
+                        "(graph paths not stored), %zu minimizer keys, %s "
+                        "load in %.4f s, %llu heap bytes\n",
                         indexed.graph.numNodes(),
                         static_cast<unsigned long long>(
-                            indexed.gbwt.numPaths()),
+                            indexed.gbwt.numPaths() / 2),
                         indexed.minimizers.numKeys(),
                         mg::io::loadModeName(indexed.info.mode),
-                        indexed.info.loadSeconds);
+                        indexed.info.loadSeconds,
+                        static_cast<unsigned long long>(
+                            indexed.info.heapBytes));
         }
         return true;
     }

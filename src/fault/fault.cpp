@@ -69,9 +69,12 @@ registry()
     return sites;
 }
 
-/** Decide and account one hit; returns the Kind when the hit fires. */
+/**
+ * Decide and account one hit; returns the Kind when the hit fires.  The
+ * decision keys on `key` when given, else on the site's hit counter.
+ */
 std::optional<Kind>
-decide(std::string_view site)
+decide(std::string_view site, std::optional<uint64_t> key = std::nullopt)
 {
     std::lock_guard<std::mutex> lock(g_mutex);
     auto it = registry().find(site);
@@ -79,7 +82,8 @@ decide(std::string_view site)
         return std::nullopt;
     }
     Site& entry = it->second;
-    uint64_t hit = entry.stats.hits++;
+    const uint64_t hit = key.value_or(entry.stats.hits);
+    ++entry.stats.hits;
     if (hit < entry.spec.after || entry.stats.fires >= entry.spec.limit) {
         return std::nullopt;
     }
@@ -153,9 +157,9 @@ fireSlow(std::string_view site)
 }
 
 void
-injectSlow(std::string_view site)
+injectSlow(std::string_view site, std::optional<uint64_t> key)
 {
-    std::optional<Kind> kind = decide(site);
+    std::optional<Kind> kind = decide(site, key);
     if (!kind) {
         return;
     }

@@ -13,7 +13,9 @@
  *
  * Firing is deterministic for a given (spec, hit index): the decision is a
  * pure function of the spec's seed and the site's hit counter, so a
- * single-threaded decode replays identically across runs.
+ * single-threaded decode replays identically across runs.  Keyed sites
+ * (injectAt, e.g. "map.read" keyed on the read's input index) decide on
+ * the key instead, which keeps multi-threaded runs deterministic too.
  *
  * Cost model: when nothing is armed, every fault point is a single relaxed
  * atomic load.  Configuring with -DMG_FAULT_INJECTION=OFF compiles the
@@ -101,6 +103,7 @@ inline std::vector<std::pair<std::string, SiteStats>> allStats()
 }
 inline std::optional<Kind> fire(std::string_view) { return std::nullopt; }
 inline void inject(std::string_view) {}
+inline void injectAt(std::string_view, uint64_t) {}
 inline std::optional<std::vector<uint8_t>>
 corrupted(std::string_view, const std::vector<uint8_t>&)
 {
@@ -115,7 +118,7 @@ namespace detail {
 /** Number of currently armed sites; fault points early-out on zero. */
 extern std::atomic<int> armedSites;
 std::optional<Kind> fireSlow(std::string_view site);
-void injectSlow(std::string_view site);
+void injectSlow(std::string_view site, std::optional<uint64_t> key);
 std::optional<std::vector<uint8_t>>
 corruptedSlow(std::string_view site, const std::vector<uint8_t>& bytes);
 } // namespace detail
@@ -173,7 +176,22 @@ inline void
 inject(std::string_view site)
 {
     if (anyArmed()) {
-        detail::injectSlow(site);
+        detail::injectSlow(site, std::nullopt);
+    }
+}
+
+/**
+ * Keyed inject(): the spec's `after` and probability decide on `key`, the
+ * work item's input index, in place of the site's shared hit counter, so
+ * with several workers a fault hits the same items whichever worker
+ * reaches them first.  `limit` still caps fires across the run, so a
+ * limited fault stays transient (a retry of its item succeeds).
+ */
+inline void
+injectAt(std::string_view site, uint64_t key)
+{
+    if (anyArmed()) {
+        detail::injectSlow(site, key);
     }
 }
 

@@ -24,6 +24,7 @@
 
 #include "sched/scheduler.h"
 #include "util/common.h"
+#include "util/status.h"
 
 namespace mg::gbwt {
 
@@ -346,10 +347,12 @@ GbwtBuilder::build(unsigned threads) &&
     doc_arena.reserve(doc_total);
     for (const ShardOut& out : shards) {
         for (uint64_t size : out.recordSizes) {
-            record_offsets.push_back(record_offsets.back() + size);
+            record_offsets.push_back(
+                util::fitU32(record_offsets.back() + size, "gbwt.offsets"));
         }
         for (uint64_t size : out.docSizes) {
-            doc_offsets.push_back(doc_offsets.back() + size);
+            doc_offsets.push_back(
+                util::fitU32(doc_offsets.back() + size, "gbwt.docoffs"));
         }
         arena.insert(arena.end(), out.recordBytes.begin(),
                      out.recordBytes.end());

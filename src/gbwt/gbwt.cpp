@@ -152,10 +152,10 @@ Gbwt::load(util::ByteCursor& cursor)
     uint64_t prev = 0;
     for (uint64_t i = 0; i < num_offsets; ++i) {
         uint64_t delta = cursor.getVarint();
-        cursor.check(delta <= UINT64_MAX - prev, util::StatusCode::Corrupt,
-                     "GBWT offset overflows");
+        cursor.check(delta <= UINT32_MAX - prev, util::StatusCode::Corrupt,
+                     "GBWT offset overflows 32 bits");
         prev += delta;
-        record_offsets.push_back(prev);
+        record_offsets.push_back(static_cast<uint32_t>(prev));
     }
     uint64_t arena_size = cursor.getVarint();
     cursor.check(arena_size <= cursor.remaining(),
@@ -178,10 +178,10 @@ Gbwt::load(util::ByteCursor& cursor)
     prev = 0;
     for (uint64_t i = 0; i < num_doc_offsets; ++i) {
         uint64_t delta = cursor.getVarint();
-        cursor.check(delta <= UINT64_MAX - prev, util::StatusCode::Corrupt,
-                     "GBWT document offset overflows");
+        cursor.check(delta <= UINT32_MAX - prev, util::StatusCode::Corrupt,
+                     "GBWT document offset overflows 32 bits");
         prev += delta;
-        doc_offsets.push_back(prev);
+        doc_offsets.push_back(static_cast<uint32_t>(prev));
     }
     uint64_t doc_size = cursor.getVarint();
     cursor.check(doc_size <= cursor.remaining(),
@@ -211,14 +211,14 @@ Gbwt::bindMapped(std::shared_ptr<mem::MappedFile> file,
                  const ArenaRefs& refs, uint64_t num_paths,
                  uint64_t total_visits)
 {
-    auto check_offsets = [](const uint64_t* offsets, size_t count,
+    auto check_offsets = [](const uint32_t* offsets, size_t count,
                             size_t arena_size, const char* what) {
         if (count == 0) {
             util::require(arena_size == 0, what,
                           ": arena bytes with no offset table");
             return;
         }
-        uint64_t prev = 0;
+        uint32_t prev = 0;
         util::require(offsets[0] == 0, what, ": table must start at 0");
         for (size_t i = 1; i < count; ++i) {
             util::require(offsets[i] >= prev, what,
@@ -236,9 +236,9 @@ Gbwt::bindMapped(std::shared_ptr<mem::MappedFile> file,
                   "gbwt: record/document offset tables disagree: ",
                   refs.numRecordOffsets, " vs ", refs.numDocOffsets);
     arena_ = mem::ArenaView<uint8_t>();
-    recordOffsets_ = mem::ArenaView<uint64_t>();
+    recordOffsets_ = mem::ArenaView<uint32_t>();
     docArena_ = mem::ArenaView<uint8_t>();
-    docOffsets_ = mem::ArenaView<uint64_t>();
+    docOffsets_ = mem::ArenaView<uint32_t>();
     arena_.bind(file, refs.arena, refs.arenaSize);
     recordOffsets_.bind(file, refs.recordOffsets, refs.numRecordOffsets);
     docArena_.bind(file, refs.docArena, refs.docArenaSize);

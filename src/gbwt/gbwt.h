@@ -121,16 +121,20 @@ class Gbwt
      *  StatusError carrying the cursor's provenance. */
     static Gbwt load(util::ByteCursor& cursor);
 
-    /** Raw spans of the four arenas (MGZ v3 serialization). */
+    /**
+     * Raw spans of the four arenas (MGZ v3 serialization).  Offsets are
+     * 32-bit, so each arena holds at most UINT32_MAX bytes; the builder
+     * and load() reject a larger one.
+     */
     struct ArenaRefs
     {
         const uint8_t* arena;
         size_t arenaSize;
-        const uint64_t* recordOffsets;
+        const uint32_t* recordOffsets;
         size_t numRecordOffsets;
         const uint8_t* docArena;
         size_t docArenaSize;
-        const uint64_t* docOffsets;
+        const uint32_t* docOffsets;
         size_t numDocOffsets;
     };
     ArenaRefs arenaRefs() const;
@@ -163,11 +167,11 @@ class Gbwt
     std::pair<const uint8_t*, size_t> recordSpan(graph::Handle node) const;
 
     mem::ArenaView<uint8_t> arena_;   // concatenated compressed records
-    mem::ArenaView<uint64_t> recordOffsets_;  // slot -> offset (n+1 ents)
+    mem::ArenaView<uint32_t> recordOffsets_;  // slot -> offset (n+1 ents)
     // Document array: per-visit oriented-path ids, varint-coded per slot,
     // in a separate arena so locate() support costs the hot path nothing.
     mem::ArenaView<uint8_t> docArena_;
-    mem::ArenaView<uint64_t> docOffsets_;
+    mem::ArenaView<uint32_t> docOffsets_;
     uint64_t numPaths_ = 0;
     uint64_t totalVisits_ = 0;
 };

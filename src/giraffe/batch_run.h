@@ -91,6 +91,7 @@ mapRange(map::MapperState& state, sched::HeartbeatBoard* board,
             if (state.flight != nullptr) {
                 state.flight->begin(i);
             }
+            state.readIndex = i;
             body(i);
             if (state.flight != nullptr) {
                 state.flight->done();

@@ -97,6 +97,7 @@ rescuePairs(const map::Mapper& mapper,
                 return false;
             }
 
+            state.readIndex = target_index;
             map::MapResult result =
                 mapper.mapFromSeeds(target_read, windowed, state);
             Alignment candidate =

@@ -37,7 +37,11 @@ namespace mg::graph {
 class SequenceStore
 {
   public:
-    /** Append one node (ids are dense, so node k is the k-th call). */
+    /**
+     * Append one node (ids are dense, so node k is the k-th call).  Throws
+     * StatusError (InvalidArgument, section "seq.offsets") when the node
+     * would carry the packed arena past UINT32_MAX bases.
+     */
     void addNode(std::string_view forward_sequence);
 
     size_t numNodes() const { return numNodes_; }
@@ -103,11 +107,7 @@ class SequenceStore
     size_t arenaBytes() const { return words_.size() * sizeof(uint64_t); }
 
     /** Resident bytes of the per-orientation offset table. */
-    size_t
-    offsetTableBytes() const
-    {
-        return offsets_.size() * sizeof(uint64_t);
-    }
+    size_t offsetTableBytes() const { return offsets_.bytes(); }
 
     /** Resident bytes actually holding data (arena + offset table). */
     size_t
@@ -136,19 +136,23 @@ class SequenceStore
     /** Raw word arena (v3 serialization). */
     const mem::ArenaView<uint64_t>& words() const { return words_; }
 
-    /** Raw offset table, 2*numNodes+1 entries (v3 serialization). */
-    const mem::ArenaView<uint64_t>& offsets() const { return offsets_; }
+    /**
+     * Raw offset table, 2*numNodes+1 entries (v3 serialization).  Offsets
+     * are 32-bit, so a store holds at most UINT32_MAX packed bases (both
+     * strands); addNode() rejects a node that would pass that.
+     */
+    const mem::ArenaView<uint32_t>& offsets() const { return offsets_; }
 
     /**
      * Rebind the store onto arenas living inside a mapped MGZ v3
      * container.  The caller validated sizes/alignment; this performs the
-     * cheap structural scans (offset monotonicity, word-count match) that
-     * keep "never crash on corrupt input" true, then replaces any heap
-     * state.  Throws util::Error on inconsistency.
+     * cheap structural scans (offset monotonicity, equal strand lengths,
+     * word-count match) that keep "never crash on corrupt input" true,
+     * then replaces any heap state.  Throws util::Error on inconsistency.
      */
     void bindMapped(std::shared_ptr<mem::MappedFile> file,
                     const uint64_t* words, size_t num_words,
-                    const uint64_t* offsets, size_t num_offsets,
+                    const uint32_t* offsets, size_t num_offsets,
                     size_t num_nodes, size_t sanitized_bases);
 
   private:
@@ -156,7 +160,7 @@ class SequenceStore
     static size_t slotOf(Handle handle) { return handle.packed() - 2; }
 
     mem::ArenaView<uint64_t> words_;    // fwd(1) rc(1) fwd(2) ... + pad word
-    mem::ArenaView<uint64_t> offsets_;  // slot -> arena base offset; 2n+1
+    mem::ArenaView<uint32_t> offsets_;  // slot -> arena base offset; 2n+1
     size_t numNodes_ = 0;
     size_t sanitizedBases_ = 0;
 

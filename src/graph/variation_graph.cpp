@@ -72,7 +72,7 @@ VariationGraph::addPath(std::string name, std::vector<Handle> steps)
 void
 VariationGraph::bindMappedSequences(std::shared_ptr<mem::MappedFile> file,
                                     const uint64_t* words, size_t num_words,
-                                    const uint64_t* offsets,
+                                    const uint32_t* offsets,
                                     size_t num_offsets, size_t num_nodes,
                                     size_t sanitized_bases)
 {
@@ -83,21 +83,18 @@ VariationGraph::bindMappedSequences(std::shared_ptr<mem::MappedFile> file,
     totalSequence_ = store_.totalBases();
 }
 
-void
-VariationGraph::addPathUnchecked(std::string name,
-                                 std::vector<Handle> steps)
+size_t
+VariationGraph::heapBytes() const
 {
-    MG_CHECK(!steps.empty(), "paths must have at least one step");
-    // MG_CHECK builds its message eagerly, so keep the hot per-step scan
-    // branch-only and format details on the failure path alone — this
-    // loop runs for every step of every haplotype on v3 container loads.
-    for (Handle step : steps) {
-        if (!hasNode(step.id())) {
-            MG_CHECK(false, "path '", name, "' references unknown node ",
-                     step.str());
-        }
+    size_t bytes = adjacency_.capacity() * sizeof(adjacency_[0]);
+    for (const std::vector<Handle>& list : adjacency_) {
+        bytes += list.capacity() * sizeof(Handle);
     }
-    paths_.push_back(PathEntry{std::move(name), std::move(steps)});
+    bytes += paths_.capacity() * sizeof(PathEntry);
+    for (const PathEntry& path : paths_) {
+        bytes += path.name.capacity() + path.steps.capacity() * sizeof(Handle);
+    }
+    return bytes;
 }
 
 std::string

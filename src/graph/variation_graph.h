@@ -100,23 +100,22 @@ class VariationGraph
     /**
      * Bind the packed sequence arenas directly onto a mapped MGZ v3
      * container (mem::ArenaView zero-copy path).  Must be called on a
-     * graph with no nodes; edges and paths are still added through the
-     * normal mutators afterwards.  Throws util::Error on inconsistent
-     * tables.
+     * graph with no nodes; edges are still added through addEdge()
+     * afterwards.  A v3 container stores no paths (the GBWT holds the
+     * haplotypes), so a mapped graph has none.  Throws util::Error on
+     * inconsistent tables.
      */
     void bindMappedSequences(std::shared_ptr<mem::MappedFile> file,
                              const uint64_t* words, size_t num_words,
-                             const uint64_t* offsets, size_t num_offsets,
+                             const uint32_t* offsets, size_t num_offsets,
                              size_t num_nodes, size_t sanitized_bases);
 
     /**
-     * Register a path without per-step edge checks — the MGZ v3 load
-     * path, where the container's section CRCs (and mg_verify) vouch for
-     * consistency and the O(steps * degree) hasEdge scan of addPath()
-     * would dominate an otherwise near-instant map.  Steps must still
-     * reference existing nodes (bounds are always enforced).
+     * Heap bytes the graph holds beside its sequence store: the edge
+     * adjacency lists and the paths, at vector capacity.  On a mapped
+     * load this is what the bind allocates per generation.
      */
-    void addPathUnchecked(std::string name, std::vector<Handle> steps);
+    size_t heapBytes() const;
 
     /** Outgoing neighbors of an oriented handle. */
     const std::vector<Handle>& successors(Handle handle) const;

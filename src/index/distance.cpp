@@ -6,6 +6,7 @@
 
 #include "util/common.h"
 #include "util/dna.h"
+#include "util/status.h"
 
 namespace mg::index {
 
@@ -139,22 +140,35 @@ searchScratch()
 }
 
 /**
- * Chain coordinates must fit the clusterer's 32-bit sort-key fields:
- * every base's coordinate, min prefix + offset, stays within
- * kMaxChainCoordinate.
+ * Chain coordinates must fit the clusterer's 32-bit sort-key fields and
+ * the 32-bit dist arrays: every base's coordinate, prefix + offset, stays
+ * within [0, kMaxChainCoordinate], for the min and the max prefix alike.
+ * Throws StatusError(`code`) naming the offending array.
  */
+template <typename T>
 void
 requireCompactCoordinates(const graph::VariationGraph& graph,
-                          const int64_t* min_from_source, size_t num_nodes)
+                          const T* min_from_source, const T* max_from_source,
+                          size_t num_nodes, util::StatusCode code)
 {
     for (size_t i = 0; i < num_nodes; ++i) {
-        const int64_t min = min_from_source[i];
         const auto length = static_cast<int64_t>(
             graph.length(static_cast<graph::NodeId>(i + 1)));
-        util::require(min >= 0 && min <= kMaxChainCoordinate - length,
-                      "distance index: node ", i + 1, " spans chain "
-                      "coordinates [", min, ", ", min + length,
-                      "), outside [0, ", kMaxChainCoordinate, "]");
+        for (const auto& [section, prefix] :
+             {std::pair<const char*, int64_t>{"dist.min", min_from_source[i]},
+              std::pair<const char*, int64_t>{"dist.max",
+                                              max_from_source[i]}}) {
+            if (prefix < 0 || prefix > kMaxChainCoordinate - length) {
+                util::Status status;
+                status.code = code;
+                status.message = util::cat(
+                    "distance index: node ", i + 1, " spans chain "
+                    "coordinates [", prefix, ", ", prefix + length,
+                    "), outside [0, ", kMaxChainCoordinate, "]");
+                status.section = section;
+                util::throwStatus(std::move(status));
+            }
+        }
     }
 }
 
@@ -182,22 +196,26 @@ DistanceIndex::DistanceIndex(const graph::VariationGraph& graph)
             succ_max = std::max(succ_max, out_max);
         }
     }
-    requireCompactCoordinates(graph, min_from.data(), n);
-    minFromSource_.adopt(std::move(min_from));
-    maxFromSource_.adopt(std::move(max_from));
+    requireCompactCoordinates(graph, min_from.data(), max_from.data(), n,
+                              util::StatusCode::InvalidArgument);
+    minFromSource_.adopt(std::vector<int32_t>(min_from.begin(),
+                                              min_from.end()));
+    maxFromSource_.adopt(std::vector<int32_t>(max_from.begin(),
+                                              max_from.end()));
 }
 
 void
 DistanceIndex::bindMapped(std::shared_ptr<mem::MappedFile> file,
                           const graph::VariationGraph& graph,
-                          const int64_t* min_from_source,
-                          const int64_t* max_from_source, size_t num_nodes)
+                          const int32_t* min_from_source,
+                          const int32_t* max_from_source, size_t num_nodes)
 {
     util::require(num_nodes == graph.numNodes(), "distance index: ",
                   num_nodes, " entries for ", graph.numNodes(), " nodes");
-    requireCompactCoordinates(graph, min_from_source, num_nodes);
-    minFromSource_ = mem::ArenaView<int64_t>();
-    maxFromSource_ = mem::ArenaView<int64_t>();
+    requireCompactCoordinates(graph, min_from_source, max_from_source,
+                              num_nodes, util::StatusCode::Corrupt);
+    minFromSource_ = mem::ArenaView<int32_t>();
+    maxFromSource_ = mem::ArenaView<int32_t>();
     minFromSource_.bind(file, min_from_source, num_nodes);
     maxFromSource_.bind(std::move(file), max_from_source, num_nodes);
 }

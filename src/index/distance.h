@@ -33,8 +33,9 @@ inline constexpr int64_t kUnreachable = INT64_MAX;
 
 /**
  * Largest chain coordinate an index admits.  The clusterer packs
- * coordinates into 32-bit sort-key fields, and building or binding an
- * index over a graph whose coordinates exceed this throws.
+ * coordinates into 32-bit sort-key fields and the per-node prefix arrays
+ * are int32_t, so building or binding an index over a graph whose
+ * coordinates exceed this throws a StatusError.
  */
 inline constexpr int64_t kMaxChainCoordinate = INT32_MAX;
 
@@ -47,8 +48,9 @@ class DistanceIndex
   public:
     DistanceIndex() = default;
 
-    /** Preprocess the graph (one topological sweep).  Throws util::Error
-     *  if a chain coordinate would exceed kMaxChainCoordinate. */
+    /** Preprocess the graph (one topological sweep).  Throws StatusError
+     *  (InvalidArgument) if a min or max prefix coordinate would exceed
+     *  kMaxChainCoordinate. */
     explicit DistanceIndex(const graph::VariationGraph& graph);
 
     /**
@@ -84,13 +86,13 @@ class DistanceIndex
     size_t numNodes() const { return minFromSource_.size(); }
 
     /** Min-prefix array, one entry per node (v3 serialization). */
-    const mem::ArenaView<int64_t>& minFromSource() const
+    const mem::ArenaView<int32_t>& minFromSource() const
     {
         return minFromSource_;
     }
 
     /** Max-prefix array, one entry per node (v3 serialization). */
-    const mem::ArenaView<int64_t>& maxFromSource() const
+    const mem::ArenaView<int32_t>& maxFromSource() const
     {
         return maxFromSource_;
     }
@@ -108,17 +110,17 @@ class DistanceIndex
     /**
      * Rebind onto the two per-node arrays inside a mapped MGZ v3
      * container, for `graph`.  Throws util::Error if the array sizes
-     * disagree with the graph's node count or a chain coordinate falls
-     * outside [0, kMaxChainCoordinate].
+     * disagree with the graph's node count, and StatusError (Corrupt) if
+     * a chain coordinate falls outside [0, kMaxChainCoordinate].
      */
     void bindMapped(std::shared_ptr<mem::MappedFile> file,
                     const graph::VariationGraph& graph,
-                    const int64_t* min_from_source,
-                    const int64_t* max_from_source, size_t num_nodes);
+                    const int32_t* min_from_source,
+                    const int32_t* max_from_source, size_t num_nodes);
 
   private:
-    mem::ArenaView<int64_t> minFromSource_; // node id - 1 -> min prefix
-    mem::ArenaView<int64_t> maxFromSource_; // node id - 1 -> max prefix
+    mem::ArenaView<int32_t> minFromSource_; // node id - 1 -> min prefix
+    mem::ArenaView<int32_t> maxFromSource_; // node id - 1 -> max prefix
 };
 
 } // namespace mg::index

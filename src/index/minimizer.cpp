@@ -8,6 +8,7 @@
 #include "util/common.h"
 #include "util/dna.h"
 #include "util/small_vector.h"
+#include "util/status.h"
 
 namespace mg::index {
 
@@ -86,8 +87,8 @@ class Sweep
     std::vector<Minimizer>& out_;
 };
 
-/** (hash, position) pairs of one path, for the index merge. */
-using Entry = std::pair<uint64_t, graph::Position>;
+/** (hash, packed position) pairs of one path, for the index merge. */
+using Entry = std::pair<uint64_t, uint64_t>;
 
 /** Collect one path's index entries (any thread; touches only `entries`). */
 void
@@ -109,11 +110,18 @@ collectPathEntries(const graph::VariationGraph& graph,
         graph::Position pos;
         pos.handle = path.steps[step];
         pos.offset = static_cast<uint32_t>(min.offset - step_starts[step]);
-        entries.emplace_back(min.hash, pos);
+        entries.emplace_back(min.hash, packPosition(pos));
     }
 }
 
 } // namespace
+
+uint64_t
+packPosition(const graph::Position& pos)
+{
+    return uint64_t{util::fitU32(pos.handle.packed(), "min.pos")} << 32 |
+           pos.offset;
+}
 
 void
 appendMinimizers(std::string_view sequence, bool reverse_complement,
@@ -201,26 +209,22 @@ bucketTableSize(size_t num_keys)
     return size;
 }
 
-/** Build the open-addressing table over the flattened key spans. */
+/**
+ * Build the open-addressing table over the key spans, given in ascending
+ * key order — so the table bytes are a pure function of the key set (v3
+ * determinism across thread counts).
+ */
 std::vector<MinimizerBucket>
-buildBuckets(const std::vector<uint64_t>& keys,
-             const std::vector<uint32_t>& key_offsets)
+buildBuckets(const std::vector<MinimizerBucket>& spans)
 {
-    std::vector<MinimizerBucket> buckets(bucketTableSize(keys.size()));
-    if (buckets.empty()) {
-        return buckets;
-    }
+    std::vector<MinimizerBucket> buckets(bucketTableSize(spans.size()));
     const size_t mask = buckets.size() - 1;
-    // Insert in ascending key order so the table bytes are a pure
-    // function of the key set (v3 determinism across thread counts).
-    for (size_t i = 0; i < keys.size(); ++i) {
-        size_t slot = keys[i] & mask;
+    for (const MinimizerBucket& span : spans) {
+        size_t slot = span.key & mask;
         while (buckets[slot].count != 0) {
             slot = (slot + 1) & mask;
         }
-        buckets[slot].key = keys[i];
-        buckets[slot].offset = key_offsets[i];
-        buckets[slot].count = key_offsets[i + 1] - key_offsets[i];
+        buckets[slot] = span;
     }
     return buckets;
 }
@@ -313,8 +317,7 @@ MinimizerIndex::MinimizerIndex(const graph::VariationGraph& graph,
 
     // Flatten in shard order, applying the repeat filter per key (keys
     // never straddle shards: equal hashes share a shard).
-    auto& keys = keys_.owned();
-    auto& key_offsets = keyOffsets_.owned();
+    std::vector<MinimizerBucket> spans;
     auto& positions = positions_.owned();
     for (const std::vector<Entry>& shard : shards) {
         size_t i = 0;
@@ -324,9 +327,10 @@ MinimizerIndex::MinimizerIndex(const graph::VariationGraph& graph,
                 ++j;
             }
             if (j - i <= params_.maxOccurrences) {
-                keys.push_back(shard[i].first);
-                key_offsets.push_back(
-                    static_cast<uint32_t>(positions.size()));
+                spans.push_back(MinimizerBucket{
+                    shard[i].first,
+                    util::fitU32(positions.size(), "min.table"),
+                    static_cast<uint32_t>(j - i)});
                 for (size_t e = i; e < j; ++e) {
                     positions.push_back(shard[e].second);
                 }
@@ -334,62 +338,42 @@ MinimizerIndex::MinimizerIndex(const graph::VariationGraph& graph,
             i = j;
         }
     }
-    key_offsets.push_back(static_cast<uint32_t>(positions.size()));
-    buckets_.adopt(buildBuckets(keys, key_offsets));
+    numKeys_ = spans.size();
+    buckets_.adopt(buildBuckets(spans));
 }
 
 void
 MinimizerIndex::bindMapped(std::shared_ptr<mem::MappedFile> file,
                            const MinimizerParams& params,
-                           const uint64_t* keys, size_t num_keys,
-                           const uint32_t* key_offsets,
-                           size_t num_key_offsets,
-                           const graph::Position* positions,
-                           size_t num_positions,
+                           const uint64_t* positions, size_t num_positions,
                            const MinimizerBucket* buckets,
                            size_t num_buckets)
 {
-    util::require(num_key_offsets == num_keys + 1,
-                  "min.keyoffs: expected ", num_keys + 1, " entries, got ",
-                  num_key_offsets);
-    util::require(key_offsets[0] == 0 &&
-                      key_offsets[num_keys] == num_positions,
-                  "min.keyoffs: table does not span the position array");
-    for (size_t i = 0; i < num_keys; ++i) {
-        util::require(key_offsets[i] < key_offsets[i + 1],
-                      "min.keyoffs: non-increasing at entry ", i);
-        if (i > 0) {
-            util::require(keys[i - 1] < keys[i],
-                          "min.keys: not strictly ascending at entry ", i);
-        }
-    }
-    util::require(num_buckets == bucketTableSize(num_keys),
-                  "min.table: size ", num_buckets,
-                  " does not match key count ", num_keys);
     size_t occupied = 0;
+    uint64_t covered = 0;
     for (size_t i = 0; i < num_buckets; ++i) {
         if (buckets[i].count == 0) {
             continue;
         }
         ++occupied;
+        covered += buckets[i].count;
         util::require(buckets[i].offset + uint64_t{buckets[i].count} <=
                           num_positions,
                       "min.table: bucket ", i, " span out of bounds");
     }
     // Load factor <= 1/2 is the probe-termination guarantee: with it a
     // lookup always reaches an empty bucket even if contents are garbage.
-    util::require(occupied == num_keys,
-                  "min.table: ", occupied, " occupied buckets for ",
-                  num_keys, " keys");
+    util::require(num_buckets == bucketTableSize(occupied),
+                  "min.table: size ", num_buckets, " does not match ",
+                  occupied, " occupied buckets");
+    util::require(covered == num_positions, "min.table: buckets cover ",
+                  covered, " positions, min.pos holds ", num_positions);
     params_ = params;
-    keys_ = mem::ArenaView<uint64_t>();
-    keyOffsets_ = mem::ArenaView<uint32_t>();
-    positions_ = mem::ArenaView<graph::Position>();
+    positions_ = mem::ArenaView<uint64_t>();
     buckets_ = mem::ArenaView<MinimizerBucket>();
-    keys_.bind(file, keys, num_keys);
-    keyOffsets_.bind(file, key_offsets, num_key_offsets);
     positions_.bind(file, positions, num_positions);
     buckets_.bind(std::move(file), buckets, num_buckets);
+    numKeys_ = occupied;
 }
 
 } // namespace mg::index

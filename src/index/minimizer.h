@@ -75,6 +75,25 @@ std::vector<Minimizer> minimizersOfPath(const graph::VariationGraph& graph,
                                         const MinimizerParams& params);
 
 /**
+ * A graph position packed into one 64-bit word, the way Giraffe stores
+ * seed hits: the oriented handle's packed value in the high 32 bits, the
+ * offset in the low 32.  Packed words sort in graph::Position order.
+ * Throws StatusError (InvalidArgument, section "min.pos") when the handle
+ * does not fit 32 bits (node ids above 2^31 - 1).
+ */
+uint64_t packPosition(const graph::Position& pos);
+
+/** Inverse of packPosition. */
+inline graph::Position
+unpackPosition(uint64_t packed)
+{
+    graph::Position pos;
+    pos.handle = graph::Handle::fromPacked(packed >> 32);
+    pos.offset = static_cast<uint32_t>(packed);
+    return pos;
+}
+
+/**
  * One open-addressing bucket of the minimizer hash table.  count == 0
  * marks an empty bucket; occupied buckets point at a [offset, offset +
  * count) span of the key-major position table.  The layout is fixed (16
@@ -93,12 +112,13 @@ static_assert(sizeof(MinimizerBucket) == 16,
 /**
  * Immutable minimizer-to-graph-position table.
  *
- * Built from every haplotype path of the graph; lookups return the graph
- * positions whose k-mer hash matches a read minimizer.  Storage is a flat
- * hash-sorted (key, positions) layout plus an open-addressing bucket table
- * (power-of-two size, linear probing, >= 50% empty) that serves lookups in
- * O(1) — and, being position-free flat arrays, maps straight out of an
- * MGZ v3 container (mem::ArenaView backing).
+ * Built from every haplotype path of the graph; lookups return the packed
+ * graph positions whose k-mer hash matches a read minimizer.  Storage is
+ * a flat position table, key-major in ascending hash order, plus an
+ * open-addressing bucket table (power-of-two size, linear probing, >= 50%
+ * empty) whose buckets hold each key's span — the only key storage, so
+ * both arrays map straight out of an MGZ v3 container (mem::ArenaView
+ * backing).
  */
 class MinimizerIndex
 {
@@ -116,17 +136,18 @@ class MinimizerIndex
 
     const MinimizerParams& params() const { return params_; }
 
-    /** Number of distinct indexed minimizer keys. */
-    size_t numKeys() const { return keys_.size(); }
+    /** Number of distinct indexed minimizer keys (occupied buckets). */
+    size_t numKeys() const { return numKeys_; }
 
     /** Total stored (key, position) entries. */
     size_t numEntries() const { return positions_.size(); }
 
     /**
-     * Graph positions of one minimizer hash (possibly empty).  The returned
-     * span is valid as long as the index lives.
+     * Packed graph positions (unpackPosition) of one minimizer hash,
+     * possibly empty.  The returned span is valid as long as the index
+     * lives.
      */
-    std::pair<const graph::Position*, size_t>
+    std::pair<const uint64_t*, size_t>
     lookup(uint64_t hash) const
     {
         const size_t table = buckets_.size();
@@ -163,20 +184,8 @@ class MinimizerIndex
         }
     }
 
-    /** Sorted distinct keys (equivalence tests across build modes). */
-    const mem::ArenaView<uint64_t>& keys() const { return keys_; }
-
-    /** Flat position table, key-major (equivalence tests). */
-    const mem::ArenaView<graph::Position>& positions() const
-    {
-        return positions_;
-    }
-
-    /** Key-major span table, keys().size() + 1 entries (serialization). */
-    const mem::ArenaView<uint32_t>& keyOffsets() const
-    {
-        return keyOffsets_;
-    }
+    /** Flat packed-position table, key-major (serialization, tests). */
+    const mem::ArenaView<uint64_t>& positions() const { return positions_; }
 
     /** The open-addressing bucket table (serialization, tests). */
     const mem::ArenaView<MinimizerBucket>& buckets() const
@@ -187,34 +196,30 @@ class MinimizerIndex
     /** True when the tables are mmap-backed (MGZ v3 load). */
     bool isMapped() const { return positions_.isMapped(); }
 
-    /** Heap/mapped bytes across all four tables. */
+    /** Heap/mapped bytes across both tables. */
     size_t
     footprintBytes() const
     {
-        return keys_.bytes() + keyOffsets_.bytes() + positions_.bytes() +
-               buckets_.bytes();
+        return positions_.bytes() + buckets_.bytes();
     }
 
     /**
      * Rebind onto tables inside a mapped MGZ v3 container.  Performs the
-     * cheap structural scans (monotone offsets, bucket spans in bounds,
-     * load factor <= 1/2) that keep corrupt containers from crashing
-     * lookups; full content integrity is the per-section CRC's job.
-     * Throws util::Error on inconsistency.
+     * cheap structural scans (bucket spans in bounds and covering the
+     * position table, load factor <= 1/2) that keep corrupt containers
+     * from crashing lookups; full content integrity is the per-section
+     * CRC's job.  Throws util::Error on inconsistency.
      */
     void bindMapped(std::shared_ptr<mem::MappedFile> file,
-                    const MinimizerParams& params, const uint64_t* keys,
-                    size_t num_keys, const uint32_t* key_offsets,
-                    size_t num_key_offsets,
-                    const graph::Position* positions, size_t num_positions,
-                    const MinimizerBucket* buckets, size_t num_buckets);
+                    const MinimizerParams& params, const uint64_t* positions,
+                    size_t num_positions, const MinimizerBucket* buckets,
+                    size_t num_buckets);
 
   private:
     MinimizerParams params_;
-    mem::ArenaView<uint64_t> keys_;        // sorted distinct hashes
-    mem::ArenaView<uint32_t> keyOffsets_;  // keys_.size() + 1 entries
-    mem::ArenaView<graph::Position> positions_;
+    mem::ArenaView<uint64_t> positions_;       // packPosition words
     mem::ArenaView<MinimizerBucket> buckets_;  // pow2 open addressing
+    size_t numKeys_ = 0;
 };
 
 } // namespace mg::index

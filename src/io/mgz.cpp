@@ -109,6 +109,26 @@ encodeEdgesSection(util::ByteWriter& writer,
 }
 
 void
+decodeEdgesSection(util::ByteCursor& cursor, graph::VariationGraph& graph)
+{
+    uint64_t num_edges = cursor.getVarint();
+    cursor.check(num_edges <= cursor.remaining(), util::StatusCode::Corrupt,
+                 "edge count exceeds remaining payload");
+    uint64_t prev_from = 0;
+    for (uint64_t i = 0; i < num_edges; ++i) {
+        prev_from += cursor.getVarint();
+        uint64_t to = cursor.getVarint();
+        graph.addEdge(graph::Handle::fromPacked(prev_from),
+                      graph::Handle::fromPacked(to));
+    }
+}
+
+} // namespace detail
+
+namespace {
+
+/** Named haplotype paths, zigzag-delta-coded steps (v2 only). */
+void
 encodePathsSection(util::ByteWriter& writer,
                    const graph::VariationGraph& graph)
 {
@@ -126,24 +146,9 @@ encodePathsSection(util::ByteWriter& writer,
     }
 }
 
+/** Inverse of encodePathsSection; addPath() checks every step. */
 void
-decodeEdgesSection(util::ByteCursor& cursor, graph::VariationGraph& graph)
-{
-    uint64_t num_edges = cursor.getVarint();
-    cursor.check(num_edges <= cursor.remaining(), util::StatusCode::Corrupt,
-                 "edge count exceeds remaining payload");
-    uint64_t prev_from = 0;
-    for (uint64_t i = 0; i < num_edges; ++i) {
-        prev_from += cursor.getVarint();
-        uint64_t to = cursor.getVarint();
-        graph.addEdge(graph::Handle::fromPacked(prev_from),
-                      graph::Handle::fromPacked(to));
-    }
-}
-
-void
-decodePathsSection(util::ByteCursor& cursor, graph::VariationGraph& graph,
-                   bool checked)
+decodePathsSection(util::ByteCursor& cursor, graph::VariationGraph& graph)
 {
     uint64_t num_paths = cursor.getVarint();
     cursor.check(num_paths <= cursor.remaining(), util::StatusCode::Corrupt,
@@ -162,17 +167,9 @@ decodePathsSection(util::ByteCursor& cursor, graph::VariationGraph& graph,
             steps.push_back(
                 graph::Handle::fromPacked(static_cast<uint64_t>(packed)));
         }
-        if (checked) {
-            graph.addPath(std::move(name), std::move(steps));
-        } else {
-            graph.addPathUnchecked(std::move(name), std::move(steps));
-        }
+        graph.addPath(std::move(name), std::move(steps));
     }
 }
-
-} // namespace detail
-
-namespace {
 
 // --- Section payload readers -------------------------------------------
 
@@ -238,7 +235,7 @@ encodeMgz(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt)
     std::array<util::ByteWriter, 4> payloads;
     encodeNodesSection(payloads[0], graph);
     detail::encodeEdgesSection(payloads[1], graph);
-    detail::encodePathsSection(payloads[2], graph);
+    encodePathsSection(payloads[2], graph);
     gbwt.save(payloads[3]);
 
     util::ByteWriter out;
@@ -298,7 +295,7 @@ decodeMgz(const std::vector<uint8_t>& bytes, std::string_view file)
         } else if (name == kSectionNames[1]) {
             detail::decodeEdgesSection(section, out.graph);
         } else if (name == kSectionNames[2]) {
-            detail::decodePathsSection(section, out.graph, true);
+            decodePathsSection(section, out.graph);
         } else {
             out.gbwt = gbwt::Gbwt::load(section);
         }

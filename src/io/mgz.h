@@ -22,14 +22,14 @@
  * a Corrupt "bad magic" error.
  *
  * Version 3 ("MGZ3", usually *.mgz3) is the zero-copy substrate: a
- * page-aligned container holding every big immutable arena — packed
- * sequence words, GBWT record/document arenas + offsets, the minimizer
- * key/position/bucket tables, the distance arrays — in its exact
- * little-endian in-memory layout, so loading is mmap + pointer fixup
- * instead of deserialization (see mgz3.cpp for the layout, DESIGN.md §3j
- * for the rules).  loadPangenome() dispatches on the magic: v2 parse
- * into heap structures and build the indexes; v3 maps near-instantly and
- * N processes share one page-cache copy.
+ * page-aligned container holding every big immutable arena that mapping
+ * reads — packed sequence words, GBWT record/document arenas + offsets,
+ * the minimizer position and bucket tables, the distance arrays — in its
+ * exact little-endian in-memory layout, so loading is mmap + pointer
+ * fixup instead of deserialization (see mgz3.cpp for the layout,
+ * DESIGN.md §3j for the rules).  loadPangenome() dispatches on the
+ * magic: v2 parse into heap structures and build the indexes; v3 maps
+ * near-instantly and N processes share one page-cache copy.
  */
 #pragma once
 
@@ -139,7 +139,9 @@ struct IndexLoadInfo
     uint64_t mappedBytes = 0;
     /** Mapped bytes resident in the page cache at sample time. */
     uint64_t residentBytes = 0;
-    /** Heap bytes owned by the arenas/indexes (0 when fully mapped). */
+    /** Heap bytes the load allocated: every arena, index and the graph's
+     *  adjacency and paths when parsed; the edge adjacency alone when
+     *  mapped (a v3 container stores no paths). */
     uint64_t heapBytes = 0;
     /** Logical arena sizes (name, bytes), identical across load modes. */
     std::vector<std::pair<std::string, uint64_t>> sections;

@@ -9,13 +9,13 @@
  * File layout (all integers little-endian):
  *
  *     offset 0   "MGZ3"
- *     offset 4   u32 format version (3)
+ *     offset 4   u32 layout revision (4)
  *     offset 8   u32 page size the file was laid out for (4096)
- *     offset 12  u32 section count (15)
+ *     offset 12  u32 section count (12)
  *     offset 16  u64 total file bytes
  *     offset 24  u32 CRC32 of the section table
  *     offset 28  u32 reserved (0)
- *     offset 32  section table: 15 x 40-byte entries
+ *     offset 32  section table: 12 x 40-byte entries
  *                  char tag[16]   zero-padded section name
  *                  u64  offset    payload start (page-aligned)
  *                  u64  size      payload bytes (excludes padding)
@@ -28,13 +28,20 @@
  * ends) is *enforced* on load, which makes truncated, overlapping, or
  * reordered tables structurally invalid rather than silently accepted.
  *
- * Byte determinism: the encoder writes graph::Position field-wise with
- * its 4 struct-padding bytes zeroed, and every arena is produced by
- * builders whose output is independent of thread count, so the same
- * inputs yield bit-identical containers regardless of build parallelism.
+ * The container holds only what mapping reads.  Revision 4 dropped the
+ * haplotype paths (the GBWT holds the haplotypes; v2 carries the paths
+ * for the readers that need them) and the minimizer key arrays (the
+ * bucket table holds every key and its span), stores each minimizer
+ * position as one packed 64-bit word, and keeps every offset table and
+ * distance array at 32 bits.  A revision-3 file is refused by revision
+ * number before anything else is read.
  *
- * Trust model on load: the header, table, and the three small metadata
- * sections (meta/edges/paths) are always CRC-verified; the big arenas are
+ * Byte determinism: every arena is padding-free and produced by builders
+ * whose output is independent of thread count, so the same inputs yield
+ * bit-identical containers regardless of build parallelism.
+ *
+ * Trust model on load: the header, table, and the two small metadata
+ * sections (meta/edges) are always CRC-verified; the big arenas are
  * verified only under LoadOptions::verifySectionCrcs (mg_verify, fuzz
  * harness).  The fast path instead relies on the cheap structural scans
  * inside the bindMapped() entry points — offset monotonicity, spans in
@@ -65,11 +72,6 @@ namespace {
 // in-memory layout.  Pin down every assumption that makes that legal.
 static_assert(std::endian::native == std::endian::little,
               "MGZ v3 stores little-endian arenas verbatim");
-static_assert(std::is_trivially_copyable_v<graph::Position> &&
-                  sizeof(graph::Position) == 16 &&
-                  offsetof(graph::Position, handle) == 0 &&
-                  offsetof(graph::Position, offset) == 8,
-              "min.pos maps Position records verbatim");
 static_assert(std::is_trivially_copyable_v<index::MinimizerBucket> &&
                   sizeof(index::MinimizerBucket) == 16 &&
                   offsetof(index::MinimizerBucket, key) == 0 &&
@@ -78,7 +80,7 @@ static_assert(std::is_trivially_copyable_v<index::MinimizerBucket> &&
               "min.table maps bucket records verbatim");
 
 constexpr char kMagicV3[4] = {'M', 'G', 'Z', '3'};
-constexpr uint32_t kFormatVersionV3 = 3;
+constexpr uint32_t kLayoutRevision = 4;
 constexpr uint32_t kPageBytes = 4096;
 constexpr size_t kTagBytes = 16;
 constexpr size_t kEntryBytes = 40;
@@ -95,15 +97,12 @@ enum Section : size_t
 {
     kMeta = 0,
     kEdges,
-    kPaths,
     kSeqWords,
     kSeqOffsets,
     kGbwtArena,
     kGbwtOffsets,
     kGbwtDocArena,
     kGbwtDocOffs,
-    kMinKeys,
-    kMinKeyOffs,
     kMinPos,
     kMinTable,
     kDistMin,
@@ -112,11 +111,10 @@ enum Section : size_t
 };
 
 constexpr SectionSpec kSections[kNumSections] = {
-    {"meta", 1},          {"edges", 1},        {"paths", 1},
-    {"seq.words", 8},     {"seq.offsets", 8},  {"gbwt.arena", 1},
-    {"gbwt.offsets", 8},  {"gbwt.docarena", 1}, {"gbwt.docoffs", 8},
-    {"min.keys", 8},      {"min.keyoffs", 4},  {"min.pos", 16},
-    {"min.table", 16},    {"dist.min", 8},     {"dist.max", 8},
+    {"meta", 1},          {"edges", 1},         {"seq.words", 8},
+    {"seq.offsets", 4},   {"gbwt.arena", 1},    {"gbwt.offsets", 4},
+    {"gbwt.docarena", 1}, {"gbwt.docoffs", 4},  {"min.pos", 8},
+    {"min.table", 16},    {"dist.min", 4},      {"dist.max", 4},
 };
 
 static_assert(kTableOffset + kNumSections * kEntryBytes <= kPageBytes,
@@ -190,9 +188,11 @@ parseHeaderV3(const uint8_t* data, size_t size, std::string_view file)
                  "v3 container smaller than one page (", size, " bytes)");
     cursor.check(std::memcmp(data, kMagicV3, sizeof(kMagicV3)) == 0,
                  util::StatusCode::Corrupt, "not an MGZ3 container");
-    const uint32_t version = readU32(data + 4);
-    cursor.check(version == kFormatVersionV3, util::StatusCode::Corrupt,
-                 "unsupported v3 format revision ", version);
+    const uint32_t revision = readU32(data + 4);
+    cursor.check(revision == kLayoutRevision, util::StatusCode::Corrupt,
+                 "unsupported v3 layout revision ", revision,
+                 " (this build reads revision ", kLayoutRevision,
+                 "; rebuild the container)");
     const uint32_t page = readU32(data + 8);
     cursor.check(page == kPageBytes, util::StatusCode::Corrupt,
                  "container laid out for page size ", page, ", expected ",
@@ -285,91 +285,6 @@ sectionSpan(const uint8_t* data, const SectionTable& table, size_t section)
             table[section].size / sizeof(T)};
 }
 
-// --- v3 paths section --------------------------------------------------
-//
-// Unlike the v2 stream (delta varints per step), the v3 paths section
-// keeps the step lists flat so binding costs a memcpy, not millions of
-// varint decodes — the section is the dominant non-mapped payload and a
-// varint walk alone was ~80% of the map time on the A-human analog:
-//
-//     varint num_paths
-//     per path: varint name length, name bytes, varint num_steps
-//     zero padding to an 8-byte boundary (relative to section start)
-//     uint64 packed handles, all paths back to back, path order
-//
-// The section starts page-aligned, so the padded step array is 8-aligned
-// inside the mapping and can be read as uint64s in place.
-
-static_assert(sizeof(graph::Handle) == sizeof(uint64_t)
-                  && std::is_trivially_copyable_v<graph::Handle>,
-              "v3 path steps are raw packed-handle words");
-
-std::vector<uint8_t>
-encodePathsV3(const graph::VariationGraph& graph)
-{
-    util::ByteWriter header;
-    header.putVarint(graph.numPaths());
-    uint64_t total_steps = 0;
-    for (const graph::PathEntry& path : graph.paths()) {
-        header.putString(path.name);
-        header.putVarint(path.steps.size());
-        total_steps += path.steps.size();
-    }
-    std::vector<uint8_t> out = header.takeBytes();
-    out.resize((out.size() + 7) & ~static_cast<size_t>(7), 0);
-    const size_t steps_off = out.size();
-    out.resize(steps_off + total_steps * sizeof(uint64_t), 0);
-    uint8_t* p = out.data() + steps_off;
-    for (const graph::PathEntry& path : graph.paths()) {
-        for (graph::Handle step : path.steps) {
-            writeU64(p, step.packed());
-            p += sizeof(uint64_t);
-        }
-    }
-    return out;
-}
-
-void
-decodePathsV3(const uint8_t* data, const SectionTable& table,
-              std::string_view fname, graph::VariationGraph& graph)
-{
-    const SectionView& view = table[kPaths];
-    util::ByteCursor cursor(data + view.offset, view.size, fname);
-    cursor.enterSection("paths");
-    const uint64_t num_paths = cursor.getVarint();
-    cursor.check(num_paths <= view.size, util::StatusCode::Corrupt,
-                 "path count exceeds section size");
-    std::vector<std::string> names;
-    std::vector<uint64_t> counts;
-    names.reserve(num_paths);
-    counts.reserve(num_paths);
-    const uint64_t max_steps = view.size / sizeof(uint64_t);
-    uint64_t total_steps = 0;
-    for (uint64_t i = 0; i < num_paths; ++i) {
-        names.push_back(cursor.getString());
-        counts.push_back(cursor.getVarint());
-        total_steps += counts.back();
-        cursor.check(counts.back() <= max_steps && total_steps <= max_steps,
-                     util::StatusCode::Corrupt,
-                     "path step count exceeds section size");
-    }
-    const uint64_t header_bytes = view.size - cursor.remaining();
-    const uint64_t steps_off =
-        (header_bytes + 7) & ~static_cast<uint64_t>(7);
-    cursor.check(steps_off + total_steps * sizeof(uint64_t) == view.size,
-                 util::StatusCode::Corrupt,
-                 "path step array does not fill the section");
-    const auto* steps = reinterpret_cast<const graph::Handle*>(
-        data + view.offset + steps_off);
-    size_t at = 0;
-    for (uint64_t i = 0; i < num_paths; ++i) {
-        std::vector<graph::Handle> walk(steps + at,
-                                        steps + at + counts[i]);
-        at += counts[i];
-        graph.addPathUnchecked(std::move(names[i]), std::move(walk));
-    }
-}
-
 /**
  * Report the logical arena sizes from the *bound* structures rather than
  * the container table, so parsed and mapped loads of the same pangenome
@@ -384,11 +299,9 @@ fillArenaSections(IndexedPangenome& out)
         {"seq.words", store.words().bytes()},
         {"seq.offsets", store.offsets().bytes()},
         {"gbwt.arena", refs.arenaSize},
-        {"gbwt.offsets", refs.numRecordOffsets * sizeof(uint64_t)},
+        {"gbwt.offsets", refs.numRecordOffsets * sizeof(uint32_t)},
         {"gbwt.docarena", refs.docArenaSize},
-        {"gbwt.docoffs", refs.numDocOffsets * sizeof(uint64_t)},
-        {"min.keys", out.minimizers.keys().bytes()},
-        {"min.keyoffs", out.minimizers.keyOffsets().bytes()},
+        {"gbwt.docoffs", refs.numDocOffsets * sizeof(uint32_t)},
         {"min.pos", out.minimizers.positions().bytes()},
         {"min.table", out.minimizers.buckets().bytes()},
         {"dist.min", out.distance.minFromSource().bytes()},
@@ -411,7 +324,6 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     // varint error); arena verification is opt-in.
     checkSectionCrc(data, fname, table, kMeta);
     checkSectionCrc(data, fname, table, kEdges);
-    checkSectionCrc(data, fname, table, kPaths);
     if (options.verifySectionCrcs) {
         for (size_t i = 0; i < kNumSections; ++i) {
             checkSectionCrc(data, fname, table, i);
@@ -434,11 +346,11 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
 
     IndexedPangenome out;
 
-    // Sequence arenas bind first; edges and paths decode against the
-    // bound node set (addPathUnchecked still bounds-checks node ids).
+    // Sequence arenas bind first; edges decode against the bound node
+    // set.
     auto [words, num_words] = sectionSpan<uint64_t>(data, table, kSeqWords);
     auto [offsets, num_offsets] =
-        sectionSpan<uint64_t>(data, table, kSeqOffsets);
+        sectionSpan<uint32_t>(data, table, kSeqOffsets);
     out.graph.bindMappedSequences(file, words, num_words, offsets,
                                   num_offsets, num_nodes, sanitized_bases);
 
@@ -449,46 +361,39 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     edges.check(edges.atEnd(), util::StatusCode::Corrupt,
                 "trailing bytes after v3 edges");
 
-    decodePathsV3(data, table, fname, out.graph);
-
     gbwt::Gbwt::ArenaRefs refs;
     std::tie(refs.arena, refs.arenaSize) =
         sectionSpan<uint8_t>(data, table, kGbwtArena);
     std::tie(refs.recordOffsets, refs.numRecordOffsets) =
-        sectionSpan<uint64_t>(data, table, kGbwtOffsets);
+        sectionSpan<uint32_t>(data, table, kGbwtOffsets);
     std::tie(refs.docArena, refs.docArenaSize) =
         sectionSpan<uint8_t>(data, table, kGbwtDocArena);
     std::tie(refs.docOffsets, refs.numDocOffsets) =
-        sectionSpan<uint64_t>(data, table, kGbwtDocOffs);
+        sectionSpan<uint32_t>(data, table, kGbwtDocOffs);
     out.gbwt.bindMapped(file, refs, num_paths, total_visits);
 
-    auto [keys, num_keys] = sectionSpan<uint64_t>(data, table, kMinKeys);
-    auto [key_offsets, num_key_offsets] =
-        sectionSpan<uint32_t>(data, table, kMinKeyOffs);
     auto [positions, num_positions] =
-        sectionSpan<graph::Position>(data, table, kMinPos);
+        sectionSpan<uint64_t>(data, table, kMinPos);
     auto [buckets, num_buckets] =
         sectionSpan<index::MinimizerBucket>(data, table, kMinTable);
-    out.minimizers.bindMapped(file, params, keys, num_keys, key_offsets,
-                              num_key_offsets, positions, num_positions,
+    out.minimizers.bindMapped(file, params, positions, num_positions,
                               buckets, num_buckets);
     // bindMapped validated the tables against each other; the positions
     // must additionally land inside *this graph*, or a corrupt container
     // would crash the first lookup that dereferences one.
     for (size_t i = 0; i < num_positions; ++i) {
-        const graph::Position& pos = positions[i];
+        const graph::Position pos = index::unpackPosition(positions[i]);
         const graph::NodeId id = pos.handle.id();
         if (id < 1 || id > num_nodes || pos.offset >= out.graph.length(id)) {
             failSection(fname, kMinPos,
-                        table[kMinPos].offset +
-                            i * sizeof(graph::Position),
+                        table[kMinPos].offset + i * sizeof(uint64_t),
                         util::StatusCode::Corrupt,
                         "minimizer position outside the graph");
         }
     }
 
-    auto [dist_min, num_min] = sectionSpan<int64_t>(data, table, kDistMin);
-    auto [dist_max, num_max] = sectionSpan<int64_t>(data, table, kDistMax);
+    auto [dist_min, num_min] = sectionSpan<int32_t>(data, table, kDistMin);
+    auto [dist_max, num_max] = sectionSpan<int32_t>(data, table, kDistMax);
     if (num_min != num_nodes || num_max != num_nodes) {
         failSection(fname, kDistMin, table[kDistMin].offset,
                     util::StatusCode::Corrupt,
@@ -500,7 +405,8 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     out.info.mode = LoadMode::Mapped;
     out.info.fileBytes = size;
     out.info.mappedBytes = size;
-    out.info.heapBytes = 0;
+    // The bind copies nothing out of the mapping but the edge adjacency.
+    out.info.heapBytes = out.graph.heapBytes();
     fillArenaSections(out);
     out.mapping = std::move(file);
     out.refreshResidency();
@@ -548,21 +454,6 @@ encodeMgz3(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
     detail::encodeEdgesSection(edges_writer, graph);
     const std::vector<uint8_t> edges = edges_writer.takeBytes();
 
-    const std::vector<uint8_t> paths = encodePathsV3(graph);
-
-    // graph::Position carries 4 bytes of struct padding; serialize the
-    // records field-wise with the padding zeroed so the container is a
-    // pure function of its logical content (byte-determinism guarantee).
-    std::vector<uint8_t> pos_bytes(minimizers.positions().size() *
-                                   sizeof(graph::Position));
-    uint8_t* pos_out = pos_bytes.data();
-    for (const graph::Position& pos : minimizers.positions()) {
-        writeU64(pos_out, pos.handle.packed());
-        writeU32(pos_out + 8, pos.offset);
-        writeU32(pos_out + 12, 0);
-        pos_out += sizeof(graph::Position);
-    }
-
     struct Span
     {
         const void* data;
@@ -571,16 +462,13 @@ encodeMgz3(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
     const Span spans[kNumSections] = {
         {meta.data(), meta.size()},
         {edges.data(), edges.size()},
-        {paths.data(), paths.size()},
         {store.words().data(), store.words().bytes()},
         {store.offsets().data(), store.offsets().bytes()},
         {refs.arena, refs.arenaSize},
-        {refs.recordOffsets, refs.numRecordOffsets * sizeof(uint64_t)},
+        {refs.recordOffsets, refs.numRecordOffsets * sizeof(uint32_t)},
         {refs.docArena, refs.docArenaSize},
-        {refs.docOffsets, refs.numDocOffsets * sizeof(uint64_t)},
-        {minimizers.keys().data(), minimizers.keys().bytes()},
-        {minimizers.keyOffsets().data(), minimizers.keyOffsets().bytes()},
-        {pos_bytes.data(), pos_bytes.size()},
+        {refs.docOffsets, refs.numDocOffsets * sizeof(uint32_t)},
+        {minimizers.positions().data(), minimizers.positions().bytes()},
         {minimizers.buckets().data(), minimizers.buckets().bytes()},
         {distance.minFromSource().data(), distance.minFromSource().bytes()},
         {distance.maxFromSource().data(), distance.maxFromSource().bytes()},
@@ -596,7 +484,7 @@ encodeMgz3(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
 
     std::vector<uint8_t> out(file_bytes, 0);
     std::memcpy(out.data(), kMagicV3, sizeof(kMagicV3));
-    writeU32(out.data() + 4, kFormatVersionV3);
+    writeU32(out.data() + 4, kLayoutRevision);
     writeU32(out.data() + 8, kPageBytes);
     writeU32(out.data() + 12, kNumSections);
     writeU64(out.data() + 16, file_bytes);
@@ -669,7 +557,6 @@ validatePangenomeFile(const std::string& path, bool deep)
             } else {
                 checkSectionCrc(data, path, table, kMeta);
                 checkSectionCrc(data, path, table, kEdges);
-                checkSectionCrc(data, path, table, kPaths);
             }
             return {};
         }
@@ -732,8 +619,8 @@ loadPangenome(const std::string& path, const LoadOptions& options)
     out.info.mode = LoadMode::Parsed;
     out.info.fileBytes = disk_bytes;
     const graph::SequenceStore& store = out.graph.sequenceStore();
-    out.info.heapBytes = store.words().bytes() + store.offsets().bytes() +
-                         out.gbwt.footprintBytes() +
+    out.info.heapBytes = out.graph.heapBytes() + store.words().bytes() +
+                         store.offsets().bytes() + out.gbwt.footprintBytes() +
                          out.minimizers.footprintBytes() +
                          out.distance.footprintBytes();
     fillArenaSections(out);

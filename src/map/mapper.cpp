@@ -59,8 +59,9 @@ MapResult
 Mapper::mapFromSeeds(const Read& read, const SeedVector& seeds,
                      MapperState& state) const
 {
-    // Fault point: a single read poisoning its mapping task.
-    fault::inject("map.read");
+    // Fault point: a single read poisoning its mapping task, keyed on the
+    // read's input index so the same reads fail at any thread count.
+    fault::injectAt("map.read", state.readIndex);
 
     const uint64_t start_nanos = util::nowNanos();
     MapResult result;

@@ -241,6 +241,12 @@ class MapperState
      * stays byte-identical to an untraced one.
      */
     obs::StageAccumulator* stageTrace = nullptr;
+    /**
+     * Input index of the read being mapped (giraffe::mapRange sets it per
+     * read, mate rescue per target).  The "map.read" fault point keys on
+     * it, so a fault hits the same reads at any thread count.
+     */
+    uint64_t readIndex = 0;
 
     /**
      * Per-read work budget (deadline + step/lookup caps + cancel token).

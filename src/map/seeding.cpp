@@ -17,7 +17,7 @@ namespace {
 struct SeedScratch
 {
     std::vector<index::Minimizer> minimizers;
-    std::vector<std::pair<const graph::Position*, size_t>> spans;
+    std::vector<std::pair<const uint64_t*, size_t>> spans;
 };
 
 SeedScratch&
@@ -75,7 +75,7 @@ findSeedsInto(const index::MinimizerIndex& index, const Read& read,
             1.0f / (1.0f + std::log2(static_cast<float>(count)));
         for (size_t p = 0; p < count; ++p) {
             Seed seed;
-            seed.position = positions[p];
+            seed.position = index::unpackPosition(positions[p]);
             seed.readOffset = minimizers[i].offset;
             seed.onReverseRead = i >= forward;
             seed.score = score;

@@ -53,6 +53,21 @@ geomean(const std::vector<double>& xs)
 }
 
 double
+median(std::vector<double> xs)
+{
+    if (xs.empty()) {
+        return 0.0;
+    }
+    const size_t mid = xs.size() / 2;
+    std::nth_element(xs.begin(), xs.begin() + mid, xs.end());
+    const double upper = xs[mid];
+    if (xs.size() % 2 == 1) {
+        return upper;
+    }
+    return 0.5 * (upper + *std::max_element(xs.begin(), xs.begin() + mid));
+}
+
+double
 minOf(const std::vector<double>& xs)
 {
     MG_ASSERT(!xs.empty());

@@ -27,6 +27,9 @@ double geomean(const std::vector<double>& xs);
 double minOf(const std::vector<double>& xs);
 double maxOf(const std::vector<double>& xs);
 
+/** Median (mean of the two middle values for an even count); 0 if empty. */
+double median(std::vector<double> xs);
+
 /**
  * Cosine similarity of two equal-length non-zero vectors; 1 means the
  * vectors point the same way.  Used to quantify counter congruence between

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "util/common.h"
 
@@ -77,5 +78,14 @@ class StatusError : public Error
 
 /** Throw the status as a StatusError (must not be Ok). */
 [[noreturn]] void throwStatus(Status status);
+
+/**
+ * `value` narrowed to a 32-bit container field, or a StatusError
+ * (InvalidArgument, naming `section`) when it does not fit.  Builders
+ * narrow every offset the MGZ v3 layout stores in 32 bits through this,
+ * so an index too large for the format fails at build time with the
+ * field's name instead of wrapping.
+ */
+uint32_t fitU32(uint64_t value, std::string_view section);
 
 } // namespace mg::util

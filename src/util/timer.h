@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 
 namespace mg::util {
 
@@ -17,6 +18,20 @@ nowNanos()
     return static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch()).count());
+}
+
+/**
+ * CPU time the calling thread has run, in nanoseconds.  Unlike the wall
+ * clock it does not advance while the thread waits for a core, so an A/B
+ * comparison timed on it is not skewed by other load on a shared host.
+ */
+inline uint64_t
+threadCpuNanos()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<uint64_t>(ts.tv_sec) * 1000000000ull +
+           static_cast<uint64_t>(ts.tv_nsec);
 }
 
 /** Simple start/stop wall timer reporting elapsed seconds. */

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "fault/fault.h"
@@ -405,6 +406,46 @@ TEST_F(FaultPipelineFixture, PoisonedReadsAreQuarantinedNotFatal)
     size_t lines = static_cast<size_t>(
         std::count(gaf.begin(), gaf.end(), '\n'));
     EXPECT_EQ(lines, reads_.size());
+}
+
+TEST_F(FaultPipelineFixture, KeyedReadFaultPoisonsTheSameReadsAtAnyThreadCount)
+{
+    // "map.read" decides on the read's input index, not on a hit counter
+    // the workers share, so which reads a persistent fault quarantines
+    // does not depend on which worker reaches them first: two 4-thread
+    // runs and a 1-thread run poison the same reads and write the same
+    // GAF.  The probabilistic spec draws per read index too.
+    auto poisoned_reads = [](const giraffe::ParentOutputs& outputs) {
+        std::vector<size_t> indexes;
+        for (const sched::ItemFailure& item : outputs.failures.poisoned) {
+            indexes.push_back(item.index);
+        }
+        std::sort(indexes.begin(), indexes.end());
+        return indexes;
+    };
+    for (const char* spec :
+         {"map.read=throw,after=60", "map.read=throw,p=0.25,seed=11"}) {
+        SCOPED_TRACE(spec);
+        std::vector<std::vector<size_t>> poisoned;
+        std::vector<std::string> gafs;
+        for (const size_t threads : {size_t{4}, size_t{4}, size_t{1}}) {
+            armFromText(spec); // re-arming resets the site's counters
+            const giraffe::ParentOutputs outputs = runParent(threads);
+            poisoned.push_back(poisoned_reads(outputs));
+            gafs.push_back(
+                io::formatGaf(outputs.alignments, reads_, pg_.graph));
+        }
+        ASSERT_FALSE(poisoned[0].empty());
+        EXPECT_EQ(poisoned[1], poisoned[0]);
+        EXPECT_EQ(poisoned[2], poisoned[0]);
+        EXPECT_EQ(gafs[1], gafs[0]);
+        EXPECT_EQ(gafs[2], gafs[0]);
+        if (std::string(spec).find("after=60") != std::string::npos) {
+            std::vector<size_t> expected(reads_.size() - 60);
+            std::iota(expected.begin(), expected.end(), size_t{60});
+            EXPECT_EQ(poisoned[0], expected);
+        }
+    }
 }
 
 TEST_F(FaultPipelineFixture, DisarmedRunsAreByteIdentical)

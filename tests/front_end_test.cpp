@@ -51,7 +51,7 @@ referenceAppendSeeds(const index::MinimizerIndex& index, std::string_view seq,
         float score = 1.0f / (1.0f + std::log2(static_cast<float>(count)));
         for (size_t i = 0; i < count; ++i) {
             Seed seed;
-            seed.position = positions[i];
+            seed.position = index::unpackPosition(positions[i]);
             seed.readOffset = min.offset;
             seed.onReverseRead = on_reverse_read;
             seed.score = score;

@@ -8,6 +8,7 @@
 #include "sim/pangenome_gen.h"
 #include "util/dna.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace mg::index {
 namespace {
@@ -238,9 +239,9 @@ TEST_F(MinimizerIndexTest, PositionsPointAtRealNodes)
     for (const Minimizer& min : minimizersOf(probe, indexParams_)) {
         auto [positions, count] = index_.lookup(min.hash);
         for (size_t i = 0; i < count; ++i) {
-            ASSERT_TRUE(pg_.graph.hasNode(positions[i].handle.id()));
-            ASSERT_LT(positions[i].offset,
-                      pg_.graph.length(positions[i].handle.id()));
+            const graph::Position pos = unpackPosition(positions[i]);
+            ASSERT_TRUE(pg_.graph.hasNode(pos.handle.id()));
+            ASSERT_LT(pos.offset, pg_.graph.length(pos.handle.id()));
         }
     }
 }
@@ -274,10 +275,81 @@ TEST_F(MinimizerIndexTest, ParallelBuildIsIdenticalToSerial)
     MinimizerIndex b(pg_.graph, parallel);
     ASSERT_EQ(a.numKeys(), b.numKeys());
     ASSERT_EQ(a.numEntries(), b.numEntries());
-    EXPECT_EQ(a.keys(), b.keys());
-    ASSERT_EQ(a.positions().size(), b.positions().size());
-    for (size_t i = 0; i < a.positions().size(); ++i) {
-        ASSERT_EQ(a.positions()[i], b.positions()[i]);
+    // The bucket table holds every key and its span, so equal tables and
+    // equal position arrays are equal indexes.
+    ASSERT_EQ(a.buckets().size(), b.buckets().size());
+    for (size_t i = 0; i < a.buckets().size(); ++i) {
+        ASSERT_EQ(a.buckets()[i].key, b.buckets()[i].key) << "bucket " << i;
+        ASSERT_EQ(a.buckets()[i].offset, b.buckets()[i].offset)
+            << "bucket " << i;
+        ASSERT_EQ(a.buckets()[i].count, b.buckets()[i].count)
+            << "bucket " << i;
+    }
+    EXPECT_TRUE(a.positions() == b.positions());
+}
+
+TEST_F(MinimizerIndexTest, BucketsPartitionThePositionTable)
+{
+    // With no key array left, the buckets are the keys: one occupied
+    // bucket per key, spans tiling min.pos in ascending key order, and
+    // every bucket reachable by lookup.
+    std::vector<MinimizerBucket> occupied;
+    for (const MinimizerBucket& bucket : index_.buckets()) {
+        if (bucket.count != 0) {
+            occupied.push_back(bucket);
+        }
+    }
+    ASSERT_EQ(occupied.size(), index_.numKeys());
+    EXPECT_LE(2 * occupied.size(), index_.buckets().size());
+    std::sort(occupied.begin(), occupied.end(),
+              [](const MinimizerBucket& a, const MinimizerBucket& b) {
+                  return a.key < b.key;
+              });
+    uint64_t next = 0;
+    for (const MinimizerBucket& bucket : occupied) {
+        ASSERT_EQ(bucket.offset, next) << "key " << bucket.key;
+        next += bucket.count;
+        auto [positions, count] = index_.lookup(bucket.key);
+        ASSERT_EQ(positions, index_.positions().data() + bucket.offset);
+        ASSERT_EQ(count, bucket.count);
+        // Within a key, positions ascend (packed words sort in Position
+        // order).
+        for (size_t i = 1; i < count; ++i) {
+            ASSERT_LT(positions[i - 1], positions[i]);
+            ASSERT_LT(unpackPosition(positions[i - 1]),
+                      unpackPosition(positions[i]));
+        }
+    }
+    EXPECT_EQ(next, index_.numEntries());
+}
+
+TEST(PackedPositionTest, RoundTripsAtTheLimitsAndRejectsOnePast)
+{
+    // The largest handle that fits: node 2^31 - 1 on the reverse strand
+    // packs to 2^32 - 1; the offset field takes any uint32_t.
+    const graph::NodeId max_id = (graph::NodeId{1} << 31) - 1;
+    for (const graph::Position& pos :
+         {graph::Position{graph::Handle(1, false), 0},
+          graph::Position{graph::Handle(max_id, true), UINT32_MAX},
+          graph::Position{graph::Handle(max_id, false), 7}}) {
+        const uint64_t packed = packPosition(pos);
+        EXPECT_EQ(unpackPosition(packed), pos) << pos.str();
+    }
+    EXPECT_EQ(packPosition({graph::Handle(max_id, true), UINT32_MAX}),
+              UINT64_MAX);
+    // Packed order is Position order.
+    EXPECT_LT(packPosition({graph::Handle(3, false), UINT32_MAX}),
+              packPosition({graph::Handle(3, true), 0}));
+    EXPECT_LT(packPosition({graph::Handle(3, true), 4}),
+              packPosition({graph::Handle(3, true), 5}));
+
+    // One past: node 2^31 needs a 33-bit handle.
+    try {
+        packPosition({graph::Handle(max_id + 1, false), 0});
+        FAIL() << "a 33-bit handle must be rejected";
+    } catch (const util::StatusError& error) {
+        EXPECT_EQ(error.status().code, util::StatusCode::InvalidArgument);
+        EXPECT_EQ(error.status().section, "min.pos");
     }
 }
 
