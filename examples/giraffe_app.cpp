@@ -4,16 +4,12 @@
  * against an MGZ pangenome and emit GAF alignments — the parent-emulator
  * counterpart of minigiraffe_app (which runs the critical functions only).
  *
- * Run:  ./examples/giraffe_app <graph.mgz|graph.mgz3> <reads.fastq>
- *           [--threads N] [--batch-size B] [--paired]
- *           [--gaf out.gaf] [--k 15] [--w 8]
- *           [--index out.mgz3]
+ * Run:  ./examples/giraffe_app <graph.mgz3> <reads.fastq>
+ *           [--threads N] [--batch-size B] [--paired] [--gaf out.gaf]
  *
- * Build-once / map-many: `--index out.mgz3` writes a zero-copy MGZ v3
- * container (graph + GBWT + prebuilt minimizer/distance indexes) on the
- * first run and memory-maps it on every later run, skipping both the
- * parse and the index builds.  A v3 path can also be passed directly as
- * the positional graph argument.
+ * The container (make_inputs writes one) holds the graph, the GBWT and
+ * the prebuilt minimizer and distance indexes; it is memory-mapped, so
+ * startup builds nothing.
  */
 #include <cstdio>
 #include <memory>
@@ -22,8 +18,6 @@
 #include "giraffe/checkpoint_run.h"
 #include "giraffe/parent.h"
 #include "giraffe/run_summary.h"
-#include "index/distance.h"
-#include "index/minimizer.h"
 #include "io/fastq.h"
 #include "io/file.h"
 #include "io/gaf.h"
@@ -68,14 +62,6 @@ try {
          .define("paired", "false",
                  "treat consecutive reads as mate pairs")
          .define("gaf", "", "write GAF alignments to this file")
-         .define("k", "15", "minimizer k-mer length")
-         .define("w", "8", "minimizer window size")
-         .define("index", "",
-                 "MGZ v3 container: mmap it when present, else build "
-                 "the indexes once and write it (build-once/map-many)")
-         .define("index-build-threads", "0",
-                 "worker threads for index construction when parsing "
-                 "(0 = hardware)")
          .define("fault", "",
                  "arm fault injection, e.g. 'sched.worker=throw,limit=2'")
          .define("deadline", "0",
@@ -113,7 +99,7 @@ try {
     }
     if (flags.positional().size() != 2) {
         std::fprintf(stderr,
-                     "usage: giraffe_app <graph.mgz> <reads.fastq> "
+                     "usage: giraffe_app <graph.mgz3> <reads.fastq> "
                      "[flags]\n");
         return 1;
     }
@@ -126,25 +112,8 @@ try {
     mg::serve::installStopHandlers();
 
     mg::util::WallTimer timer;
-    mg::io::LoadOptions load_options;
-    load_options.minimizer.k = static_cast<int>(flags.integer("k"));
-    load_options.minimizer.w = static_cast<int>(flags.integer("w"));
-    load_options.buildThreads =
-        static_cast<unsigned>(flags.integer("index-build-threads"));
-    const std::string index_path = flags.str("index");
-    mg::io::IndexedPangenome pangenome;
-    if (!index_path.empty() && mg::io::fileExists(index_path)) {
-        pangenome = mg::io::loadPangenome(index_path, load_options);
-    } else {
-        pangenome = mg::io::loadPangenome(flags.positional()[0],
-                                          load_options);
-        if (!index_path.empty()) {
-            mg::io::saveMgz3(index_path, pangenome.graph, pangenome.gbwt,
-                             pangenome.minimizers, pangenome.distance);
-            std::printf("wrote %s (map it on the next run)\n",
-                        index_path.c_str());
-        }
-    }
+    mg::io::IndexedPangenome pangenome =
+        mg::io::loadPangenome(flags.positional()[0]);
     mg::map::ReadSet reads = mg::io::loadFastq(flags.positional()[1]);
     if (flags.boolean("paired")) {
         mg::util::require(reads.size() % 2 == 0,

@@ -1,13 +1,14 @@
 /**
  * @file
- * Pangenome inspection tool: loads an .mgz/.mgz3 (or generates an
- * input-set analog), prints structural statistics of the graph and the
- * GBWT — plus, for files, how the container was loaded (parsed vs mmap),
- * its per-section arena sizes, and the resident-vs-reserved footprint of
- * mapped arenas — and optionally exports the graph as GFA 1.0 for
- * vg/odgi/Bandage.
+ * Pangenome inspection tool: maps an .mgz3 (or generates an input-set
+ * analog), prints structural statistics of the graph and the GBWT — plus,
+ * for files, the load time, per-section arena sizes, and the
+ * resident-vs-reserved footprint of the mapped arenas — and optionally
+ * exports the graph as GFA 1.0 for vg/odgi/Bandage.  Haplotypes are
+ * counted from the GBWT; the container stores no graph paths, so only a
+ * GFA exported from --input-set carries P lines.
  *
- * Run:  ./examples/inspect_pangenome <file.mgz|file.mgz3> [--gfa out.gfa]
+ * Run:  ./examples/inspect_pangenome <file.mgz3> [--gfa out.gfa]
  * Or:   ./examples/inspect_pangenome --input-set B-yeast [--gfa out.gfa]
  */
 #include <algorithm>
@@ -41,27 +42,17 @@ try {
         pangenome = mg::io::loadPangenome(flags.positional()[0]);
         from_file = true;
     } else {
-        std::fprintf(stderr, "usage: inspect_pangenome <file.mgz> | "
+        std::fprintf(stderr, "usage: inspect_pangenome <file.mgz3> | "
                              "--input-set <name> [--gfa out.gfa]\n");
         return 1;
     }
     const mg::graph::VariationGraph& graph = pangenome.graph;
     const mg::gbwt::Gbwt& gbwt = pangenome.gbwt;
-    // A v3 container stores no graph paths; the GBWT holds the haplotypes.
-    const bool paths_stored = pangenome.info.mode == mg::io::LoadMode::Parsed;
 
     // --- Graph shape. ---
-    if (paths_stored) {
-        std::printf("graph: %zu nodes, %zu edges, %zu paths, %zu bases\n",
-                    graph.numNodes(), graph.numEdges(), graph.numPaths(),
-                    graph.totalSequenceLength());
-    } else {
-        std::printf("graph: %zu nodes, %zu edges, %zu bases; graph paths "
-                    "not stored (v3 container; the GBWT holds the "
-                    "haplotypes)\n",
-                    graph.numNodes(), graph.numEdges(),
-                    graph.totalSequenceLength());
-    }
+    std::printf("graph: %zu nodes, %zu edges, %zu bases\n",
+                graph.numNodes(), graph.numEdges(),
+                graph.totalSequenceLength());
     std::vector<size_t> lengths;
     size_t max_degree = 0;
     for (mg::graph::NodeId id = 1; id <= graph.numNodes(); ++id) {
@@ -135,25 +126,17 @@ try {
         std::printf("load: %s in %.4f s; container %llu bytes\n",
                     mg::io::loadModeName(info.mode), info.loadSeconds,
                     static_cast<unsigned long long>(info.fileBytes));
-        if (info.mode == mg::io::LoadMode::Mapped) {
-            std::printf("footprint: %llu bytes mapped (reserved), %llu "
-                        "resident in the page cache (%.1f%%); shared "
-                        "across every process mapping this file; plus "
-                        "%llu heap bytes (edge adjacency, private)\n",
-                        static_cast<unsigned long long>(info.mappedBytes),
-                        static_cast<unsigned long long>(
-                            info.residentBytes),
-                        info.mappedBytes
-                            ? 100.0 *
-                                  static_cast<double>(info.residentBytes) /
-                                  static_cast<double>(info.mappedBytes)
-                            : 0.0,
-                        static_cast<unsigned long long>(info.heapBytes));
-        } else {
-            std::printf("footprint: %llu heap bytes across arenas and "
-                        "indexes (private to this process)\n",
-                        static_cast<unsigned long long>(info.heapBytes));
-        }
+        std::printf("footprint: %llu bytes mapped (reserved), %llu "
+                    "resident in the page cache (%.1f%%); shared across "
+                    "every process mapping this file; plus %llu heap "
+                    "bytes (edge adjacency, private)\n",
+                    static_cast<unsigned long long>(info.mappedBytes),
+                    static_cast<unsigned long long>(info.residentBytes),
+                    info.mappedBytes
+                        ? 100.0 * static_cast<double>(info.residentBytes) /
+                              static_cast<double>(info.mappedBytes)
+                        : 0.0,
+                    static_cast<unsigned long long>(info.heapBytes));
         for (const auto& [name, bytes] : info.sections) {
             std::printf("  section %-14s %12llu bytes\n", name.c_str(),
                         static_cast<unsigned long long>(bytes));
@@ -162,11 +145,7 @@ try {
 
     if (!flags.str("gfa").empty()) {
         mg::io::saveGfa(flags.str("gfa"), graph);
-        std::printf("wrote GFA to %s%s\n", flags.str("gfa").c_str(),
-                    paths_stored ? ""
-                                 : " (no P lines: the v3 container stores "
-                                   "no graph paths; export from the v2 "
-                                   ".mgz to keep them)");
+        std::printf("wrote GFA to %s\n", flags.str("gfa").c_str());
     }
     return 0;
 } catch (const mg::util::Error& e) {

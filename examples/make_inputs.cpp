@@ -4,7 +4,9 @@
  * analogs (Table III) as on-disk artifacts, mirroring the paper's
  * "generate new input sets" workflow:
  *
- *   <name>.mgz           the pangenome (graph + GBWT)
+ *   <name>.mgz3          the pangenome container (graph + GBWT +
+ *                        minimizer and distance indexes), memory-mapped
+ *                        by every consumer
  *   <name>.seeds.bin     the preprocessing capture (reads + seeds),
  *                        i.e. miniGiraffe's input
  *   <name>.expected.ext  the parent's critical-function output, used by
@@ -46,14 +48,13 @@ try {
                 timer.seconds());
 
     std::string base = flags.str("out-dir") + "/" + name;
-    mg::io::saveMgz(base + ".mgz", set.pangenome.graph, set.pangenome.gbwt);
+    mg::index::MinimizerIndex minimizers(set.pangenome.graph,
+                                         mg::index::MinimizerParams());
+    mg::index::DistanceIndex distance(set.pangenome.graph);
+    mg::io::saveMgz3(base + ".mgz3", set.pangenome.graph, set.pangenome.gbwt,
+                     minimizers, distance);
     mg::io::saveFastq(base + ".fastq", set.reads);
 
-    mg::index::MinimizerParams mparams;
-    mparams.k = 15;
-    mparams.w = 8;
-    mg::index::MinimizerIndex minimizers(set.pangenome.graph, mparams);
-    mg::index::DistanceIndex distance(set.pangenome.graph);
     mg::giraffe::ParentEmulator parent(set.pangenome.graph,
                                        set.pangenome.gbwt, minimizers,
                                        distance,
@@ -68,7 +69,7 @@ try {
     timer.reset();
     mg::giraffe::ParentOutputs outputs = parent.run(set.reads);
     mg::io::saveExtensions(base + ".expected.ext", outputs.extensions);
-    std::printf("parent mapping done (%.2f s); wrote:\n  %s.mgz\n"
+    std::printf("parent mapping done (%.2f s); wrote:\n  %s.mgz3\n"
                 "  %s.fastq\n  %s.seeds.bin\n  %s.expected.ext\n",
                 timer.seconds(), base.c_str(), base.c_str(), base.c_str(),
                 base.c_str());

@@ -189,7 +189,7 @@ try {
                  "(0 = never); requires --swap-path")
          .define("swap-path", "",
                  "container the RELOAD frames name (the daemon hot-swaps "
-                 "to this .mgz/.mgz3)")
+                 "to this .mgz3)")
          .define("trace-sample", "0",
                  "probability a request carries a client-minted trace "
                  "id; traced responses echo the daemon's queue/map "

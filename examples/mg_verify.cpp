@@ -4,11 +4,11 @@
  * every argument the tool picks a decoder by file extension, runs it, and
  * prints either the decoded summary or the structured error (code, file,
  * section, byte offset) the hardened decode paths report.  MGZ containers
- * additionally get a per-section checksum table from inspectMgz, so every
- * damaged section of a corrupt file is listed in one pass.
+ * additionally get a per-section checksum table from inspectMgz3, so
+ * every damaged section of a corrupt file is listed in one pass.
  *
  * Run:  ./examples/mg_verify <file> [<file>...]
- *           [--deep true|false]   also decode MGZ payloads (default true)
+ *           [--deep true|false]   also bind MGZ containers (default true)
  *
  * Exit status: 0 when every file verified, 1 otherwise.
  */
@@ -437,13 +437,12 @@ verifyFile(const std::string& path, bool deep)
     std::vector<uint8_t> bytes = mg::io::readFileBytes(path);
 
     if (endsWith(path, ".mgz3")) {
-        // Zero-copy container: structural validation (magic/version,
-        // page-aligned canonical section layout, table CRC) throws; the
-        // per-section CRC sweep reports every damaged section in one
-        // pass, like the v2 table below.
+        // Structural validation (magic/revision, page-aligned canonical
+        // section layout, table CRC) throws; the per-section CRC sweep
+        // reports every damaged section in one pass.
         mg::io::MgzInfo info =
             mg::io::inspectMgz3(bytes.data(), bytes.size(), path);
-        std::printf("%s: MGZ version 3 (zero-copy), %llu bytes\n",
+        std::printf("%s: MGZ container (zero-copy), %llu bytes\n",
                     path.c_str(),
                     static_cast<unsigned long long>(info.fileBytes));
         for (const mg::io::MgzSectionInfo& section : info.sections) {
@@ -478,33 +477,6 @@ verifyFile(const std::string& path, bool deep)
                         indexed.info.loadSeconds,
                         static_cast<unsigned long long>(
                             indexed.info.heapBytes));
-        }
-        return true;
-    }
-    if (endsWith(path, ".mgz")) {
-        mg::io::MgzInfo info = mg::io::inspectMgz(bytes, path);
-        std::printf("%s: MGZ version %d, %llu bytes\n", path.c_str(),
-                    static_cast<int>(info.version),
-                    static_cast<unsigned long long>(info.fileBytes));
-        for (const mg::io::MgzSectionInfo& section : info.sections) {
-            std::printf("  section %-5s offset=%-8llu size=%-8llu "
-                        "crc=%08x %s\n",
-                        section.name,
-                        static_cast<unsigned long long>(section.offset),
-                        static_cast<unsigned long long>(section.size),
-                        section.crcStored,
-                        section.crcOk ? "ok"
-                                      : "MISMATCH");
-        }
-        if (!info.allChecksumsOk()) {
-            return false;
-        }
-        if (deep) {
-            mg::io::Pangenome pg = mg::io::decodeMgz(bytes, path);
-            std::printf("  decoded: %zu nodes, %llu paths\n",
-                        pg.graph.numNodes(),
-                        static_cast<unsigned long long>(
-                            pg.gbwt.numPaths()));
         }
         return true;
     }
@@ -648,7 +620,7 @@ verifyFile(const std::string& path, bool deep)
         return true;
     }
     std::fprintf(stderr,
-                 "%s: unknown extension (expected .mgz, .mgz3, .bin, "
+                 "%s: unknown extension (expected .mgz3, .bin, "
                  ".ext, .fastq, .gfa, .json, .mgc, .mgs, .mgreq, "
                  ".mgresp, or .mgtrace)\n",
                  path.c_str());
@@ -661,7 +633,7 @@ int
 main(int argc, char** argv)
 {
     mg::util::Flags flags("mg_verify");
-    flags.define("deep", "true", "also decode MGZ payloads");
+    flags.define("deep", "true", "also bind MGZ containers");
     if (!flags.parse(argc - 1, argv + 1)) {
         return 0;
     }

@@ -7,12 +7,12 @@
  * SIGTERM/SIGINT (finish or degrade in-flight work, flush metrics,
  * exit 0).
  *
- * Run:  ./examples/mgd <graph.mgz|graph.mgz3> --socket /tmp/mgd.sock
+ * Run:  ./examples/mgd <graph.mgz3> --socket /tmp/mgd.sock
  *       ./examples/mgd --gen B-yeast --socket /tmp/mgd.sock [flags]
  *
- * A v3 container memory-maps instead of parsing: startup is near-instant
- * and N mgd processes serving the same .mgz3 share one page-cache copy
- * of the index.
+ * The container is memory-mapped: startup is near-instant and N mgd
+ * processes serving the same .mgz3 share one page-cache copy of the
+ * index.
  *
  * Hot reload: `kill -HUP <pid>` (or a RELOAD control frame from
  * mg_client/mg_loadgen) swaps in a replacement container without
@@ -71,7 +71,7 @@ try {
     flags.define("socket", "", "Unix-domain socket path to serve on")
          .define("gen", "",
                  "serve a generated pangenome (input-set name, e.g. "
-                 "B-yeast) instead of loading an .mgz")
+                 "B-yeast) instead of loading an .mgz3")
          .define("workers", "2", "mapping worker threads")
          .define("queue-capacity", "64",
                  "bound on queued requests across all tenants")
@@ -96,8 +96,6 @@ try {
                  "ceiling on per-read extension-step caps (0 = none)")
          .define("max-gbwt-lookups", "0",
                  "ceiling on per-read GBWT-lookup caps (0 = none)")
-         .define("k", "15", "minimizer k-mer length")
-         .define("w", "8", "minimizer window size")
          .define("fault", "",
                  "arm fault injection, e.g. 'serve.read=throw,limit=2'")
          .define("metrics-out", "",
@@ -128,7 +126,7 @@ try {
     if (flags.str("socket").empty() ||
         flags.positional().size() != (generated ? 0u : 1u)) {
         std::fprintf(stderr,
-                     "usage: mgd (<graph.mgz[3]> | --gen <input-set>) "
+                     "usage: mgd (<graph.mgz3> | --gen <input-set>) "
                      "--socket <path> [flags]\n");
         return 1;
     }
@@ -138,8 +136,8 @@ try {
     mg::serve::installStopHandlers();
     mg::serve::installReloadHandler();
 
-    // The pangenome: loaded from a container (v2 parse + index
-    // build, v3 mmap), or generated from the named input-set spec
+    // The pangenome: mapped from a container, or generated from the
+    // named input-set spec with its indexes built in memory
     // (self-contained demos and tests).
     mg::util::WallTimer timer;
     std::optional<mg::io::IndexedPangenome> loaded;
@@ -149,17 +147,11 @@ try {
     if (generated) {
         synthetic = mg::sim::generatePangenome(
             mg::sim::inputSetSpec(flags.str("gen")).pangenome);
-        mg::index::MinimizerParams mparams;
-        mparams.k = static_cast<int>(flags.integer("k"));
-        mparams.w = static_cast<int>(flags.integer("w"));
-        gen_minimizers.emplace(synthetic->graph, mparams);
+        gen_minimizers.emplace(synthetic->graph,
+                               mg::index::MinimizerParams());
         gen_distance.emplace(synthetic->graph);
     } else {
-        mg::io::LoadOptions load_options;
-        load_options.minimizer.k = static_cast<int>(flags.integer("k"));
-        load_options.minimizer.w = static_cast<int>(flags.integer("w"));
-        loaded = mg::io::loadPangenome(flags.positional()[0],
-                                       load_options);
+        loaded = mg::io::loadPangenome(flags.positional()[0]);
     }
     const size_t num_nodes =
         generated ? synthetic->graph.numNodes() : loaded->graph.numNodes();

@@ -7,7 +7,7 @@
  * results.  The three Section VII-B tuning parameters are command-line
  * flags, as are instrumentation toggles.
  *
- * Run:  ./examples/minigiraffe_app <graph.mgz|graph.mgz3> <seeds.bin>
+ * Run:  ./examples/minigiraffe_app <graph.mgz3> <seeds.bin>
  *           [--threads N] [--batch-size B] [--cache-capacity C]
  *           [--scheduler openmp|vg|steal]
  *           [--prefilter F] [--output out.ext]
@@ -123,8 +123,8 @@ try {
         return 0;
     }
     if (flags.positional().size() != 2) {
-        std::fprintf(stderr,
-                     "usage: minigiraffe <graph.mgz> <seeds.bin> [flags]\n");
+        std::fprintf(stderr, "usage: minigiraffe <graph.mgz3> <seeds.bin> "
+                             "[flags]\n");
         return 1;
     }
 
@@ -135,9 +135,8 @@ try {
     // results written so far still flush, and the exit code stays 0.
     mg::serve::installStopHandlers();
 
-    // Unified load path: v2 containers parse and build the indexes,
-    // v3 containers mmap near-instantly (the seeds arrive precomputed in
-    // the capture, but a v3 file carries the minimizer tables anyway).
+    // The container maps near-instantly (the seeds arrive precomputed in
+    // the capture, but the file carries the minimizer tables anyway).
     mg::io::IndexedPangenome pangenome =
         mg::io::loadPangenome(flags.positional()[0]);
     mg::io::SeedCapture capture =

@@ -4,13 +4,16 @@
  *
  *   1. Generate a toy pangenome (population model) and index it (GBWT,
  *      minimizers, distance index).
- *   2. Save / reload it through the MGZ container.
+ *   2. Save it as an MGZ container and map it back in.
  *   3. Simulate a handful of short reads.
  *   4. Map them with the full parent pipeline and print the alignments.
  *
  * Run:  ./examples/quickstart [--reads N] [--seed S]
  */
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 
 #include "giraffe/parent.h"
 #include "index/distance.h"
@@ -27,7 +30,9 @@ main(int argc, char** argv)
     mg::util::Flags flags("quickstart");
     flags.define("reads", "12", "number of reads to simulate and map")
          .define("seed", "42", "generation seed")
-         .define("mgz", "", "optional path to save the pangenome as MGZ");
+         .define("mgz", "",
+                 "keep the MGZ container at this path (default: a "
+                 "temporary file, removed after loading)");
     if (!flags.parse(argc - 1, argv + 1)) {
         return 0;
     }
@@ -43,23 +48,30 @@ main(int argc, char** argv)
                 pg.graph.numNodes(), pg.graph.numEdges(),
                 pg.graph.numPaths(), pg.graph.totalSequenceLength());
 
-    // 2. Round-trip through the MGZ container (the GBZ stand-in).
-    std::vector<uint8_t> mgz = mg::io::encodeMgz(pg.graph, pg.gbwt);
-    std::printf("mgz container: %zu bytes compressed\n", mgz.size());
-    if (!flags.str("mgz").empty()) {
-        mg::io::writeFileBytes(flags.str("mgz"), mgz);
-        std::printf("saved to %s\n", flags.str("mgz").c_str());
+    // 2. Index it and round-trip through the MGZ container (the GBZ
+    //    stand-in): one file, memory-mapped back with every index built.
+    mg::index::MinimizerIndex minimizers(pg.graph,
+                                         mg::index::MinimizerParams());
+    mg::index::DistanceIndex distance(pg.graph);
+    std::vector<uint8_t> mgz =
+        mg::io::encodeMgz3(pg.graph, pg.gbwt, minimizers, distance);
+    const bool keep = !flags.str("mgz").empty();
+    const std::string path =
+        keep ? flags.str("mgz")
+             : (std::filesystem::temp_directory_path() /
+                ("quickstart_" + std::to_string(::getpid()) + ".mgz3"))
+                   .string();
+    mg::io::writeFileBytes(path, mgz);
+    mg::io::IndexedPangenome loaded = mg::io::loadPangenome(path);
+    if (keep) {
+        std::printf("saved to %s\n", path.c_str());
+    } else {
+        std::filesystem::remove(path); // the mapping outlives the name
     }
-    mg::io::Pangenome loaded = mg::io::decodeMgz(mgz);
-
-    // 3. Indexes over the loaded graph.
-    mg::index::MinimizerParams mparams;
-    mparams.k = 15;
-    mparams.w = 8;
-    mg::index::MinimizerIndex minimizers(loaded.graph, mparams);
-    mg::index::DistanceIndex distance(loaded.graph);
-    std::printf("minimizer index: %zu keys, %zu entries\n",
-                minimizers.numKeys(), minimizers.numEntries());
+    std::printf("mgz container: %zu bytes, mapped in %.4f s; minimizer "
+                "index: %zu keys, %zu entries\n",
+                mgz.size(), loaded.info.loadSeconds,
+                loaded.minimizers.numKeys(), loaded.minimizers.numEntries());
 
     // 4. Simulate reads from the *generated* haplotypes and map them
     //    against the *loaded* pangenome.
@@ -72,7 +84,8 @@ main(int argc, char** argv)
 
     mg::giraffe::ParentParams gparams;
     mg::giraffe::ParentEmulator giraffe(loaded.graph, loaded.gbwt,
-                                        minimizers, distance, gparams);
+                                        loaded.minimizers, loaded.distance,
+                                        gparams);
     mg::giraffe::ParentOutputs outputs = giraffe.run(reads);
 
     std::printf("\n%-10s %-6s %-7s %-5s %-6s %s\n", "read", "mapped",

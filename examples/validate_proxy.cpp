@@ -8,7 +8,7 @@
  *
  * Run:  ./examples/validate_proxy [--input-set A-human] [--scale 0.05]
  * Or against files produced by make_inputs:
- *       ./examples/validate_proxy <graph.mgz> <seeds.bin> <expected.ext>
+ *       ./examples/validate_proxy <graph.mgz3> <seeds.bin> <expected.ext>
  */
 #include <cstdio>
 
@@ -55,14 +55,13 @@ try {
 
     if (flags.positional().size() == 3) {
         // File mode: parent output was exported earlier by make_inputs.
-        mg::io::Pangenome pangenome =
-            mg::io::loadMgz(flags.positional()[0]);
+        mg::io::IndexedPangenome pangenome =
+            mg::io::loadPangenome(flags.positional()[0]);
         mg::io::SeedCapture capture =
             mg::io::loadSeedCapture(flags.positional()[1]);
         auto expected = mg::io::loadExtensions(flags.positional()[2]);
-        mg::index::DistanceIndex distance(pangenome.graph);
         mg::giraffe::ProxyRunner proxy(pangenome.graph, pangenome.gbwt,
-                                       distance,
+                                       pangenome.distance,
                                        mg::giraffe::ProxyParams());
         mg::giraffe::ProxyOutputs outputs = proxy.run(capture);
         return report(

@@ -2,7 +2,7 @@
  * @file
  * Deterministic, seedable fault injection (the repo's failure-model test
  * harness).  Production code declares *fault points* — named sites such as
- * "io.mgz.decode" or "sched.worker" — and tests (or a CLI flag) *arm*
+ * "io.mgz.load" or "sched.worker" — and tests (or a CLI flag) *arm*
  * those sites with a Spec describing what should go wrong and when:
  *
  *     mg::fault::arm("sched.worker", {.kind = mg::fault::Kind::Throw,

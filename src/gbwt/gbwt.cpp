@@ -111,90 +111,6 @@ Gbwt::pathsThrough(const std::vector<graph::Handle>& walk) const
     return locate(state);
 }
 
-void
-Gbwt::save(util::ByteWriter& writer) const
-{
-    writer.putVarint(numPaths_);
-    writer.putVarint(totalVisits_);
-    writer.putVarint(recordOffsets_.size());
-    uint64_t prev = 0;
-    for (uint64_t offset : recordOffsets_) {
-        writer.putVarint(offset - prev);
-        prev = offset;
-    }
-    writer.putVarint(arena_.size());
-    writer.putBytes(arena_.data(), arena_.size());
-    writer.putVarint(docOffsets_.size());
-    prev = 0;
-    for (uint64_t offset : docOffsets_) {
-        writer.putVarint(offset - prev);
-        prev = offset;
-    }
-    writer.putVarint(docArena_.size());
-    writer.putBytes(docArena_.data(), docArena_.size());
-}
-
-Gbwt
-Gbwt::load(util::ByteCursor& cursor)
-{
-    Gbwt gbwt;
-    auto& record_offsets = gbwt.recordOffsets_.owned();
-    auto& arena = gbwt.arena_.owned();
-    auto& doc_offsets = gbwt.docOffsets_.owned();
-    auto& doc_arena = gbwt.docArena_.owned();
-    gbwt.numPaths_ = cursor.getVarint();
-    gbwt.totalVisits_ = cursor.getVarint();
-    uint64_t num_offsets = cursor.getVarint();
-    cursor.check(num_offsets <= cursor.remaining() + 1,
-                 util::StatusCode::Corrupt,
-                 "GBWT offset count exceeds remaining payload");
-    record_offsets.reserve(num_offsets);
-    uint64_t prev = 0;
-    for (uint64_t i = 0; i < num_offsets; ++i) {
-        uint64_t delta = cursor.getVarint();
-        cursor.check(delta <= UINT32_MAX - prev, util::StatusCode::Corrupt,
-                     "GBWT offset overflows 32 bits");
-        prev += delta;
-        record_offsets.push_back(static_cast<uint32_t>(prev));
-    }
-    uint64_t arena_size = cursor.getVarint();
-    cursor.check(arena_size <= cursor.remaining(),
-                 util::StatusCode::Truncated,
-                 "GBWT arena exceeds remaining payload");
-    cursor.check(!record_offsets.empty() || arena_size == 0,
-                 util::StatusCode::Corrupt,
-                 "GBWT image with arena but no offsets");
-    cursor.check(record_offsets.empty() ||
-                 record_offsets.back() == arena_size,
-                 util::StatusCode::Corrupt,
-                 "GBWT offsets inconsistent with arena size");
-    arena.resize(arena_size);
-    cursor.getBytes(arena.data(), arena_size);
-    uint64_t num_doc_offsets = cursor.getVarint();
-    cursor.check(num_doc_offsets <= cursor.remaining() + 1,
-                 util::StatusCode::Corrupt,
-                 "GBWT document offset count exceeds remaining payload");
-    doc_offsets.reserve(num_doc_offsets);
-    prev = 0;
-    for (uint64_t i = 0; i < num_doc_offsets; ++i) {
-        uint64_t delta = cursor.getVarint();
-        cursor.check(delta <= UINT32_MAX - prev, util::StatusCode::Corrupt,
-                     "GBWT document offset overflows 32 bits");
-        prev += delta;
-        doc_offsets.push_back(static_cast<uint32_t>(prev));
-    }
-    uint64_t doc_size = cursor.getVarint();
-    cursor.check(doc_size <= cursor.remaining(),
-                 util::StatusCode::Truncated,
-                 "GBWT document arena exceeds remaining payload");
-    cursor.check(doc_offsets.empty() || doc_offsets.back() == doc_size,
-                 util::StatusCode::Corrupt,
-                 "GBWT document offsets inconsistent with arena size");
-    doc_arena.resize(doc_size);
-    cursor.getBytes(doc_arena.data(), doc_size);
-    return gbwt;
-}
-
 Gbwt::ArenaRefs
 Gbwt::arenaRefs() const
 {

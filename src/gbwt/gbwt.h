@@ -16,7 +16,6 @@
 #include "gbwt/search_state.h"
 #include "graph/handle.h"
 #include "mem/arena.h"
-#include "util/cursor.h"
 #include "util/mem_tracer.h"
 #include "util/prefetch.h"
 #include "util/varint.h"
@@ -114,17 +113,10 @@ class Gbwt
     std::vector<uint32_t>
     pathsThrough(const std::vector<graph::Handle>& walk) const;
 
-    /** Serialize the whole index. */
-    void save(util::ByteWriter& writer) const;
-
-    /** Deserialize; inverse of save().  Malformed images throw
-     *  StatusError carrying the cursor's provenance. */
-    static Gbwt load(util::ByteCursor& cursor);
-
     /**
-     * Raw spans of the four arenas (MGZ v3 serialization).  Offsets are
-     * 32-bit, so each arena holds at most UINT32_MAX bytes; the builder
-     * and load() reject a larger one.
+     * Raw spans of the four arenas (container serialization).  Offsets
+     * are 32-bit, so each arena holds at most UINT32_MAX bytes; the
+     * builder rejects a larger one.
      */
     struct ArenaRefs
     {
@@ -139,7 +131,7 @@ class Gbwt
     };
     ArenaRefs arenaRefs() const;
 
-    /** True when the arenas are mmap-backed (MGZ v3 load). */
+    /** True when the arenas are mmap-backed (container load). */
     bool isMapped() const { return arena_.isMapped(); }
 
     /** Heap/mapped bytes held across all four arenas. */
@@ -151,10 +143,9 @@ class Gbwt
     }
 
     /**
-     * Rebind onto arenas inside a mapped MGZ v3 container.  Performs the
-     * same structural checks as load() (offset monotonicity, arena-size
-     * consistency) against the mapped tables; throws StatusError-free
-     * util::Error on inconsistency.
+     * Rebind onto arenas inside a mapped container.  Checks the mapped
+     * tables' structure (offset monotonicity, arena-size consistency);
+     * throws StatusError-free util::Error on inconsistency.
      */
     void bindMapped(std::shared_ptr<mem::MappedFile> file,
                     const ArenaRefs& refs, uint64_t num_paths,

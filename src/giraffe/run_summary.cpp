@@ -83,9 +83,8 @@ writeCache(obs::JsonWriter& w, const gbwt::CacheStats& stats)
 
 /**
  * Startup accounting: how the pangenome got into memory.  The section
- * list reports *logical* arena sizes, identical whether the arenas were
- * parsed onto the heap or mapped out of an MGZ v3 container, so summaries
- * from both modes diff cleanly.
+ * list reports *logical* arena sizes (the bound structures, without the
+ * container's page padding).
  */
 void
 writeIndexInfo(obs::JsonWriter& w, const io::IndexLoadInfo& index)

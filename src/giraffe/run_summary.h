@@ -20,7 +20,7 @@ namespace mg::giraffe {
 
 /**
  * Proxy (miniGiraffe) run summary.  When `index` is given the summary
- * carries an "index" block: load mode (parsed vs mmap), load seconds,
+ * carries an "index" block: load mode, load seconds,
  * per-section arena bytes, and the resident-vs-reserved footprint.
  */
 std::string summaryJson(const ProxyOutputs& outputs,

@@ -141,33 +141,29 @@ searchScratch()
 
 /**
  * Chain coordinates must fit the clusterer's 32-bit sort-key fields and
- * the 32-bit dist arrays: every base's coordinate, prefix + offset, stays
- * within [0, kMaxChainCoordinate], for the min and the max prefix alike.
- * Throws StatusError(`code`) naming the offending array.
+ * the 32-bit dist array: every base's coordinate, prefix + offset, stays
+ * within [0, kMaxChainCoordinate].  Throws StatusError(`code`) naming the
+ * array.
  */
 template <typename T>
 void
 requireCompactCoordinates(const graph::VariationGraph& graph,
-                          const T* min_from_source, const T* max_from_source,
-                          size_t num_nodes, util::StatusCode code)
+                          const T* min_from_source, size_t num_nodes,
+                          util::StatusCode code)
 {
     for (size_t i = 0; i < num_nodes; ++i) {
         const auto length = static_cast<int64_t>(
             graph.length(static_cast<graph::NodeId>(i + 1)));
-        for (const auto& [section, prefix] :
-             {std::pair<const char*, int64_t>{"dist.min", min_from_source[i]},
-              std::pair<const char*, int64_t>{"dist.max",
-                                              max_from_source[i]}}) {
-            if (prefix < 0 || prefix > kMaxChainCoordinate - length) {
-                util::Status status;
-                status.code = code;
-                status.message = util::cat(
-                    "distance index: node ", i + 1, " spans chain "
-                    "coordinates [", prefix, ", ", prefix + length,
-                    "), outside [0, ", kMaxChainCoordinate, "]");
-                status.section = section;
-                util::throwStatus(std::move(status));
-            }
+        const auto prefix = static_cast<int64_t>(min_from_source[i]);
+        if (prefix < 0 || prefix > kMaxChainCoordinate - length) {
+            util::Status status;
+            status.code = code;
+            status.message = util::cat(
+                "distance index: node ", i + 1, " spans chain "
+                "coordinates [", prefix, ", ", prefix + length,
+                "), outside [0, ", kMaxChainCoordinate, "]");
+            status.section = "dist.min";
+            util::throwStatus(std::move(status));
         }
     }
 }
@@ -178,7 +174,6 @@ DistanceIndex::DistanceIndex(const graph::VariationGraph& graph)
 {
     const size_t n = graph.numNodes();
     std::vector<int64_t> min_from(n, INT64_MAX);
-    std::vector<int64_t> max_from(n, 0);
     for (graph::NodeId id : graph.topologicalOrder()) {
         graph::Handle handle(id, false);
         if (min_from[id - 1] == INT64_MAX) {
@@ -186,38 +181,29 @@ DistanceIndex::DistanceIndex(const graph::VariationGraph& graph)
         }
         int64_t out_min = min_from[id - 1] +
                           static_cast<int64_t>(graph.length(id));
-        int64_t out_max = max_from[id - 1] +
-                          static_cast<int64_t>(graph.length(id));
         for (graph::Handle succ : graph.successors(handle)) {
             int64_t& succ_min = min_from[succ.id() - 1];
             succ_min = std::min(succ_min == INT64_MAX ? out_min : succ_min,
                                 out_min);
-            int64_t& succ_max = max_from[succ.id() - 1];
-            succ_max = std::max(succ_max, out_max);
         }
     }
-    requireCompactCoordinates(graph, min_from.data(), max_from.data(), n,
+    requireCompactCoordinates(graph, min_from.data(), n,
                               util::StatusCode::InvalidArgument);
     minFromSource_.adopt(std::vector<int32_t>(min_from.begin(),
                                               min_from.end()));
-    maxFromSource_.adopt(std::vector<int32_t>(max_from.begin(),
-                                              max_from.end()));
 }
 
 void
 DistanceIndex::bindMapped(std::shared_ptr<mem::MappedFile> file,
                           const graph::VariationGraph& graph,
-                          const int32_t* min_from_source,
-                          const int32_t* max_from_source, size_t num_nodes)
+                          const int32_t* min_from_source, size_t num_nodes)
 {
     util::require(num_nodes == graph.numNodes(), "distance index: ",
                   num_nodes, " entries for ", graph.numNodes(), " nodes");
-    requireCompactCoordinates(graph, min_from_source, max_from_source,
-                              num_nodes, util::StatusCode::Corrupt);
+    requireCompactCoordinates(graph, min_from_source, num_nodes,
+                              util::StatusCode::Corrupt);
     minFromSource_ = mem::ArenaView<int32_t>();
-    maxFromSource_ = mem::ArenaView<int32_t>();
-    minFromSource_.bind(file, min_from_source, num_nodes);
-    maxFromSource_.bind(std::move(file), max_from_source, num_nodes);
+    minFromSource_.bind(std::move(file), min_from_source, num_nodes);
 }
 
 int64_t

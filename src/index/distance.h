@@ -33,8 +33,8 @@ inline constexpr int64_t kUnreachable = INT64_MAX;
 
 /**
  * Largest chain coordinate an index admits.  The clusterer packs
- * coordinates into 32-bit sort-key fields and the per-node prefix arrays
- * are int32_t, so building or binding an index over a graph whose
+ * coordinates into 32-bit sort-key fields and the per-node prefix array
+ * is int32_t, so building or binding an index over a graph whose
  * coordinates exceed this throws a StatusError.
  */
 inline constexpr int64_t kMaxChainCoordinate = INT32_MAX;
@@ -49,7 +49,7 @@ class DistanceIndex
     DistanceIndex() = default;
 
     /** Preprocess the graph (one topological sweep).  Throws StatusError
-     *  (InvalidArgument) if a min or max prefix coordinate would exceed
+     *  (InvalidArgument) if a chain coordinate would exceed
      *  kMaxChainCoordinate. */
     explicit DistanceIndex(const graph::VariationGraph& graph);
 
@@ -85,42 +85,30 @@ class DistanceIndex
 
     size_t numNodes() const { return minFromSource_.size(); }
 
-    /** Min-prefix array, one entry per node (v3 serialization). */
+    /** Min-prefix array, one entry per node (container serialization). */
     const mem::ArenaView<int32_t>& minFromSource() const
     {
         return minFromSource_;
     }
 
-    /** Max-prefix array, one entry per node (v3 serialization). */
-    const mem::ArenaView<int32_t>& maxFromSource() const
-    {
-        return maxFromSource_;
-    }
-
-    /** True when the arrays are mmap-backed (MGZ v3 load). */
+    /** True when the array is mmap-backed (container load). */
     bool isMapped() const { return minFromSource_.isMapped(); }
 
-    /** Heap/mapped bytes across both arrays. */
-    size_t
-    footprintBytes() const
-    {
-        return minFromSource_.bytes() + maxFromSource_.bytes();
-    }
+    /** Heap/mapped bytes of the array. */
+    size_t footprintBytes() const { return minFromSource_.bytes(); }
 
     /**
-     * Rebind onto the two per-node arrays inside a mapped MGZ v3
-     * container, for `graph`.  Throws util::Error if the array sizes
-     * disagree with the graph's node count, and StatusError (Corrupt) if
-     * a chain coordinate falls outside [0, kMaxChainCoordinate].
+     * Rebind onto the per-node array inside a mapped container, for
+     * `graph`.  Throws util::Error if the array size disagrees with the
+     * graph's node count, and StatusError (Corrupt) if a chain coordinate
+     * falls outside [0, kMaxChainCoordinate].
      */
     void bindMapped(std::shared_ptr<mem::MappedFile> file,
                     const graph::VariationGraph& graph,
-                    const int32_t* min_from_source,
-                    const int32_t* max_from_source, size_t num_nodes);
+                    const int32_t* min_from_source, size_t num_nodes);
 
   private:
     mem::ArenaView<int32_t> minFromSource_; // node id - 1 -> min prefix
-    mem::ArenaView<int32_t> maxFromSource_; // node id - 1 -> max prefix
 };
 
 } // namespace mg::index

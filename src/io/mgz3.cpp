@@ -1,21 +1,20 @@
 /**
  * @file
- * MGZ v3: the zero-copy container.  Where v2 is a stream you *parse*, v3
- * is a memory image you *map*: every big immutable arena is stored in its
- * exact little-endian in-memory layout at a page-aligned offset, so
- * loading is mmap + pointer fixup and N processes share one page-cache
- * copy of the index.
+ * The MGZ container: a memory image you *map*, not a stream you parse.
+ * Every big immutable arena is stored in its exact little-endian
+ * in-memory layout at a page-aligned offset, so loading is mmap +
+ * pointer fixup and N processes share one page-cache copy of the index.
  *
  * File layout (all integers little-endian):
  *
  *     offset 0   "MGZ3"
- *     offset 4   u32 layout revision (4)
+ *     offset 4   u32 layout revision (5)
  *     offset 8   u32 page size the file was laid out for (4096)
- *     offset 12  u32 section count (12)
+ *     offset 12  u32 section count (11)
  *     offset 16  u64 total file bytes
  *     offset 24  u32 CRC32 of the section table
  *     offset 28  u32 reserved (0)
- *     offset 32  section table: 12 x 40-byte entries
+ *     offset 32  section table: 11 x 40-byte entries
  *                  char tag[16]   zero-padded section name
  *                  u64  offset    payload start (page-aligned)
  *                  u64  size      payload bytes (excludes padding)
@@ -29,19 +28,20 @@
  * reordered tables structurally invalid rather than silently accepted.
  *
  * The container holds only what mapping reads.  Revision 4 dropped the
- * haplotype paths (the GBWT holds the haplotypes; v2 carries the paths
- * for the readers that need them) and the minimizer key arrays (the
- * bucket table holds every key and its span), stores each minimizer
- * position as one packed 64-bit word, and keeps every offset table and
- * distance array at 32 bits.  A revision-3 file is refused by revision
- * number before anything else is read.
+ * haplotype paths (the GBWT holds the haplotypes; GFA export from an
+ * input set keeps them as text) and the minimizer key arrays (the bucket
+ * table holds every key and its span), stores each minimizer position as
+ * one packed 64-bit word, and keeps every offset table and distance
+ * array at 32 bits.  Revision 5 dropped the max-prefix distance array,
+ * which nothing read.  A file of an earlier revision is refused by
+ * revision number before anything else is read.
  *
  * Byte determinism: every arena is padding-free and produced by builders
  * whose output is independent of thread count, so the same inputs yield
  * bit-identical containers regardless of build parallelism.
  *
- * Trust model on load: the header, table, and the two small metadata
- * sections (meta/edges) are always CRC-verified; the big arenas are
+ * Trust model on load: the header (reserved word included), table, and
+ * the two small metadata sections (meta/edges) are always verified; the big arenas are
  * verified only under LoadOptions::verifySectionCrcs (mg_verify, fuzz
  * harness).  The fast path instead relies on the cheap structural scans
  * inside the bindMapped() entry points — offset monotonicity, spans in
@@ -55,10 +55,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <type_traits>
 
+#include "fault/fault.h"
 #include "io/file.h"
-#include "io/mgz_sections.h"
 #include "util/crc32.h"
 #include "util/cursor.h"
 #include "util/status.h"
@@ -68,10 +69,10 @@
 namespace mg::io {
 namespace {
 
-// The v3 format stores arenas verbatim, so the file layout *is* the
+// The container stores arenas verbatim, so the file layout *is* the
 // in-memory layout.  Pin down every assumption that makes that legal.
 static_assert(std::endian::native == std::endian::little,
-              "MGZ v3 stores little-endian arenas verbatim");
+              "MGZ stores little-endian arenas verbatim");
 static_assert(std::is_trivially_copyable_v<index::MinimizerBucket> &&
                   sizeof(index::MinimizerBucket) == 16 &&
                   offsetof(index::MinimizerBucket, key) == 0 &&
@@ -79,8 +80,8 @@ static_assert(std::is_trivially_copyable_v<index::MinimizerBucket> &&
                   offsetof(index::MinimizerBucket, count) == 12,
               "min.table maps bucket records verbatim");
 
-constexpr char kMagicV3[4] = {'M', 'G', 'Z', '3'};
-constexpr uint32_t kLayoutRevision = 4;
+constexpr char kMagic[4] = {'M', 'G', 'Z', '3'};
+constexpr uint32_t kLayoutRevision = 5;
 constexpr uint32_t kPageBytes = 4096;
 constexpr size_t kTagBytes = 16;
 constexpr size_t kEntryBytes = 40;
@@ -106,7 +107,6 @@ enum Section : size_t
     kMinPos,
     kMinTable,
     kDistMin,
-    kDistMax,
     kNumSections,
 };
 
@@ -114,10 +114,12 @@ constexpr SectionSpec kSections[kNumSections] = {
     {"meta", 1},          {"edges", 1},         {"seq.words", 8},
     {"seq.offsets", 4},   {"gbwt.arena", 1},    {"gbwt.offsets", 4},
     {"gbwt.docarena", 1}, {"gbwt.docoffs", 4},  {"min.pos", 8},
-    {"min.table", 16},    {"dist.min", 4},      {"dist.max", 4},
+    {"min.table", 16},    {"dist.min", 4},
 };
 
-static_assert(kTableOffset + kNumSections * kEntryBytes <= kPageBytes,
+/** Header plus section table: the prefix parseHeader reads. */
+constexpr size_t kHeaderBytes = kTableOffset + kNumSections * kEntryBytes;
+static_assert(kHeaderBytes <= kPageBytes,
               "header + section table must fit in the first page");
 
 uint64_t
@@ -162,6 +164,60 @@ spanCrc(const void* data, size_t size)
     return util::crc32(size != 0 ? data : &kNone, size);
 }
 
+/**
+ * Delta-coded forward edge list, one entry per bidirected edge.  The
+ * edge payload stays varint-coded: it is small, and the adjacency lists
+ * are rebuilt on the heap at load time anyway (DESIGN.md §3j).
+ */
+void
+encodeEdgesSection(util::ByteWriter& writer,
+                   const graph::VariationGraph& graph)
+{
+    // Forward handles only; twins are implicit.  Collected as
+    // (from.packed, to.packed), delta coded on `from`.
+    std::vector<std::pair<uint64_t, uint64_t>> edges;
+    for (graph::NodeId id = 1; id <= graph.numNodes(); ++id) {
+        for (bool reverse : {false, true}) {
+            graph::Handle from(id, reverse);
+            for (graph::Handle to : graph.successors(from)) {
+                // Each bidirected edge is stored once via the
+                // lexicographically smaller of (edge, twin).
+                auto key = std::make_pair(from.packed(), to.packed());
+                auto twin = std::make_pair(to.flip().packed(),
+                                           from.flip().packed());
+                if (key <= twin) {
+                    edges.emplace_back(key);
+                }
+            }
+        }
+    }
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    writer.putVarint(edges.size());
+    uint64_t prev_from = 0;
+    for (const auto& [from, to] : edges) {
+        writer.putVarint(from - prev_from);
+        writer.putVarint(to);
+        prev_from = from;
+    }
+}
+
+/** Inverse of encodeEdgesSection; adds edges through graph.addEdge(). */
+void
+decodeEdgesSection(util::ByteCursor& cursor, graph::VariationGraph& graph)
+{
+    uint64_t num_edges = cursor.getVarint();
+    cursor.check(num_edges <= cursor.remaining(), util::StatusCode::Corrupt,
+                 "edge count exceeds remaining payload");
+    uint64_t prev_from = 0;
+    for (uint64_t i = 0; i < num_edges; ++i) {
+        prev_from += cursor.getVarint();
+        uint64_t to = cursor.getVarint();
+        graph.addEdge(graph::Handle::fromPacked(prev_from),
+                      graph::Handle::fromPacked(to));
+    }
+}
+
 /** One parsed section-table entry. */
 struct SectionView
 {
@@ -173,39 +229,49 @@ struct SectionView
 using SectionTable = std::array<SectionView, kNumSections>;
 
 /**
- * Validate the v3 header + section table and return the parsed table.
- * Enforces the canonical layout: magic/version/page size, table CRC,
+ * Validate the header + section table of a `size`-byte container and
+ * return the parsed table.  `header` holds the first `header_size` bytes
+ * of the file (normally the file itself).  Enforces the canonical
+ * layout: magic/revision/page size, a zero reserved word, table CRC,
  * exact section order and element sizes, page-aligned offsets placed
  * exactly where the previous section's padding ends, and a file-size
  * total that matches.  Throws StatusError with file/section provenance.
  */
 SectionTable
-parseHeaderV3(const uint8_t* data, size_t size, std::string_view file)
+parseHeader(const uint8_t* header, size_t header_size, size_t size,
+            std::string_view file)
 {
-    util::ByteCursor cursor(data, size, file);
+    util::ByteCursor cursor(header, header_size, file);
     cursor.enterSection("header");
+    cursor.check(header_size >= sizeof(kMagic) &&
+                     std::memcmp(header, kMagic, sizeof(kMagic)) == 0,
+                 util::StatusCode::Corrupt,
+                 "not an MGZ3 container (bad magic)");
     cursor.check(size >= kPageBytes, util::StatusCode::Truncated,
-                 "v3 container smaller than one page (", size, " bytes)");
-    cursor.check(std::memcmp(data, kMagicV3, sizeof(kMagicV3)) == 0,
-                 util::StatusCode::Corrupt, "not an MGZ3 container");
-    const uint32_t revision = readU32(data + 4);
+                 "container smaller than one page (", size, " bytes)");
+    cursor.check(header_size >= kHeaderBytes, util::StatusCode::Truncated,
+                 "header and section table cut short at ", header_size,
+                 " bytes");
+    const uint32_t revision = readU32(header + 4);
     cursor.check(revision == kLayoutRevision, util::StatusCode::Corrupt,
-                 "unsupported v3 layout revision ", revision,
+                 "unsupported MGZ3 layout revision ", revision,
                  " (this build reads revision ", kLayoutRevision,
                  "; rebuild the container)");
-    const uint32_t page = readU32(data + 8);
+    const uint32_t page = readU32(header + 8);
     cursor.check(page == kPageBytes, util::StatusCode::Corrupt,
                  "container laid out for page size ", page, ", expected ",
                  kPageBytes);
-    const uint32_t count = readU32(data + 12);
+    const uint32_t count = readU32(header + 12);
     cursor.check(count == kNumSections, util::StatusCode::Corrupt,
                  "expected ", size_t{kNumSections},
                  " sections, header claims ", count);
-    const uint64_t file_bytes = readU64(data + 16);
+    const uint64_t file_bytes = readU64(header + 16);
     cursor.check(file_bytes == size, util::StatusCode::Truncated,
                  "header claims ", file_bytes, " bytes, file holds ", size);
-    const uint32_t table_crc = readU32(data + 24);
-    cursor.check(util::crc32(data + kTableOffset,
+    const uint32_t table_crc = readU32(header + 24);
+    cursor.check(readU32(header + 28) == 0, util::StatusCode::Corrupt,
+                 "reserved header word is not zero");
+    cursor.check(util::crc32(header + kTableOffset,
                              kNumSections * kEntryBytes) == table_crc,
                  util::StatusCode::ChecksumMismatch,
                  "section table checksum mismatch");
@@ -214,7 +280,7 @@ parseHeaderV3(const uint8_t* data, size_t size, std::string_view file)
     uint64_t expected_offset = kPageBytes;
     for (size_t i = 0; i < kNumSections; ++i) {
         cursor.enterSection(kSections[i].tag);
-        const uint8_t* entry = data + kTableOffset + i * kEntryBytes;
+        const uint8_t* entry = header + kTableOffset + i * kEntryBytes;
         char tag[kTagBytes] = {};
         std::strncpy(tag, kSections[i].tag, kTagBytes - 1);
         cursor.check(std::memcmp(entry, tag, kTagBytes) == 0,
@@ -280,15 +346,14 @@ std::pair<const T*, size_t>
 sectionSpan(const uint8_t* data, const SectionTable& table, size_t section)
 {
     // Page alignment (>= alignof(T) for every stored type) was enforced
-    // by parseHeaderV3, so the reinterpret_cast is well-formed.
+    // by parseHeader, so the reinterpret_cast is well-formed.
     return {reinterpret_cast<const T*>(data + table[section].offset),
             table[section].size / sizeof(T)};
 }
 
 /**
  * Report the logical arena sizes from the *bound* structures rather than
- * the container table, so parsed and mapped loads of the same pangenome
- * produce identical section listings.
+ * the container table: what the pangenome holds, without the padding.
  */
 void
 fillArenaSections(IndexedPangenome& out)
@@ -305,11 +370,11 @@ fillArenaSections(IndexedPangenome& out)
         {"min.pos", out.minimizers.positions().bytes()},
         {"min.table", out.minimizers.buckets().bytes()},
         {"dist.min", out.distance.minFromSource().bytes()},
-        {"dist.max", out.distance.maxFromSource().bytes()},
     };
 }
 
-/** Bind a fully validated v3 mapping into a query-ready pangenome. */
+/** Validate a mapped container and bind it into a query-ready
+ *  pangenome. */
 IndexedPangenome
 mapPangenome(std::shared_ptr<mem::MappedFile> file,
              const LoadOptions& options)
@@ -317,7 +382,19 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     const uint8_t* data = file->data();
     const size_t size = file->size();
     const std::string_view fname = file->path();
-    const SectionTable table = parseHeaderV3(data, size, fname);
+    // Fault point: a damaged header or section table reaching the loader.
+    // The mutated copy stands in for the mapped bytes the parse reads; the
+    // structural checks must turn it into a structured error.
+    std::optional<std::vector<uint8_t>> injected;
+    if (fault::anyArmed()) {
+        injected = fault::corrupted(
+            "io.mgz.load", std::vector<uint8_t>(
+                               data, data + std::min(size, kHeaderBytes)));
+    }
+    const SectionTable table =
+        injected ? parseHeader(injected->data(), injected->size(), size,
+                               fname)
+                 : parseHeader(data, size, size, fname);
 
     // The small metadata sections are always verified (they are decoded,
     // not mapped, so a flipped bit would otherwise surface as an obscure
@@ -342,7 +419,7 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     params.w = static_cast<int>(meta.getVarint());
     params.maxOccurrences = meta.getVarint();
     meta.check(meta.atEnd(), util::StatusCode::Corrupt,
-               "trailing bytes after v3 meta");
+               "trailing bytes after meta");
 
     IndexedPangenome out;
 
@@ -357,9 +434,9 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     util::ByteCursor edges(data + table[kEdges].offset, table[kEdges].size,
                            fname);
     edges.enterSection("edges");
-    detail::decodeEdgesSection(edges, out.graph);
+    decodeEdgesSection(edges, out.graph);
     edges.check(edges.atEnd(), util::StatusCode::Corrupt,
-                "trailing bytes after v3 edges");
+                "trailing bytes after edges");
 
     gbwt::Gbwt::ArenaRefs refs;
     std::tie(refs.arena, refs.arenaSize) =
@@ -393,14 +470,13 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
     }
 
     auto [dist_min, num_min] = sectionSpan<int32_t>(data, table, kDistMin);
-    auto [dist_max, num_max] = sectionSpan<int32_t>(data, table, kDistMax);
-    if (num_min != num_nodes || num_max != num_nodes) {
+    if (num_min != num_nodes) {
         failSection(fname, kDistMin, table[kDistMin].offset,
                     util::StatusCode::Corrupt,
-                    util::cat("distance arrays hold ", num_min, "/", num_max,
+                    util::cat("distance array holds ", num_min,
                               " entries for ", num_nodes, " nodes"));
     }
-    out.distance.bindMapped(file, out.graph, dist_min, dist_max, num_nodes);
+    out.distance.bindMapped(file, out.graph, dist_min, num_nodes);
 
     out.info.mode = LoadMode::Mapped;
     out.info.fileBytes = size;
@@ -415,10 +491,17 @@ mapPangenome(std::shared_ptr<mem::MappedFile> file,
 
 } // namespace
 
-const char*
-loadModeName(LoadMode mode)
+bool
+MgzInfo::allChecksumsOk() const
 {
-    return mode == LoadMode::Mapped ? "mmap" : "parsed";
+    return std::all_of(sections.begin(), sections.end(),
+                       [](const MgzSectionInfo& s) { return s.crcOk; });
+}
+
+const char*
+loadModeName(LoadMode)
+{
+    return "mmap";
 }
 
 void
@@ -451,7 +534,7 @@ encodeMgz3(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
     const std::vector<uint8_t> meta = meta_writer.takeBytes();
 
     util::ByteWriter edges_writer;
-    detail::encodeEdgesSection(edges_writer, graph);
+    encodeEdgesSection(edges_writer, graph);
     const std::vector<uint8_t> edges = edges_writer.takeBytes();
 
     struct Span
@@ -471,7 +554,6 @@ encodeMgz3(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
         {minimizers.positions().data(), minimizers.positions().bytes()},
         {minimizers.buckets().data(), minimizers.buckets().bytes()},
         {distance.minFromSource().data(), distance.minFromSource().bytes()},
-        {distance.maxFromSource().data(), distance.maxFromSource().bytes()},
     };
 
     uint64_t offsets[kNumSections];
@@ -483,7 +565,7 @@ encodeMgz3(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
     const uint64_t file_bytes = cursor;
 
     std::vector<uint8_t> out(file_bytes, 0);
-    std::memcpy(out.data(), kMagicV3, sizeof(kMagicV3));
+    std::memcpy(out.data(), kMagic, sizeof(kMagic));
     writeU32(out.data() + 4, kLayoutRevision);
     writeU32(out.data() + 8, kPageBytes);
     writeU32(out.data() + 12, kNumSections);
@@ -519,9 +601,8 @@ saveMgz3(const std::string& path, const graph::VariationGraph& graph,
 MgzInfo
 inspectMgz3(const uint8_t* data, size_t size, std::string_view file)
 {
-    const SectionTable table = parseHeaderV3(data, size, file);
+    const SectionTable table = parseHeader(data, size, size, file);
     MgzInfo info;
-    info.version = MgzVersion::V3;
     info.fileBytes = size;
     info.sections.reserve(kNumSections);
     for (size_t i = 0; i < kNumSections; ++i) {
@@ -544,36 +625,17 @@ validatePangenomeFile(const std::string& path, bool deep)
         std::shared_ptr<mem::MappedFile> file = mem::MappedFile::open(path);
         const uint8_t* data = file->data();
         const size_t size = file->size();
-        if (size >= sizeof(kMagicV3) &&
-            std::memcmp(data, kMagicV3, sizeof(kMagicV3)) == 0) {
-            // Structure first (throws with provenance), then CRCs: the
-            // always-decoded metadata sections unconditionally, the big
-            // arenas only in deep mode.
-            const SectionTable table = parseHeaderV3(data, size, path);
-            if (deep) {
-                for (size_t i = 0; i < kNumSections; ++i) {
-                    checkSectionCrc(data, path, table, i);
-                }
-            } else {
-                checkSectionCrc(data, path, table, kMeta);
-                checkSectionCrc(data, path, table, kEdges);
+        // Structure first (throws with provenance), then CRCs: the
+        // always-decoded metadata sections unconditionally, the big
+        // arenas only in deep mode.
+        const SectionTable table = parseHeader(data, size, size, path);
+        if (deep) {
+            for (size_t i = 0; i < kNumSections; ++i) {
+                checkSectionCrc(data, path, table, i);
             }
-            return {};
-        }
-        // v2 stream: structural walk + per-section CRCs.
-        std::vector<uint8_t> bytes(data, data + size);
-        file.reset();
-        const MgzInfo info = inspectMgz(bytes, path);
-        for (const MgzSectionInfo& section : info.sections) {
-            if (!section.crcOk) {
-                util::Status status;
-                status.code = util::StatusCode::ChecksumMismatch;
-                status.message = "section checksum mismatch";
-                status.file = path;
-                status.section = section.name;
-                status.offset = section.offset;
-                return status;
-            }
+        } else {
+            checkSectionCrc(data, path, table, kMeta);
+            checkSectionCrc(data, path, table, kEdges);
         }
         return {};
     } catch (const util::StatusError& err) {
@@ -591,39 +653,8 @@ IndexedPangenome
 loadPangenome(const std::string& path, const LoadOptions& options)
 {
     util::WallTimer timer;
-    std::shared_ptr<mem::MappedFile> file = mem::MappedFile::open(path);
-    if (file->size() >= sizeof(kMagicV3) &&
-        std::memcmp(file->data(), kMagicV3, sizeof(kMagicV3)) == 0) {
-        IndexedPangenome out = mapPangenome(std::move(file), options);
-        out.info.loadSeconds = timer.seconds();
-        return out;
-    }
-
-    // v2: copy the bytes out of the (temporary) mapping, drop it, and
-    // take the classic parse-then-build path.
-    std::vector<uint8_t> bytes(file->data(), file->data() + file->size());
-    const uint64_t disk_bytes = file->size();
-    file.reset();
-    Pangenome parsed = decodeMgz(bytes, path);
-    bytes.clear();
-    bytes.shrink_to_fit();
-
-    IndexedPangenome out;
-    out.graph = std::move(parsed.graph);
-    out.gbwt = std::move(parsed.gbwt);
-    index::MinimizerParams params = options.minimizer;
-    params.buildThreads = options.buildThreads;
-    out.minimizers = index::MinimizerIndex(out.graph, params);
-    out.distance = index::DistanceIndex(out.graph);
-
-    out.info.mode = LoadMode::Parsed;
-    out.info.fileBytes = disk_bytes;
-    const graph::SequenceStore& store = out.graph.sequenceStore();
-    out.info.heapBytes = out.graph.heapBytes() + store.words().bytes() +
-                         store.offsets().bytes() + out.gbwt.footprintBytes() +
-                         out.minimizers.footprintBytes() +
-                         out.distance.footprintBytes();
-    fillArenaSections(out);
+    IndexedPangenome out =
+        mapPangenome(mem::MappedFile::open(path), options);
     out.info.loadSeconds = timer.seconds();
     return out;
 }

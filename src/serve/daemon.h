@@ -74,12 +74,13 @@ struct DaemonParams
     sched::WatchdogParams watchdogParams;
     giraffe::SessionParams session;
     /**
-     * How the served pangenome got into memory ("parsed", "mmap",
-     * "generated") and how long that took — filled by the embedding
+     * How the served pangenome got into memory ("mmap" for a mapped
+     * container, "generated" for indexes built in memory) and how long
+     * that took — filled by the embedding
      * process (mgd) and echoed in the DaemonReport so service logs say
      * whether this instance shares its index pages with its neighbours.
      */
-    std::string indexLoadMode = "parsed";
+    std::string indexLoadMode = "generated";
     double indexLoadSeconds = 0.0;
     /**
      * Head-sampling probability for tracing untagged requests, [0, 1].
@@ -136,9 +137,9 @@ struct DaemonReport
     uint64_t tracedRequests = 0;
     /** Slow-request `.mgtrace` dumps written at stop(). */
     uint64_t traceDumps = 0;
-    /** Index load mode ("parsed" | "mmap" | "generated") and map/parse
-     *  seconds, copied from DaemonParams at construction. */
-    std::string indexLoadMode = "parsed";
+    /** Index load mode ("mmap" | "generated") and load seconds, copied
+     *  from DaemonParams at construction. */
+    std::string indexLoadMode = "generated";
     double indexLoadSeconds = 0.0;
 };
 

@@ -132,9 +132,7 @@ IndexManager::swap(const std::string& path, obs::Hub* hub)
             outcome.reason = valid.toString();
             return outcome;
         }
-        io::LoadOptions options;
-        options.minimizer = serving->minimizers->params();
-        gen.owned.emplace(io::loadPangenome(path, options));
+        gen.owned.emplace(io::loadPangenome(path));
 
         // -- validate: the image is structurally sound; now check it is
         // compatible with the serving contract.

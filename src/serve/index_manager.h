@@ -86,7 +86,7 @@ class IndexManager
         uint64_t number = 0;
         /** Container path, or "generated" for a synthesized pangenome. */
         std::string source;
-        /** "parsed" | "mmap" | "generated". */
+        /** "mmap" | "generated". */
         std::string loadMode;
         double loadSeconds = 0.0;
         std::optional<io::IndexedPangenome> owned;

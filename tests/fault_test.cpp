@@ -22,6 +22,7 @@
 #include "sched/failure.h"
 #include "sched/scheduler.h"
 #include "sim/input_sets.h"
+#include "test_paths.h"
 #include "util/status.h"
 
 namespace mg::fault {
@@ -322,21 +323,22 @@ class FaultPipelineFixture : public FaultFixture
 
 TEST_F(FaultPipelineFixture, MgzDecodeFaultIsStructuredAndTransient)
 {
-    std::vector<uint8_t> bytes = io::encodeMgz(pg_.graph, pg_.gbwt);
+    const std::string path = testPath("armed.mgz3");
+    io::saveMgz3(path, pg_.graph, pg_.gbwt, minimizers_, distance_);
 
-    armFromText("io.mgz.decode=corrupt,limit=1");
+    armFromText("io.mgz.load=corrupt,limit=1");
     try {
-        io::decodeMgz(bytes, "armed.mgz");
-        FAIL() << "expected a structured decode error";
+        io::loadPangenome(path);
+        FAIL() << "expected a structured load error";
     } catch (const util::StatusError& e) {
         EXPECT_NE(e.status().code, util::StatusCode::Ok);
-        EXPECT_EQ(e.status().file, "armed.mgz");
+        EXPECT_EQ(e.status().file, path);
     }
-    // The fault's limit is exhausted: the retry decodes cleanly.
-    io::Pangenome decoded = io::decodeMgz(bytes, "armed.mgz");
-    EXPECT_EQ(decoded.graph.numNodes(), pg_.graph.numNodes());
-    EXPECT_EQ(decoded.gbwt.numPaths(), pg_.gbwt.numPaths());
-    EXPECT_GE(stats("io.mgz.decode").fires, 1u);
+    // The fault's limit is exhausted: the retry loads cleanly.
+    io::IndexedPangenome loaded = io::loadPangenome(path);
+    EXPECT_EQ(loaded.graph.numNodes(), pg_.graph.numNodes());
+    EXPECT_EQ(loaded.gbwt.numPaths(), pg_.gbwt.numPaths());
+    EXPECT_EQ(stats("io.mgz.load").fires, 1u);
 }
 
 TEST_F(FaultPipelineFixture, ParentRunCompletesUnderWorkerFaults)

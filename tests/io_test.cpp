@@ -1,6 +1,10 @@
 /** Serialization round-trip and validation tests for the io module. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "index/distance.h"
+#include "index/minimizer.h"
 #include "io/extensions_io.h"
 #include "io/fastq.h"
 #include "io/file.h"
@@ -38,21 +42,55 @@ TEST(FileTest, MissingFileThrows)
                  util::Error);
 }
 
+/** A generated pangenome with its indexes, as MGZ container bytes. */
+struct IndexedFixture
+{
+    sim::GeneratedPangenome pg;
+    index::MinimizerIndex minimizers;
+    index::DistanceIndex distance;
+    std::vector<uint8_t> bytes;
+
+    explicit IndexedFixture(sim::GeneratedPangenome generated)
+        : pg(std::move(generated)),
+          minimizers(pg.graph, index::MinimizerParams()),
+          distance(pg.graph),
+          bytes(encodeMgz3(pg.graph, pg.gbwt, minimizers, distance))
+    {}
+};
+
+/** Write `bytes` under `name` and return the path. */
+std::string
+writeContainer(const std::string& name, const std::vector<uint8_t>& bytes)
+{
+    std::string path = testPath(name);
+    writeFileBytes(path, bytes);
+    return path;
+}
+
+/** The table entry of section `name` in a clean container. */
+MgzSectionInfo
+sectionNamed(const MgzInfo& info, const std::string& name)
+{
+    for (const MgzSectionInfo& section : info.sections) {
+        if (section.name == name) {
+            return section;
+        }
+    }
+    ADD_FAILURE() << "no section " << name;
+    return {};
+}
+
 TEST(MgzTest, RoundTripPreservesEverything)
 {
-    sim::GeneratedPangenome pg = makePangenome();
-    std::vector<uint8_t> bytes = encodeMgz(pg.graph, pg.gbwt);
-    Pangenome loaded = decodeMgz(bytes);
+    IndexedFixture fx(makePangenome());
+    const sim::GeneratedPangenome& pg = fx.pg;
+    IndexedPangenome loaded =
+        loadPangenome(writeContainer("mg_roundtrip.mgz3", fx.bytes));
 
     EXPECT_EQ(loaded.graph.numNodes(), pg.graph.numNodes());
     EXPECT_EQ(loaded.graph.numEdges(), pg.graph.numEdges());
-    EXPECT_EQ(loaded.graph.numPaths(), pg.graph.numPaths());
     for (graph::NodeId id = 1; id <= pg.graph.numNodes(); ++id) {
         ASSERT_EQ(loaded.graph.forwardSequence(id), pg.graph.forwardSequence(id));
-    }
-    for (size_t p = 0; p < pg.graph.numPaths(); ++p) {
-        EXPECT_EQ(loaded.graph.path(p).name, pg.graph.path(p).name);
-        ASSERT_EQ(loaded.graph.path(p).steps, pg.graph.path(p).steps);
     }
     // Edge sets match exactly.
     for (graph::NodeId id = 1; id <= pg.graph.numNodes(); ++id) {
@@ -66,22 +104,38 @@ TEST(MgzTest, RoundTripPreservesEverything)
             EXPECT_EQ(loaded.graph.successors(h).size(), a.size());
         }
     }
-    // GBWT queries agree.
+    // GBWT queries agree, locate() included: the haplotypes live in the
+    // GBWT (the container stores no graph paths).
     EXPECT_EQ(loaded.gbwt.numPaths(), pg.gbwt.numPaths());
+    EXPECT_EQ(loaded.gbwt.totalVisits(), pg.gbwt.totalVisits());
     for (graph::NodeId id = 1; id <= pg.graph.numNodes(); ++id) {
         graph::Handle h(id, false);
         EXPECT_EQ(loaded.gbwt.nodeCount(h), pg.gbwt.nodeCount(h));
     }
+    for (const auto& walk : pg.walks) {
+        std::vector<graph::Handle> prefix(
+            walk.begin(), walk.begin() + std::min<size_t>(4, walk.size()));
+        EXPECT_EQ(loaded.gbwt.pathsThrough(prefix),
+                  pg.gbwt.pathsThrough(prefix));
+    }
+    // The prebuilt indexes come back as built.
+    EXPECT_TRUE(loaded.minimizers.positions() == fx.minimizers.positions());
+    EXPECT_EQ(loaded.minimizers.numKeys(), fx.minimizers.numKeys());
+    EXPECT_TRUE(loaded.distance.minFromSource() ==
+                fx.distance.minFromSource());
     loaded.graph.validate();
 }
 
 TEST(MgzTest, FileRoundTrip)
 {
-    sim::GeneratedPangenome pg = makePangenome(91);
-    std::string path = testPath("mg_test.mgz");
-    saveMgz(path, pg.graph, pg.gbwt);
-    Pangenome loaded = loadMgz(path);
-    EXPECT_EQ(loaded.graph.numNodes(), pg.graph.numNodes());
+    IndexedFixture fx(makePangenome(91));
+    std::string path = testPath("mg_test.mgz3");
+    saveMgz3(path, fx.pg.graph, fx.pg.gbwt, fx.minimizers, fx.distance);
+    EXPECT_EQ(readFileBytes(path), fx.bytes);
+    IndexedPangenome loaded = loadPangenome(path);
+    EXPECT_EQ(loaded.graph.numNodes(), fx.pg.graph.numNodes());
+    EXPECT_EQ(loaded.info.mode, LoadMode::Mapped);
+    EXPECT_EQ(loaded.info.fileBytes, fx.bytes.size());
 }
 
 TEST(MgzTest, CompressionBeatsNaiveEncoding)
@@ -90,105 +144,127 @@ TEST(MgzTest, CompressionBeatsNaiveEncoding)
     params.seed = 92;
     params.backboneLength = 20000;
     params.haplotypes = 8;
-    sim::GeneratedPangenome pg = sim::generatePangenome(params);
-    std::vector<uint8_t> bytes = encodeMgz(pg.graph, pg.gbwt);
+    IndexedFixture fx(sim::generatePangenome(params));
+    const sim::GeneratedPangenome& pg = fx.pg;
     // Naive cost: 1 byte/base plus 8 bytes per path step plus 8 bytes per
-    // GBWT visit.  MGZ's 2-bit packing + varints must beat it handily.
+    // GBWT visit.  The container's graph and GBWT sections (2-bit packed
+    // sequence, varint edges and records) must beat it handily; the
+    // prebuilt min.* and dist.* indexes are extra, not a re-encoding.
     size_t path_steps = 0;
     for (const graph::PathEntry& path : pg.graph.paths()) {
         path_steps += path.steps.size();
     }
     size_t naive = pg.graph.totalSequenceLength() + 8 * path_steps +
                    8 * pg.gbwt.totalVisits();
-    EXPECT_LT(bytes.size(), naive / 2);
+    size_t stored = 0;
+    for (const MgzSectionInfo& section :
+         inspectMgz3(fx.bytes.data(), fx.bytes.size()).sections) {
+        const std::string name = section.name;
+        if (name.rfind("min.", 0) != 0 && name.rfind("dist.", 0) != 0) {
+            stored += section.size;
+        }
+    }
+    EXPECT_LT(stored, naive / 2);
 }
 
 TEST(MgzTest, BadMagicThrows)
 {
-    std::vector<uint8_t> bytes = {'N', 'O', 'P', 'E', 0, 0};
-    EXPECT_THROW(decodeMgz(bytes), util::Error);
-}
-
-TEST(MgzTest, TruncatedPayloadThrows)
-{
-    sim::GeneratedPangenome pg = makePangenome(93);
-    std::vector<uint8_t> bytes = encodeMgz(pg.graph, pg.gbwt);
-    bytes.resize(bytes.size() / 2);
-    EXPECT_THROW(decodeMgz(bytes), util::Error);
-}
-
-/** A pre-release MGZ1 image — the four v2 payloads concatenated with no
- *  sizes or checksums — is rejected as bad magic, never decoded. */
-TEST(MgzTest, LegacyV1MagicIsRejected)
-{
-    sim::GeneratedPangenome pg = makePangenome(94);
-    std::vector<uint8_t> v2 = encodeMgz(pg.graph, pg.gbwt);
-    std::vector<uint8_t> v1 = {'M', 'G', 'Z', '1'};
-    for (const MgzSectionInfo& section : inspectMgz(v2).sections) {
-        v1.insert(v1.end(), v2.begin() + static_cast<long>(section.offset),
-                  v2.begin() +
-                      static_cast<long>(section.offset + section.size));
-    }
-
+    const std::string path =
+        writeContainer("mg_nope.mgz3", {'N', 'O', 'P', 'E', 0, 0});
     try {
-        decodeMgz(v1, "legacy.mgz");
-        FAIL() << "an MGZ1 image must not decode";
+        loadPangenome(path);
+        FAIL() << "a file without the MGZ3 magic must not load";
     } catch (const util::StatusError& e) {
         EXPECT_EQ(e.status().code, util::StatusCode::Corrupt);
         EXPECT_NE(e.status().message.find("bad magic"), std::string::npos)
             << e.status().message;
-        EXPECT_EQ(e.status().file, "legacy.mgz");
     }
-    EXPECT_THROW(inspectMgz(v1), util::StatusError);
+}
+
+TEST(MgzTest, TruncatedPayloadThrows)
+{
+    IndexedFixture fx(makePangenome(93));
+    std::vector<uint8_t> bytes = fx.bytes;
+    bytes.resize(bytes.size() / 2);
+    EXPECT_THROW(loadPangenome(writeContainer("mg_cut.mgz3", bytes)),
+                 util::Error);
+}
+
+/** The retired stream magics — the pre-release "MGZ1" (no sizes or
+ *  checksums) and "MGZ2" (the parse-and-build format) — are refused as
+ *  bad magic, before any of the file is read against the container
+ *  layout. */
+TEST(MgzTest, LegacyV1MagicIsRejected)
+{
+    const std::vector<uint8_t> container =
+        IndexedFixture(makePangenome(94)).bytes;
+    for (const std::string magic : {"MGZ1", "MGZ2"}) {
+        std::vector<uint8_t> bytes = container;
+        std::copy(magic.begin(), magic.end(), bytes.begin());
+        const std::string path = writeContainer("legacy.mgz", bytes);
+        try {
+            loadPangenome(path);
+            FAIL() << "an " << magic << " image must not load";
+        } catch (const util::StatusError& e) {
+            EXPECT_EQ(e.status().code, util::StatusCode::Corrupt) << magic;
+            EXPECT_NE(e.status().message.find("bad magic"),
+                      std::string::npos)
+                << e.status().message;
+            EXPECT_EQ(e.status().file, path);
+        }
+        EXPECT_EQ(validatePangenomeFile(path).code,
+                  util::StatusCode::Corrupt);
+        EXPECT_THROW(inspectMgz3(bytes.data(), bytes.size()),
+                     util::StatusError);
+    }
 }
 
 TEST(MgzTest, ChecksumMismatchNamesTheDamagedSection)
 {
-    sim::GeneratedPangenome pg = makePangenome(95);
-    std::vector<uint8_t> bytes = encodeMgz(pg.graph, pg.gbwt);
-    MgzInfo clean = inspectMgz(bytes, "graph.mgz");
-    ASSERT_EQ(clean.sections.size(), 4u);
+    IndexedFixture fx(makePangenome(95));
+    MgzInfo clean = inspectMgz3(fx.bytes.data(), fx.bytes.size());
     EXPECT_TRUE(clean.allChecksumsOk());
 
-    // Flip one byte in the middle of the "edges" payload, located via
-    // the inspection report rather than hard-coded offsets.
-    const MgzSectionInfo& edges = clean.sections[1];
-    ASSERT_STREQ(edges.name, "edges");
+    // Flip one byte in the middle of the "edges" payload (verified on
+    // every load), located via the inspection report rather than
+    // hard-coded offsets.
+    const MgzSectionInfo edges = sectionNamed(clean, "edges");
     ASSERT_GT(edges.size, 0u);
-    std::vector<uint8_t> bad = bytes;
+    std::vector<uint8_t> bad = fx.bytes;
     bad[edges.offset + edges.size / 2] ^= 0x40;
+    const std::string path = writeContainer("graph.mgz3", bad);
 
     try {
-        decodeMgz(bad, "graph.mgz");
+        loadPangenome(path);
         FAIL() << "expected throw";
     } catch (const util::StatusError& e) {
         EXPECT_EQ(e.status().code, util::StatusCode::ChecksumMismatch);
-        EXPECT_EQ(e.status().file, "graph.mgz");
+        EXPECT_EQ(e.status().file, path);
         EXPECT_EQ(e.status().section, "edges");
     }
 }
 
 TEST(MgzTest, InspectReportsEveryDamagedSection)
 {
-    sim::GeneratedPangenome pg = makePangenome(96);
-    std::vector<uint8_t> bytes = encodeMgz(pg.graph, pg.gbwt);
-    MgzInfo clean = inspectMgz(bytes);
-    ASSERT_EQ(clean.sections.size(), 4u);
+    IndexedFixture fx(makePangenome(96));
+    MgzInfo clean = inspectMgz3(fx.bytes.data(), fx.bytes.size());
 
-    // Damage "nodes" and "gbwt"; leave "edges" and "paths" intact.
-    std::vector<uint8_t> bad = bytes;
-    bad[clean.sections[0].offset] ^= 0x01;
-    bad[clean.sections[3].offset] ^= 0x01;
+    // Damage "seq.words" and "gbwt.arena"; leave the rest intact.
+    std::vector<uint8_t> bad = fx.bytes;
+    bad[sectionNamed(clean, "seq.words").offset] ^= 0x01;
+    bad[sectionNamed(clean, "gbwt.arena").offset] ^= 0x01;
 
-    MgzInfo report = inspectMgz(bad);
-    ASSERT_EQ(report.sections.size(), 4u);
+    MgzInfo report = inspectMgz3(bad.data(), bad.size());
+    ASSERT_EQ(report.sections.size(), clean.sections.size());
     EXPECT_FALSE(report.allChecksumsOk());
-    EXPECT_FALSE(report.sections[0].crcOk); // nodes
-    EXPECT_TRUE(report.sections[1].crcOk);  // edges
-    EXPECT_TRUE(report.sections[2].crcOk);  // paths
-    EXPECT_FALSE(report.sections[3].crcOk); // gbwt
-    EXPECT_NE(report.sections[0].crcComputed,
-              report.sections[0].crcStored);
+    for (const MgzSectionInfo& section : report.sections) {
+        const std::string name = section.name;
+        EXPECT_EQ(section.crcOk, name != "seq.words" && name != "gbwt.arena")
+            << name;
+        if (!section.crcOk) {
+            EXPECT_NE(section.crcComputed, section.crcStored);
+        }
+    }
 }
 
 TEST(SeedCaptureTest, RoundTrip)

@@ -1,13 +1,13 @@
 /**
- * MGZ v3 zero-copy substrate tests (ctest label `mmapv3`).
+ * Zero-copy MGZ container tests (ctest label `mmapv3`).
  *
- * The contract under test: a v3 container is a pure function of the
+ * The contract under test: a container is a pure function of the
  * pangenome (byte-identical across build thread counts), mapping it back
- * produces a pipeline observably identical to the heap-parsed v2 path
- * (GAF byte-for-byte on the A-human and B-yeast analogs), structural
- * damage is rejected with a structured error naming the section — never
- * a crash — and concurrent consumers of one file share a single
- * page-cache copy.
+ * produces a pipeline observably identical to the in-memory indexes it
+ * was written from (GAF byte-for-byte on the A-human and B-yeast
+ * analogs), structural damage is rejected with a structured error naming
+ * the section — never a crash — and concurrent consumers of one file
+ * share a single page-cache copy.
  */
 #include <gtest/gtest.h>
 
@@ -39,13 +39,12 @@
 namespace mg::io {
 namespace {
 
-/** One input-set analog with prebuilt indexes and its v2/v3 containers. */
+/** One input-set analog with prebuilt indexes and its container. */
 struct V3World
 {
     sim::InputSet set;
     index::MinimizerIndex minimizers;
     index::DistanceIndex distance;
-    std::string v2Path;
     std::string v3Path;
 };
 
@@ -68,20 +67,17 @@ V3World
 buildV3World(const std::string& input_set, double scale)
 {
     V3World world = indexV3World(input_set, scale);
-    world.v2Path = testPath("mmapv3_" + input_set + ".mgz");
     world.v3Path = testPath("mmapv3_" + input_set + ".mgz3");
-    saveMgz(world.v2Path, world.set.pangenome.graph,
-            world.set.pangenome.gbwt);
     saveMgz3(world.v3Path, world.set.pangenome.graph,
              world.set.pangenome.gbwt, world.minimizers, world.distance);
     return world;
 }
 
-/** The revision-4 section table, in file order. */
+/** The revision-5 section table, in file order. */
 const std::vector<std::string> kV3Sections = {
     "meta",         "edges",         "seq.words",    "seq.offsets",
     "gbwt.arena",   "gbwt.offsets",  "gbwt.docarena", "gbwt.docoffs",
-    "min.pos",      "min.table",     "dist.min",     "dist.max",
+    "min.pos",      "min.table",     "dist.min",
 };
 
 std::vector<std::string>
@@ -95,12 +91,14 @@ sectionNames(const MgzInfo& info)
 }
 
 std::string
-mapToGaf(const IndexedPangenome& pg, const map::ReadSet& reads)
+mapToGaf(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
+         const index::MinimizerIndex& minimizers,
+         const index::DistanceIndex& distance, const map::ReadSet& reads)
 {
-    giraffe::ParentEmulator parent(pg.graph, pg.gbwt, pg.minimizers,
-                                   pg.distance, giraffe::ParentParams());
+    giraffe::ParentEmulator parent(graph, gbwt, minimizers, distance,
+                                   giraffe::ParentParams());
     giraffe::ParentOutputs outputs = parent.run(reads);
-    return formatGaf(outputs.alignments, reads, pg.graph);
+    return formatGaf(outputs.alignments, reads, graph);
 }
 
 // --------------------------------------------------------------------
@@ -162,8 +160,8 @@ TEST(ArenaViewTest, OwnedAndMappedBackingsAgree)
 }
 
 // --------------------------------------------------------------------
-// Golden round trip: mmap-loaded v3 is observably identical to the
-// heap-parsed v2 path, down to the GAF bytes.
+// Golden round trip: the mapped container is observably identical to the
+// in-memory indexes it was written from, down to the GAF bytes.
 
 class GoldenRoundTrip : public ::testing::TestWithParam<const char*>
 {};
@@ -171,53 +169,56 @@ class GoldenRoundTrip : public ::testing::TestWithParam<const char*>
 TEST_P(GoldenRoundTrip, MappedGafMatchesParsedByteForByte)
 {
     V3World world = buildV3World(GetParam(), 0.03);
+    const graph::VariationGraph& graph = world.set.pangenome.graph;
+    const gbwt::Gbwt& gbwt = world.set.pangenome.gbwt;
 
-    IndexedPangenome parsed = loadPangenome(world.v2Path);
     IndexedPangenome mapped = loadPangenome(world.v3Path);
-
-    EXPECT_EQ(parsed.info.mode, LoadMode::Parsed);
     EXPECT_EQ(mapped.info.mode, LoadMode::Mapped);
-    EXPECT_STREQ(loadModeName(parsed.info.mode), "parsed");
     EXPECT_STREQ(loadModeName(mapped.info.mode), "mmap");
-    EXPECT_EQ(parsed.mapping, nullptr);
     ASSERT_NE(mapped.mapping, nullptr);
     EXPECT_GT(mapped.info.mappedBytes, 0u);
-    EXPECT_EQ(parsed.info.mappedBytes, 0u);
 
-    // Same logical structures on both sides, except that v3 stores no
-    // graph paths: the GBWT holds the haplotypes (both orientations).
-    EXPECT_EQ(parsed.graph.numNodes(), mapped.graph.numNodes());
-    EXPECT_EQ(parsed.graph.numEdges(), mapped.graph.numEdges());
-    EXPECT_EQ(parsed.gbwt.numPaths(), mapped.gbwt.numPaths());
-    EXPECT_EQ(mapped.gbwt.numPaths(), 2 * parsed.graph.numPaths());
+    // Same logical structures on both sides, except that the container
+    // stores no graph paths: the GBWT holds the haplotypes (both
+    // orientations).
+    EXPECT_EQ(mapped.graph.numNodes(), graph.numNodes());
+    EXPECT_EQ(mapped.graph.numEdges(), graph.numEdges());
+    EXPECT_EQ(mapped.gbwt.numPaths(), gbwt.numPaths());
+    EXPECT_EQ(mapped.gbwt.numPaths(), 2 * graph.numPaths());
     EXPECT_EQ(mapped.graph.numPaths(), 0u);
-    EXPECT_EQ(parsed.minimizers.numKeys(), mapped.minimizers.numKeys());
-    EXPECT_TRUE(parsed.minimizers.positions() ==
-                mapped.minimizers.positions());
+    EXPECT_EQ(mapped.minimizers.numKeys(), world.minimizers.numKeys());
+    EXPECT_TRUE(mapped.minimizers.positions() ==
+                world.minimizers.positions());
 
-    // A mapped generation's heap is the edge adjacency the bind decodes
-    // (no path vectors); a parsed one also owns every arena.
+    // A mapped generation's heap is the edge adjacency the bind decodes.
     EXPECT_GT(mapped.info.heapBytes, 0u);
     EXPECT_EQ(mapped.info.heapBytes, mapped.graph.heapBytes());
-    EXPECT_GT(parsed.info.heapBytes,
-              parsed.graph.heapBytes() + parsed.gbwt.footprintBytes());
 
-    // The arena accounting is mode-independent: same section names, same
-    // logical byte sizes, whether parsed onto the heap or bound in place.
-    ASSERT_EQ(parsed.info.sections.size(), mapped.info.sections.size());
-    for (size_t i = 0; i < parsed.info.sections.size(); ++i) {
-        EXPECT_EQ(parsed.info.sections[i].first,
-                  mapped.info.sections[i].first);
-        EXPECT_EQ(parsed.info.sections[i].second,
-                  mapped.info.sections[i].second)
-            << "section " << parsed.info.sections[i].first;
-    }
+    // The arena accounting reports the logical sizes of the in-memory
+    // arenas, whether they live on the heap or in the mapping.
+    const graph::SequenceStore& store = graph.sequenceStore();
+    const gbwt::Gbwt::ArenaRefs refs = gbwt.arenaRefs();
+    const std::vector<std::pair<std::string, uint64_t>> heap_sections = {
+        {"seq.words", store.words().bytes()},
+        {"seq.offsets", store.offsets().bytes()},
+        {"gbwt.arena", refs.arenaSize},
+        {"gbwt.offsets", refs.numRecordOffsets * sizeof(uint32_t)},
+        {"gbwt.docarena", refs.docArenaSize},
+        {"gbwt.docoffs", refs.numDocOffsets * sizeof(uint32_t)},
+        {"min.pos", world.minimizers.positions().bytes()},
+        {"min.table", world.minimizers.buckets().bytes()},
+        {"dist.min", world.distance.minFromSource().bytes()},
+    };
+    EXPECT_EQ(mapped.info.sections, heap_sections);
 
-    std::string parsed_gaf = mapToGaf(parsed, world.set.reads);
-    std::string mapped_gaf = mapToGaf(mapped, world.set.reads);
-    EXPECT_FALSE(parsed_gaf.empty());
-    EXPECT_EQ(parsed_gaf, mapped_gaf)
-        << "GAF must be byte-identical across load modes";
+    std::string heap_gaf = mapToGaf(graph, gbwt, world.minimizers,
+                                    world.distance, world.set.reads);
+    std::string mapped_gaf =
+        mapToGaf(mapped.graph, mapped.gbwt, mapped.minimizers,
+                 mapped.distance, world.set.reads);
+    EXPECT_FALSE(heap_gaf.empty());
+    EXPECT_EQ(heap_gaf, mapped_gaf)
+        << "GAF must be byte-identical between heap and mapped indexes";
 
     mapped.refreshResidency();
     EXPECT_GT(mapped.info.residentBytes, 0u);
@@ -296,42 +297,33 @@ TEST(V3Publish, SaveOverMappedContainerLeavesOldMappingIntact)
 {
     V3World small = indexV3World("B-yeast", 0.02);
     V3World large = indexV3World("A-human", 0.02);
-    for (const bool v3 : {true, false}) {
-        const std::string path =
-            testPath(std::string("mmapv3_publish_") +
-                     std::to_string(::getpid()) + (v3 ? ".mgz3" : ".mgz"));
-        auto save = [&](const V3World& world) {
-            if (v3) {
-                saveMgz3(path, world.set.pangenome.graph,
-                         world.set.pangenome.gbwt, world.minimizers,
-                         world.distance);
-            } else {
-                saveMgz(path, world.set.pangenome.graph,
-                        world.set.pangenome.gbwt);
-            }
-        };
-        save(large);
-        const std::vector<uint8_t> old_bytes = readFileBytes(path);
-        auto old_mapping = mem::MappedFile::open(path);
-        ASSERT_EQ(old_mapping->size(), old_bytes.size());
+    const std::string path = testPath(
+        "mmapv3_publish_" + std::to_string(::getpid()) + ".mgz3");
+    auto save = [&](const V3World& world) {
+        saveMgz3(path, world.set.pangenome.graph, world.set.pangenome.gbwt,
+                 world.minimizers, world.distance);
+    };
+    save(large);
+    const std::vector<uint8_t> old_bytes = readFileBytes(path);
+    auto old_mapping = mem::MappedFile::open(path);
+    ASSERT_EQ(old_mapping->size(), old_bytes.size());
 
-        save(small);
-        const std::vector<uint8_t> new_bytes = readFileBytes(path);
-        ASSERT_NE(new_bytes, old_bytes);
-        ASSERT_LT(new_bytes.size(), old_bytes.size());
-        // Every page of the old mapping, including those past the new
-        // file's end, still reads the old container.
-        EXPECT_EQ(std::memcmp(old_mapping->data(), old_bytes.data(),
-                              old_bytes.size()),
-                  0)
-            << (v3 ? "v3" : "v2") << " save rewrote a mapped file";
-        auto new_mapping = mem::MappedFile::open(path);
-        ASSERT_EQ(new_mapping->size(), new_bytes.size());
-        EXPECT_EQ(std::memcmp(new_mapping->data(), new_bytes.data(),
-                              new_bytes.size()),
-                  0);
-        ::unlink(path.c_str());
-    }
+    save(small);
+    const std::vector<uint8_t> new_bytes = readFileBytes(path);
+    ASSERT_NE(new_bytes, old_bytes);
+    ASSERT_LT(new_bytes.size(), old_bytes.size());
+    // Every page of the old mapping, including those past the new file's
+    // end, still reads the old container.
+    EXPECT_EQ(std::memcmp(old_mapping->data(), old_bytes.data(),
+                          old_bytes.size()),
+              0)
+        << "save rewrote a mapped file";
+    auto new_mapping = mem::MappedFile::open(path);
+    ASSERT_EQ(new_mapping->size(), new_bytes.size());
+    EXPECT_EQ(std::memcmp(new_mapping->data(), new_bytes.data(),
+                          new_bytes.size()),
+              0);
+    ::unlink(path.c_str());
 }
 
 // --------------------------------------------------------------------
@@ -375,7 +367,6 @@ std::vector<uint8_t>* V3Container::bytes_ = nullptr;
 TEST_F(V3Container, InspectReportsEverySectionChecksummed)
 {
     MgzInfo info = inspectMgz3(bytes_->data(), bytes_->size(), "test");
-    EXPECT_EQ(info.version, MgzVersion::V3);
     EXPECT_EQ(info.fileBytes, bytes_->size());
     EXPECT_EQ(sectionNames(info), kV3Sections);
     EXPECT_TRUE(info.allChecksumsOk());
@@ -386,10 +377,6 @@ TEST_F(V3Container, InspectReportsEverySectionChecksummed)
         EXPECT_LE(section.offset + section.size, info.fileBytes)
             << section.name;
     }
-    // inspectMgz dispatches on the magic and agrees.
-    MgzInfo via_v2_entry = inspectMgz(*bytes_, "test");
-    EXPECT_EQ(via_v2_entry.version, MgzVersion::V3);
-    EXPECT_EQ(via_v2_entry.sections.size(), info.sections.size());
 }
 
 TEST_F(V3Container, InspectFlagsDamagedSectionWithoutThrowing)
@@ -413,17 +400,6 @@ TEST_F(V3Container, InspectFlagsDamagedSectionWithoutThrowing)
         bad += section.crcOk ? 0 : 1;
     }
     EXPECT_EQ(bad, 1u);
-}
-
-TEST_F(V3Container, DecodeMgzRefusesV3WithPointerToLoader)
-{
-    try {
-        decodeMgz(*bytes_, "test.mgz3");
-        FAIL() << "decodeMgz must reject v3 containers";
-    } catch (const util::StatusError& error) {
-        EXPECT_NE(std::string(error.what()).find("loadPangenome"),
-                  std::string::npos);
-    }
 }
 
 TEST_F(V3Container, StructuralDamageRejected)
@@ -556,25 +532,25 @@ TEST_F(V3Container, DamageInEverySectionNamesThatSection)
 
 TEST_F(V3Container, PreviousRevisionIsRefusedNamingTheRevision)
 {
-    // A revision-3 file (paths and key arrays, 64-bit offsets) carries 3
-    // in the revision field.  It must be refused on that field, before
-    // its section table is read against the wrong layout.
+    // A revision-4 file (with the dist.max section) carries 4 in the
+    // revision field.  It must be refused on that field, before its
+    // section table is read against the wrong layout.
     std::vector<uint8_t> old = *bytes_;
-    old[4] = 3;
-    const std::string path = writeMutant("revision3", old);
+    old[4] = 4;
+    const std::string path = writeMutant("revision4", old);
     for (const bool deep : {false, true}) {
         const util::Status status = validatePangenomeFile(path, deep);
         EXPECT_EQ(status.code, util::StatusCode::Corrupt);
-        EXPECT_NE(status.message.find("revision 3"), std::string::npos)
+        EXPECT_NE(status.message.find("revision 4"), std::string::npos)
             << status.message;
     }
     try {
         loadPangenome(path);
-        FAIL() << "a revision-3 container must not load";
+        FAIL() << "a revision-4 container must not load";
     } catch (const util::StatusError& error) {
         EXPECT_EQ(error.status().code, util::StatusCode::Corrupt);
         EXPECT_EQ(error.status().section, "header");
-        EXPECT_NE(std::string(error.what()).find("revision 3"),
+        EXPECT_NE(std::string(error.what()).find("revision 4"),
                   std::string::npos)
             << error.what();
     }
@@ -726,15 +702,12 @@ TEST_F(V3BindLimits, ChainCoordinatesMustFitInt32)
 {
     const graph::VariationGraph& graph = world_->set.pangenome.graph;
     const auto length = static_cast<int32_t>(graph.length(1));
-    for (const char* name : {"dist.min", "dist.max"}) {
-        // Node 1's last base at coordinate INT32_MAX: the exact limit.
-        EXPECT_TRUE(bind(patched(name, 0, INT32_MAX - length)).ok())
-            << name;
-        for (const int32_t past : {INT32_MAX - length + 1, int32_t{-1}}) {
-            const util::Status status = bind(patched(name, 0, past));
-            EXPECT_EQ(status.code, util::StatusCode::Corrupt) << name;
-            EXPECT_EQ(status.section, name) << status.message;
-        }
+    // Node 1's last base at coordinate INT32_MAX: the exact limit.
+    EXPECT_TRUE(bind(patched("dist.min", 0, INT32_MAX - length)).ok());
+    for (const int32_t past : {INT32_MAX - length + 1, int32_t{-1}}) {
+        const util::Status status = bind(patched("dist.min", 0, past));
+        EXPECT_EQ(status.code, util::StatusCode::Corrupt);
+        EXPECT_EQ(status.section, "dist.min") << status.message;
     }
 }
 
