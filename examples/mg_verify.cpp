@@ -13,6 +13,7 @@
  * Exit status: 0 when every file verified, 1 otherwise.
  */
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
@@ -23,6 +24,7 @@
 #include "io/gfa.h"
 #include "io/mgz.h"
 #include "io/reads_bin.h"
+#include "mem/arena.h"
 #include "obs/json.h"
 #include "obs/request_trace.h"
 #include "serve/frame.h"
@@ -434,14 +436,15 @@ verifyTraceDump(const std::string& path, const mg::obs::json::Value& doc)
 bool
 verifyFile(const std::string& path, bool deep)
 {
-    std::vector<uint8_t> bytes = mg::io::readFileBytes(path);
-
     if (endsWith(path, ".mgz3")) {
         // Structural validation (magic/revision, page-aligned canonical
         // section layout, table CRC) throws; the per-section CRC sweep
-        // reports every damaged section in one pass.
+        // reports every damaged section in one pass, reading the mapped
+        // container in place.
+        const std::shared_ptr<mg::mem::MappedFile> file =
+            mg::mem::MappedFile::open(path);
         mg::io::MgzInfo info =
-            mg::io::inspectMgz3(bytes.data(), bytes.size(), path);
+            mg::io::inspectMgz3(file->data(), file->size(), path);
         std::printf("%s: MGZ container (zero-copy), %llu bytes\n",
                     path.c_str(),
                     static_cast<unsigned long long>(info.fileBytes));
@@ -480,6 +483,7 @@ verifyFile(const std::string& path, bool deep)
         }
         return true;
     }
+    std::vector<uint8_t> bytes = mg::io::readFileBytes(path);
     if (endsWith(path, ".seeds.bin") || endsWith(path, ".bin")) {
         mg::io::SeedCapture capture =
             mg::io::decodeSeedCapture(bytes, path);

@@ -25,14 +25,6 @@
 
 namespace mg::mem {
 
-/** Page-cache access-pattern hints forwarded to madvise(2). */
-enum class Advice : uint8_t
-{
-    Normal,    ///< reset to default readahead
-    Random,    ///< expect random access; disable readahead
-    WillNeed,  ///< start faulting the range in now
-};
-
 /**
  * A read-only memory-mapped file (RAII).  Opened O_RDONLY and mapped
  * PROT_READ | MAP_SHARED so concurrent processes mapping the same
@@ -52,12 +44,6 @@ class MappedFile
     const uint8_t* data() const { return data_; }
     size_t size() const { return size_; }
     const std::string& path() const { return path_; }
-
-    /** madvise the whole mapping. */
-    void advise(Advice advice) const;
-
-    /** madvise a sub-range (byte offsets; rounded out to page bounds). */
-    void advise(size_t offset, size_t length, Advice advice) const;
 
     /**
      * Bytes of the mapping currently resident in the page cache

@@ -1,6 +1,7 @@
 # End-to-end check of the "generate new input sets" workflow at the CLI
 # surface: make_inputs writes an input set, the proxy and the validator
-# consume its .mgz3 container, the full mapper maps its FASTQ, and a file
+# consume its .mgz3 container, the full mapper maps its FASTQ, mg_verify
+# reports a damaged, a truncated and an empty container, and a file
 # carrying the retired MGZ2 magic is refused with a structured error.
 #
 #   cmake -DMAKE_INPUTS=... -DMINIGIRAFFE=... -DVALIDATE=... -DGIRAFFE=...
@@ -56,6 +57,41 @@ if(gaf_bytes EQUAL 0)
 endif()
 
 run_expect(0 log ${MG_VERIFY} "${BASE}.mgz3")
+
+# A damaged section: one payload byte of the first section inverted in a
+# copy (dd patches it in place).  mg_verify lists that section as
+# MISMATCH and exits 1.
+string(REGEX MATCH "section ([^ ]+) +offset=([0-9]+) +size=([0-9]+)"
+       first "${log}")
+if(NOT first OR CMAKE_MATCH_3 EQUAL 0)
+  message(FATAL_ERROR "mg_verify printed no non-empty section\n${log}")
+endif()
+set(DAMAGED_SECTION "${CMAKE_MATCH_1}")
+math(EXPR at "${CMAKE_MATCH_2} + ${CMAKE_MATCH_3} / 2")
+set(BAD "${WORK}/damaged.mgz3")
+configure_file("${BASE}.mgz3" "${BAD}" COPYONLY)
+file(READ "${BAD}" old_byte OFFSET ${at} LIMIT 1 HEX)
+if(old_byte STREQUAL "00")
+  set(new_byte "\\377")
+else()
+  set(new_byte "\\000")
+endif()
+run_expect(0 log sh -c "printf '${new_byte}' | dd of='${BAD}' bs=1 \
+seek=${at} count=1 conv=notrunc 2>/dev/null")
+run_expect(1 log ${MG_VERIFY} "${BAD}")
+expect_match("${log}" "section ${DAMAGED_SECTION} [^\n]*MISMATCH"
+             "mg_verify damaged section")
+
+# A container cut short inside its first page, and an empty one: exit 1
+# with a structured truncated error, not a crash.
+set(CUT "${WORK}/cut.mgz3")
+run_expect(0 log dd if=${BASE}.mgz3 of=${CUT} bs=1000 count=1)
+run_expect(1 log ${MG_VERIFY} "${CUT}")
+expect_match("${log}" "truncated: .*file=${CUT}" "mg_verify cut container")
+set(EMPTY "${WORK}/empty.mgz3")
+file(WRITE "${EMPTY}" "")
+run_expect(1 log ${MG_VERIFY} "${EMPTY}")
+expect_match("${log}" "truncated: .*file=${EMPTY}" "mg_verify empty container")
 
 # The retired v2 stream magic: exit 1 with a structured Corrupt error
 # naming the file, not a crash (a signal would not give exit code 1).

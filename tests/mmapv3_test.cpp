@@ -123,8 +123,6 @@ TEST(MappedFileTest, OpensMapsAndReportsResidency)
     EXPECT_EQ(std::memcmp(mapping->data(), bytes.data(), bytes.size()), 0);
     // Touching every page makes the whole mapping resident.
     EXPECT_GE(mapping->residentBytes(), bytes.size());
-    mapping->advise(mem::Advice::Random);
-    mapping->advise(0, bytes.size(), mem::Advice::WillNeed);
 }
 
 TEST(MappedFileTest, OpenMissingFileThrows)

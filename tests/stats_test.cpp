@@ -2,12 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "stats/anova.h"
 #include "stats/latency.h"
 #include "stats/bootstrap.h"
 #include "stats/descriptive.h"
+#include "stats/paired.h"
 #include "stats/special.h"
 #include "util/common.h"
 #include "util/rng.h"
@@ -285,6 +289,105 @@ TEST(BootstrapTest, RejectsDegenerateInputs)
     std::vector<double> two = {1.0, 2.0};
     EXPECT_THROW(bootstrapCi(two, the_mean, 1.5), util::Error);
     EXPECT_THROW(bootstrapCi(two, the_mean, 0.95, 10), util::Error);
+}
+
+// ----------------------------------------------------------- pairedRatio
+
+/** A deterministic cost function: replays `costs` in call order. */
+std::function<double()>
+replay(std::vector<double> costs)
+{
+    auto next = std::make_shared<size_t>(0);
+    return [costs = std::move(costs), next] {
+        return costs.at((*next)++);
+    };
+}
+
+TEST(PairedRatioTest, AlternatesWhichSideRunsFirst)
+{
+    std::string calls;
+    PairedRatio paired = pairedRatio(
+        4,
+        [&] {
+            calls += 'b';
+            return 1.0;
+        },
+        [&] {
+            calls += 'c';
+            return 1.0;
+        });
+    EXPECT_EQ(calls, "bccbbccb");
+    EXPECT_EQ(paired.rounds(), 4u);
+}
+
+TEST(PairedRatioTest, MedianIsOfPerRoundRatios)
+{
+    // Per-round ratios 1, 3, 0.5 (median 1), while the ratio of the two
+    // sides' median costs would read 3.
+    PairedRatio paired =
+        pairedRatio(3, replay({1.0, 3.0, 10.0}), replay({1.0, 1.0, 20.0}));
+    EXPECT_EQ(paired.ratios, (std::vector<double>{1.0, 3.0, 0.5}));
+    EXPECT_DOUBLE_EQ(paired.median(), 1.0);
+    EXPECT_DOUBLE_EQ(paired.baselineCost.pointEstimate, 3.0);
+    EXPECT_DOUBLE_EQ(paired.candidateCost.pointEstimate, 1.0);
+}
+
+TEST(PairedRatioTest, OneWildRoundDoesNotMoveTheMedian)
+{
+    std::vector<double> candidate(21, 2.0);
+    const PairedRatio steady = pairedRatio(
+        21, replay(std::vector<double>(21, 1.0)), replay(candidate));
+    candidate[7] = 1000.0; // a descheduled pass
+    const PairedRatio wild = pairedRatio(
+        21, replay(std::vector<double>(21, 1.0)), replay(candidate));
+    EXPECT_DOUBLE_EQ(steady.median(), 0.5);
+    EXPECT_DOUBLE_EQ(wild.median(), 0.5);
+    EXPECT_DOUBLE_EQ(wild.ratios[7], 0.001);
+}
+
+/** Costs around `level` with deterministic drift and jitter, as a host
+ *  whose speed wanders between rounds would produce. */
+std::function<double()>
+noisyCost(double level, uint64_t seed)
+{
+    auto rng = std::make_shared<util::Rng>(seed);
+    auto call = std::make_shared<int>(0);
+    return [level, rng, call] {
+        const double drift = 1.0 + 0.2 * std::sin(0.1 * (*call)++);
+        return level * drift * (0.97 + 0.06 * rng->uniformReal());
+    };
+}
+
+TEST(PairedRatioTest, IntervalBracketsTheMedian)
+{
+    const PairedRatio paired =
+        pairedRatio(101, noisyCost(1.0, 3), noisyCost(1.0, 4));
+    EXPECT_LE(paired.ratio.lower, paired.median());
+    EXPECT_GE(paired.ratio.upper, paired.median());
+    EXPECT_LT(paired.ratio.lower, paired.ratio.upper);
+    EXPECT_TRUE(paired.baselineCost.contains(
+        paired.baselineCost.pointEstimate));
+    EXPECT_TRUE(paired.candidateCost.contains(
+        paired.candidateCost.pointEstimate));
+}
+
+TEST(PairedRatioTest, FivePercentSlowerCandidateReadsBelowTheFloor)
+{
+    const PairedRatio same =
+        pairedRatio(101, noisyCost(1.0, 5), noisyCost(1.0, 6));
+    const PairedRatio slower =
+        pairedRatio(101, noisyCost(1.0, 5), noisyCost(1.05, 6));
+    EXPECT_GE(same.median(), 0.98);
+    EXPECT_LT(slower.median(), 0.98);
+}
+
+TEST(PairedRatioTest, RejectsTooFewRoundsAndNonPositiveCosts)
+{
+    auto one = [] { return 1.0; };
+    EXPECT_THROW(pairedRatio(1, one, one), util::Error);
+    EXPECT_THROW(pairedRatio(0, one, one), util::Error);
+    EXPECT_THROW(pairedRatio(3, one, [] { return 0.0; }), util::Error);
+    EXPECT_THROW(pairedRatio(3, [] { return -1.0; }, one), util::Error);
 }
 
 } // namespace
