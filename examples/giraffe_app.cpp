@@ -29,30 +29,6 @@
 #include "util/flags.h"
 #include "util/timer.h"
 
-namespace {
-
-/** Per-site fault counters for the final metrics snapshot. */
-std::vector<mg::obs::MetricValue>
-faultExtras()
-{
-    std::vector<mg::obs::MetricValue> extras;
-    for (const auto& [site, stats] : mg::fault::allStats()) {
-        mg::obs::MetricValue hits;
-        hits.name = "mg_fault_hits_total{site=\"" + site + "\"}";
-        hits.help = "Times the fault site was evaluated.";
-        hits.value = stats.hits;
-        extras.push_back(std::move(hits));
-        mg::obs::MetricValue fires;
-        fires.name = "mg_fault_fires_total{site=\"" + site + "\"}";
-        fires.help = "Times the fault site injected its fault.";
-        fires.value = stats.fires;
-        extras.push_back(std::move(fires));
-    }
-    return extras;
-}
-
-} // namespace
-
 int
 main(int argc, char** argv)
 try {
@@ -203,7 +179,7 @@ try {
                         result.failures.summary().c_str());
         }
         if (emitter) {
-            emitter->finalize(faultExtras());
+            emitter->finalize(mg::giraffe::faultExtras());
             std::printf("wrote %s\n", flags.str("metrics-out").c_str());
         }
         if (!flags.str("summary-json").empty()) {
@@ -246,21 +222,7 @@ try {
         return index < reads.size() ? reads.reads[index].name : "?";
     };
     for (const mg::sched::WatchdogEvent& event : outputs.watchdogEvents) {
-        std::printf("watchdog cancel: worker %zu batch [%zu,%zu) stalled "
-                    "%.2f s\n",
-                    event.worker, event.batchBegin, event.batchEnd,
-                    static_cast<double>(event.stalledNanos) / 1e9);
-        for (const mg::obs::FlightEntry& entry : event.flight) {
-            const double age =
-                event.atNanos > entry.stageEnterNanos
-                    ? static_cast<double>(event.atNanos -
-                                          entry.stageEnterNanos) / 1e9
-                    : 0.0;
-            std::printf("  read %llu (%s): in %s for %.3f s\n",
-                        static_cast<unsigned long long>(entry.readIndex),
-                        read_name(entry.readIndex).c_str(),
-                        mg::obs::stageName(entry.stage), age);
-        }
+        mg::giraffe::printWatchdogEvent(event, read_name);
     }
     if (!outputs.failures.ok()) {
         std::printf("failures: %s\n", outputs.failures.summary().c_str());
@@ -293,7 +255,7 @@ try {
     }
 
     if (emitter) {
-        emitter->finalize(faultExtras());
+        emitter->finalize(mg::giraffe::faultExtras());
         std::printf("wrote %s\n", flags.str("metrics-out").c_str());
     }
     if (!flags.str("trace-out").empty()) {

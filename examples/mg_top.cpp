@@ -57,15 +57,10 @@ millis(double nanos)
 void
 render(const Value& snap)
 {
-    std::printf("mgd %s  generation %llu%s  reloads %llu (%llu rejected, "
+    std::printf("mgd %s  generation %llu  reloads %llu (%llu rejected, "
                 "%llu retired)\n",
                 text(snap, "state").c_str(),
                 static_cast<unsigned long long>(uns(snap, "generation")),
-                snap.find("publishing") != nullptr &&
-                        snap.find("publishing")->isBool() &&
-                        snap.find("publishing")->boolean
-                    ? " [publishing]"
-                    : "",
                 static_cast<unsigned long long>(uns(snap, "reloads")),
                 static_cast<unsigned long long>(
                     uns(snap, "reloads_rejected")),

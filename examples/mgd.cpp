@@ -1,14 +1,15 @@
 /**
  * @file
- * mgd — mapping as a service.  Loads (or generates) a pangenome once,
- * builds its indexes, and serves mapping requests over a Unix-domain
- * socket with admission control, per-tenant QoS, explicit backpressure
- * (RETRY_AFTER), per-request deadlines, and graceful drain on
- * SIGTERM/SIGINT (finish or degrade in-flight work, flush metrics,
- * exit 0).
+ * mgd — mapping as a service.  Maps one .mgz3 container and serves
+ * mapping requests over a Unix-domain socket with admission control,
+ * per-tenant QoS, explicit backpressure (RETRY_AFTER), per-request
+ * deadlines, and graceful drain on SIGTERM/SIGINT (finish or degrade
+ * in-flight work, flush metrics, exit 0).
  *
- * Run:  ./examples/mgd <graph.mgz3> --socket /tmp/mgd.sock
- *       ./examples/mgd --gen B-yeast --socket /tmp/mgd.sock [flags]
+ * Run:  ./examples/mgd <graph.mgz3> --socket /tmp/mgd.sock [flags]
+ *
+ * make_inputs writes a container for any input set, e.g.
+ * `make_inputs --input-set B-yeast --out-dir /tmp` -> /tmp/B-yeast.mgz3.
  *
  * The container is memory-mapped: startup is near-instant and N mgd
  * processes serving the same .mgz3 share one page-cache copy of the
@@ -25,53 +26,23 @@
 
 #include <cstdio>
 #include <memory>
-#include <optional>
 
 #include "fault/fault.h"
-#include "index/distance.h"
-#include "index/minimizer.h"
+#include "giraffe/run_summary.h"
 #include "io/mgz.h"
 #include "obs/emitter.h"
 #include "obs/flight_recorder.h"
 #include "obs/request_trace.h"
 #include "serve/daemon.h"
 #include "serve/stop.h"
-#include "sim/input_sets.h"
 #include "util/flags.h"
 #include "util/timer.h"
-
-namespace {
-
-/** Per-site fault counters for the final metrics snapshot. */
-std::vector<mg::obs::MetricValue>
-faultExtras()
-{
-    std::vector<mg::obs::MetricValue> extras;
-    for (const auto& [site, stats] : mg::fault::allStats()) {
-        mg::obs::MetricValue hits;
-        hits.name = "mg_fault_hits_total{site=\"" + site + "\"}";
-        hits.help = "Times the fault site was evaluated.";
-        hits.value = stats.hits;
-        extras.push_back(std::move(hits));
-        mg::obs::MetricValue fires;
-        fires.name = "mg_fault_fires_total{site=\"" + site + "\"}";
-        fires.help = "Times the fault site injected its fault.";
-        fires.value = stats.fires;
-        extras.push_back(std::move(fires));
-    }
-    return extras;
-}
-
-} // namespace
 
 int
 main(int argc, char** argv)
 try {
     mg::util::Flags flags("mgd");
     flags.define("socket", "", "Unix-domain socket path to serve on")
-         .define("gen", "",
-                 "serve a generated pangenome (input-set name, e.g. "
-                 "B-yeast) instead of loading an .mgz3")
          .define("workers", "2", "mapping worker threads")
          .define("queue-capacity", "64",
                  "bound on queued requests across all tenants")
@@ -122,12 +93,9 @@ try {
     if (!flags.parse(argc - 1, argv + 1)) {
         return 0;
     }
-    const bool generated = !flags.str("gen").empty();
-    if (flags.str("socket").empty() ||
-        flags.positional().size() != (generated ? 0u : 1u)) {
+    if (flags.str("socket").empty() || flags.positional().size() != 1) {
         std::fprintf(stderr,
-                     "usage: mgd (<graph.mgz3> | --gen <input-set>) "
-                     "--socket <path> [flags]\n");
+                     "usage: mgd <graph.mgz3> --socket <path> [flags]\n");
         return 1;
     }
     if (!flags.str("fault").empty()) {
@@ -136,36 +104,14 @@ try {
     mg::serve::installStopHandlers();
     mg::serve::installReloadHandler();
 
-    // The pangenome: mapped from a container, or generated from the
-    // named input-set spec with its indexes built in memory
-    // (self-contained demos and tests).
     mg::util::WallTimer timer;
-    std::optional<mg::io::IndexedPangenome> loaded;
-    std::optional<mg::sim::GeneratedPangenome> synthetic;
-    std::optional<mg::index::MinimizerIndex> gen_minimizers;
-    std::optional<mg::index::DistanceIndex> gen_distance;
-    if (generated) {
-        synthetic = mg::sim::generatePangenome(
-            mg::sim::inputSetSpec(flags.str("gen")).pangenome);
-        gen_minimizers.emplace(synthetic->graph,
-                               mg::index::MinimizerParams());
-        gen_distance.emplace(synthetic->graph);
-    } else {
-        loaded = mg::io::loadPangenome(flags.positional()[0]);
-    }
-    const size_t num_nodes =
-        generated ? synthetic->graph.numNodes() : loaded->graph.numNodes();
-    const size_t num_keys = generated ? gen_minimizers->numKeys()
-                                      : loaded->minimizers.numKeys();
-    const std::string load_mode =
-        generated ? "generated"
-                  : mg::io::loadModeName(loaded->info.mode);
-    const double load_seconds =
-        generated ? timer.seconds() : loaded->info.loadSeconds;
+    const std::string index_path = flags.positional()[0];
+    mg::io::IndexedPangenome loaded = mg::io::loadPangenome(index_path);
     std::printf("mgd: %zu nodes ready in %.2f s (%s load: %.3f s, "
                 "%zu minimizer keys)\n",
-                num_nodes, timer.seconds(), load_mode.c_str(),
-                load_seconds, num_keys);
+                loaded.graph.numNodes(), timer.seconds(),
+                mg::io::loadModeName(loaded.info.mode),
+                loaded.info.loadSeconds, loaded.minimizers.numKeys());
 
     mg::serve::DaemonParams params;
     params.socketPath = flags.str("socket");
@@ -187,8 +133,6 @@ try {
         static_cast<uint64_t>(flags.integer("max-extend-steps"));
     params.maxBudget.maxGbwtLookups =
         static_cast<uint64_t>(flags.integer("max-gbwt-lookups"));
-    params.indexLoadMode = load_mode;
-    params.indexLoadSeconds = load_seconds;
     params.traceSample = flags.real("trace-sample");
     params.traceOut = flags.str("trace-out");
     params.traceExemplars =
@@ -197,34 +141,24 @@ try {
     params.flightRingSize =
         static_cast<size_t>(flags.integer("flight-ring"));
 
-    // File-backed pangenomes move into the daemon (the IndexManager must
-    // own the mapping so a hot swap can retire and unmap it); generated
-    // ones stay borrowed — there is no file to reload anyway.
-    const std::string index_path =
-        generated ? std::string() : flags.positional()[0];
-    std::optional<mg::serve::Daemon> daemon;
-    if (generated) {
-        daemon.emplace(synthetic->graph, synthetic->gbwt, *gen_minimizers,
-                       *gen_distance, params);
-    } else {
-        daemon.emplace(std::move(*loaded), index_path, params);
-        loaded.reset();
-    }
-    daemon->start();
+    // The pangenome moves into the daemon: the IndexManager owns the
+    // mapping so a hot swap can retire and unmap it.
+    mg::serve::Daemon daemon(std::move(loaded), index_path, params);
+    daemon.start();
     // Fatal signals dump every worker's flight ring (read index, stage,
     // trace id) with async-signal-safe calls before re-raising.
-    mg::obs::installCrashHandler(&daemon->hub().flight());
+    mg::obs::installCrashHandler(&daemon.hub().flight());
     std::unique_ptr<mg::obs::MetricsEmitter> emitter;
     if (!flags.str("metrics-out").empty()) {
         emitter = std::make_unique<mg::obs::MetricsEmitter>(
-            daemon->hub().registry(), flags.str("metrics-out"),
+            daemon.hub().registry(), flags.str("metrics-out"),
             flags.real("metrics-interval"));
         emitter->start();
     }
     std::printf("mgd: serving on %s (%zu workers, queue %zu",
                 params.socketPath.c_str(), params.workers,
                 params.queueCapacity);
-    for (const mg::serve::TenantConfig& tenant : daemon->params().tenants) {
+    for (const mg::serve::TenantConfig& tenant : daemon.params().tenants) {
         std::printf(", tenant %s w=%llu", tenant.name.c_str(),
                     static_cast<unsigned long long>(tenant.weight));
     }
@@ -241,35 +175,30 @@ try {
         ::poll(&pfd, 1, 1000);
         if (mg::serve::reloadRequested()) {
             mg::serve::clearReloadRequest();
-            if (index_path.empty()) {
-                std::printf("mgd: SIGHUP ignored — serving a generated "
-                            "pangenome, nothing to reload\n");
+            mg::serve::SwapOutcome outcome =
+                daemon.reloadIndex(index_path);
+            if (outcome.accepted) {
+                std::printf("mgd: SIGHUP reload published generation "
+                            "%llu (%s, %.3f s load)\n",
+                            static_cast<unsigned long long>(
+                                outcome.generation),
+                            index_path.c_str(), outcome.loadSeconds);
             } else {
-                mg::serve::SwapOutcome outcome =
-                    daemon->reloadIndex(index_path);
-                if (outcome.accepted) {
-                    std::printf("mgd: SIGHUP reload published generation "
-                                "%llu (%s, %.3f s load)\n",
-                                static_cast<unsigned long long>(
-                                    outcome.generation),
-                                index_path.c_str(), outcome.loadSeconds);
-                } else {
-                    std::printf("mgd: SIGHUP reload REJECTED, generation "
-                                "%llu still serving: %s\n",
-                                static_cast<unsigned long long>(
-                                    outcome.generation),
-                                outcome.reason.c_str());
-                }
+                std::printf("mgd: SIGHUP reload REJECTED, generation "
+                            "%llu still serving: %s\n",
+                            static_cast<unsigned long long>(
+                                outcome.generation),
+                            outcome.reason.c_str());
             }
             std::fflush(stdout);
         }
     }
     std::printf("mgd: stop signal, draining (deadline %.1f s)\n",
                 params.drainDeadlineSeconds);
-    daemon->requestDrain();
-    daemon->stop();
+    daemon.requestDrain();
+    daemon.stop();
 
-    const mg::serve::DaemonReport& report = daemon->report();
+    const mg::serve::DaemonReport& report = daemon.report();
     std::printf("mgd: drained %s — %llu accepted, %llu completed, "
                 "%llu shed (%llu at drain, %llu past deadline), "
                 "%llu errors, %llu bad frames, %llu watchdog cancels; "
@@ -307,9 +236,9 @@ try {
         // Stamp each stage histogram with the trace id of the slowest
         // request seen at that stage, so the JSON snapshot links a fat
         // tail straight to a .mgtrace / Chrome-trace exemplar.
-        const auto stage_exemplars = daemon->tracer().stageExemplars();
+        const auto stage_exemplars = daemon.tracer().stageExemplars();
         emitter->finalize(
-            faultExtras(), [&](mg::obs::Snapshot& snap) {
+            mg::giraffe::faultExtras(), [&](mg::obs::Snapshot& snap) {
                 for (size_t s = 0; s < mg::obs::kSpanStages; ++s) {
                     if (stage_exemplars[s].traceId == 0) {
                         continue;

@@ -35,12 +35,6 @@ class Gbwt
   public:
     Gbwt() = default;
 
-    /** Number of oriented-node slots (2 * numNodes + 2). */
-    size_t numSlots() const
-    {
-        return recordOffsets_.empty() ? 0 : recordOffsets_.size() - 1;
-    }
-
     /** Number of indexed oriented paths (2x the haplotype count). */
     uint64_t numPaths() const { return numPaths_; }
 

@@ -1,5 +1,8 @@
 #include "giraffe/run_summary.h"
 
+#include <cstdio>
+
+#include "fault/fault.h"
 #include "machine/host.h"
 #include "obs/json.h"
 #include "sched/scheduler.h"
@@ -211,6 +214,46 @@ summaryJson(const CheckpointRunResult& result,
     writeFailures(w, result.failures);
     w.endObject();
     return w.str();
+}
+
+std::vector<obs::MetricValue>
+faultExtras()
+{
+    std::vector<obs::MetricValue> extras;
+    for (const auto& [site, stats] : fault::allStats()) {
+        obs::MetricValue hits;
+        hits.name = "mg_fault_hits_total{site=\"" + site + "\"}";
+        hits.help = "Times the fault site was evaluated.";
+        hits.value = stats.hits;
+        extras.push_back(std::move(hits));
+        obs::MetricValue fires;
+        fires.name = "mg_fault_fires_total{site=\"" + site + "\"}";
+        fires.help = "Times the fault site injected its fault.";
+        fires.value = stats.fires;
+        extras.push_back(std::move(fires));
+    }
+    return extras;
+}
+
+void
+printWatchdogEvent(const sched::WatchdogEvent& event,
+                   const std::function<std::string(uint64_t)>& read_name)
+{
+    std::printf("watchdog cancel: worker %zu batch [%zu,%zu) stalled "
+                "%.2f s\n",
+                event.worker, event.batchBegin, event.batchEnd,
+                static_cast<double>(event.stalledNanos) / 1e9);
+    for (const obs::FlightEntry& entry : event.flight) {
+        const double age =
+            event.atNanos > entry.stageEnterNanos
+                ? static_cast<double>(event.atNanos -
+                                      entry.stageEnterNanos) / 1e9
+                : 0.0;
+        std::printf("  read %llu (%s): in %s for %.3f s\n",
+                    static_cast<unsigned long long>(entry.readIndex),
+                    read_name(entry.readIndex).c_str(),
+                    obs::stageName(entry.stage), age);
+    }
 }
 
 } // namespace mg::giraffe

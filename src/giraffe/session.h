@@ -92,9 +92,7 @@ class MapSession
     /**
      * Pre-create every worker slot's MapperState (hot-swap path: the
      * replacement generation's session is warmed *before* publish, so the
-     * first post-swap request on any worker pays no lazy-init cost and —
-     * more importantly — no state construction happens inside the
-     * publish window).
+     * first post-swap request on any worker pays no lazy-init cost).
      */
     void warmup(obs::Hub* hub = nullptr);
 

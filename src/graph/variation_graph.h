@@ -94,9 +94,6 @@ class VariationGraph
     /** Bases canonicalized from ambiguity letters to 'A' at ingest. */
     size_t sanitizedBases() const { return store_.sanitizedBases(); }
 
-    /** Pre-size the sequence arena for an expected base total. */
-    void reserveSequence(size_t bases) { store_.reserveBases(bases); }
-
     /**
      * Bind the packed sequence arenas directly onto a mapped MGZ v3
      * container (mem::ArenaView zero-copy path).  Must be called on a

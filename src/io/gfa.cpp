@@ -241,10 +241,4 @@ saveGfa(const std::string& path, const graph::VariationGraph& graph)
     writeFileText(path, formatGfa(graph));
 }
 
-graph::VariationGraph
-loadGfa(const std::string& path)
-{
-    return parseGfa(readFileText(path), path);
-}
-
 } // namespace mg::io

@@ -30,8 +30,7 @@ std::string formatGfa(const graph::VariationGraph& graph);
 graph::VariationGraph parseGfa(const std::string& text,
                                std::string_view file = {});
 
-/** Convenience file wrappers. */
+/** Convenience file wrapper. */
 void saveGfa(const std::string& path, const graph::VariationGraph& graph);
-graph::VariationGraph loadGfa(const std::string& path);
 
 } // namespace mg::io

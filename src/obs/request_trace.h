@@ -42,7 +42,7 @@ enum class SpanStage : uint8_t
     Accept = 0,    // frame read off the socket
     Decode,        // wire decode
     QueueWait,     // admitted -> popped by a worker
-    GenerationPin, // index generation pin (publish-window wait)
+    GenerationPin, // index generation pin (the pin mutex)
     Seed,          // minimizer seeding, aggregated over the reads
     Cluster,       // seed clustering, aggregated
     Extend,        // extension scoring loop, aggregated

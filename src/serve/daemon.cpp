@@ -64,27 +64,8 @@ Daemon::Connection::~Connection()
     }
 }
 
-Daemon::Daemon(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
-               const index::MinimizerIndex& minimizers,
-               const index::DistanceIndex& distance, DaemonParams params)
-    : Daemon(std::move(params), [&](const giraffe::SessionParams& session) {
-          return std::make_unique<IndexManager>(
-              graph, gbwt, minimizers, distance, session, "generated",
-              params_.indexLoadMode, params_.indexLoadSeconds);
-      })
-{}
-
 Daemon::Daemon(io::IndexedPangenome&& pangenome, std::string source,
                DaemonParams params)
-    : Daemon(std::move(params), [&](const giraffe::SessionParams& session) {
-          return std::make_unique<IndexManager>(std::move(pangenome),
-                                                session, std::move(source));
-      })
-{}
-
-Daemon::Daemon(DaemonParams&& params,
-               const std::function<std::unique_ptr<IndexManager>(
-                   const giraffe::SessionParams&)>& make_index)
     : params_(std::move(params)),
       hub_(std::make_unique<obs::Hub>(
           params_.workers + 1,
@@ -98,15 +79,15 @@ Daemon::Daemon(DaemonParams&& params,
     if (params_.tenants.empty()) {
         params_.tenants = defaultTenants();
     }
-    giraffe::SessionParams session = params_.session;
-    session.workers = params_.workers;
-    index_ = make_index(session);
-    // The first generation says how the served index got into memory.
-    const IndexManager::Handle first = index_->pin();
-    params_.indexLoadMode = first->loadMode;
-    params_.indexLoadSeconds = first->loadSeconds;
+    // The served container says how the index got into memory.
+    params_.indexLoadMode = io::loadModeName(pangenome.info.mode);
+    params_.indexLoadSeconds = pangenome.info.loadSeconds;
     report_.indexLoadMode = params_.indexLoadMode;
     report_.indexLoadSeconds = params_.indexLoadSeconds;
+    giraffe::SessionParams session = params_.session;
+    session.workers = params_.workers;
+    index_ = std::make_unique<IndexManager>(std::move(pangenome), session,
+                                            std::move(source));
     queue_ = std::make_unique<AdmissionQueue<Job>>(
         params_.queueCapacity, params_.tenants, params_.retryBaseMillis);
     watchdog_ =
@@ -377,7 +358,6 @@ Daemon::statsJson()
     w.field("state", daemonStateName(state_.load()));
     w.field("now_ns", now);
     w.field("generation", index_->generation());
-    w.field("publishing", index_->publishing());
     w.field("reloads", snap.valueOf("mg_serve_reloads_total"));
     w.field("reloads_rejected",
             snap.valueOf("mg_serve_reloads_rejected_total"));
@@ -570,43 +550,18 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
 
     // Pin the serving generation *at admission*: whatever swaps publish
     // while this request waits or maps, its whole index set stays alive
-    // until its response is written.  During a swap's publish window the
-    // pin refuses instead of racing the flip; those admissions get a
-    // RETRY_AFTER whose hint grows with consecutive refusals, so clients
-    // back off a stretched publish instead of hammering it.
+    // until its response is written.  The span times the pin mutex.
     const uint64_t pin_start = trace ? util::nowNanos() : 0;
-    uint64_t serving = 0;
-    IndexManager::Handle handle = index_->pin(&serving);
+    IndexManager::Handle handle = index_->pin();
     if (trace) {
         trace->span(obs::SpanStage::GenerationPin,
                     static_cast<uint32_t>(tracer_->controlLane()),
                     pin_start, util::nowNanos());
+        trace->generation = handle->number;
     }
-    if (!handle) {
-        uint32_t rejects =
-            publishRejects_.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (rejects > 64) {
-            rejects = 64;
-        }
-        slab->add(ids.shed);
-        Response retry;
-        retry.id = request.id;
-        retry.status = ResponseStatus::RetryAfter;
-        retry.generation = serving;
-        retry.retryAfterMillis = params_.retryBaseMillis * rejects;
-        endRequest(*conn, retry, trace, tracer_->controlLane(),
-                   "retry-after", slab);
-        return;
-    }
-    publishRejects_.store(0, std::memory_order_relaxed);
 
     Job job;
     job.conn = conn;
-    uint64_t id = request.id;
-    const uint64_t generation = handle->number;
-    if (trace) {
-        trace->generation = generation;
-    }
     job.request = std::move(request);
     job.tenant = tenant;
     job.admittedNanos = util::nowNanos();
@@ -616,27 +571,23 @@ Daemon::handleRequest(std::shared_ptr<Connection>& conn,
             : 0;
     job.handle = std::move(handle);
     job.trace = std::move(trace);
-    // tryPush destroys the job on rejection, trace and all; a cheap copy
-    // of the context (a handful of spans) keeps the shed committable.
-    std::unique_ptr<obs::TraceContext> rejected_copy;
-    if (job.trace) {
-        rejected_copy = std::make_unique<obs::TraceContext>(*job.trace);
-    }
     AdmissionVerdict verdict = queue_->tryPush(tenant, std::move(job));
     if (verdict.admitted()) {
         slab->add(ids.accepted);
         slab->raise(serve.queueDepth, verdict.depth);
         return;
     }
+    // Rejected: tryPush left the job whole, so its own trace is the one
+    // committed with the shed.
     slab->add(ids.shed);
     Response shed;
-    shed.id = id;
+    shed.id = job.request.id;
     shed.status = verdict.outcome == Admission::Closed
                       ? ResponseStatus::ShuttingDown
                       : ResponseStatus::RetryAfter;
-    shed.generation = generation;
+    shed.generation = job.handle->number;
     shed.retryAfterMillis = verdict.retryAfterMillis;
-    endRequest(*conn, shed, rejected_copy, tracer_->controlLane(),
+    endRequest(*conn, shed, job.trace, tracer_->controlLane(),
                verdict.outcome == Admission::Closed ? "shutting-down"
                                                     : "retry-after",
                slab);
@@ -660,7 +611,7 @@ Daemon::workerLoop(size_t worker)
             Response error;
             error.id = job.request.id;
             error.status = ResponseStatus::Error;
-            error.generation = job.handle ? job.handle->number : 0;
+            error.generation = job.handle->number;
             error.message = err.what();
             if (job.trace) {
                 // The mapping threw mid-request: unwind the in-flight
@@ -704,7 +655,7 @@ Daemon::shedExpiredJobs(size_t worker)
         Response response;
         response.id = job.request.id;
         response.status = ResponseStatus::DeadlineShed;
-        response.generation = job.handle ? job.handle->number : 0;
+        response.generation = job.handle->number;
         if (job.trace) {
             // The request died in the queue; close its span tree with the
             // wait it actually endured.  The sweep runs on this worker's

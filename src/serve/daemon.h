@@ -34,7 +34,6 @@
 #pragma once
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,13 +73,13 @@ struct DaemonParams
     sched::WatchdogParams watchdogParams;
     giraffe::SessionParams session;
     /**
-     * How the served pangenome got into memory ("mmap" for a mapped
-     * container, "generated" for indexes built in memory) and how long
-     * that took — filled by the embedding
-     * process (mgd) and echoed in the DaemonReport so service logs say
-     * whether this instance shares its index pages with its neighbours.
+     * How the served pangenome got into memory and how long that took.
+     * The daemon fills both from the container it serves (any value set
+     * here is overwritten) and echoes them in the DaemonReport, so
+     * service logs say whether this instance shares its index pages with
+     * its neighbours.
      */
-    std::string indexLoadMode = "generated";
+    std::string indexLoadMode;
     double indexLoadSeconds = 0.0;
     /**
      * Head-sampling probability for tracing untagged requests, [0, 1].
@@ -137,23 +136,16 @@ struct DaemonReport
     uint64_t tracedRequests = 0;
     /** Slow-request `.mgtrace` dumps written at stop(). */
     uint64_t traceDumps = 0;
-    /** Index load mode ("mmap" | "generated") and load seconds, copied
-     *  from DaemonParams at construction. */
-    std::string indexLoadMode = "generated";
+    /** Index load mode and load seconds of the served container. */
+    std::string indexLoadMode;
     double indexLoadSeconds = 0.0;
 };
 
 class Daemon
 {
   public:
-    /** Serve caller-owned indexes (generated pangenomes, tests); they
-     *  must outlive the daemon. */
-    Daemon(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
-           const index::MinimizerIndex& minimizers,
-           const index::DistanceIndex& distance, DaemonParams params);
-
-    /** Serve a pangenome loaded from `source` (hot-swappable: the first
-     *  generation is owned, so RELOAD can retire it cleanly). */
+    /** Serve a pangenome loaded from the container at `source`; RELOAD
+     *  and SIGHUP swap in replacements and retire it cleanly. */
     Daemon(io::IndexedPangenome&& pangenome, std::string source,
            DaemonParams params);
 
@@ -198,7 +190,7 @@ class Daemon
 
     /**
      * Live introspection snapshot as JSON — what a ControlOp::Stats
-     * frame answers: lifecycle state, generation + reload/publish state,
+     * frame answers: lifecycle state, generation + reload counters,
      * per-tenant queue depth / in-flight / counters / service EWMA,
      * worker heartbeat ages, per-stage latency histograms with trace-id
      * exemplars, and the slowest in-flight traces.  Thread-safe.
@@ -206,13 +198,6 @@ class Daemon
     std::string statsJson();
 
   private:
-    /** The one construction path behind both public constructors:
-     *  `make_index` builds the index manager from the session
-     *  parameters derived from `params`. */
-    Daemon(DaemonParams&& params,
-           const std::function<std::unique_ptr<IndexManager>(
-               const giraffe::SessionParams&)>& make_index);
-
     /** One client connection; workers and the reader share the fd. */
     struct Connection
     {
@@ -286,9 +271,6 @@ class Daemon
     /** Per-tenant EWMA of mapping time, index-aligned with the tenant
      *  configs (relaxed; introspection only). */
     std::unique_ptr<std::atomic<uint64_t>[]> tenantEwmaNanos_;
-    /** Consecutive admissions refused by the publish window; scales the
-     *  RETRY_AFTER hint so clients back off a stretched publish. */
-    std::atomic<uint32_t> publishRejects_{0};
     /** Retired generations already counted into the metric. */
     std::atomic<uint64_t> retiredAccounted_{0};
     /** Serializes accountRetired's read-then-add. */

@@ -5,11 +5,10 @@
  * the socket or a single in-flight request.
  *
  * Lifetime model: every loaded index set lives inside one refcounted
- * Generation (graph + GBWT + minimizer + distance + the MapSession that
- * serves them, plus — for file-backed generations — the IndexedPangenome
- * whose mapping keepalive pins the mmap'd arenas).  The daemon pins the
- * current generation at admission with pin(); the returned Handle is a
- * plain shared_ptr, so a request that is still mapping when a swap
+ * Generation (the IndexedPangenome, whose mapping keepalive pins the
+ * mmap'd arenas, plus the MapSession that serves it).  The daemon pins
+ * the current generation at admission with pin(); the returned Handle
+ * is a plain shared_ptr, so a request that is still mapping when a swap
  * publishes keeps its whole index set alive until its response is
  * written.  When the last pinned request of a retired generation
  * completes, the shared_ptr chain unwinds: MapSession, arenas, and —
@@ -24,13 +23,11 @@
  *             truncated image is rejected here, before any state changes
  *   validate  bind it, then check it is compatible with what is being
  *             served (non-empty graph, same minimizer (k,w) contract)
- *   publish   warm the new generation's MapSession, raise `publishing_`
- *             (late pins see nullptr and the daemon answers RETRY_AFTER
- *             with a growing hint instead of racing the flip), then swap
- *             the current handle and lower the flag in one critical
- *             section of the pin mutex — pins only ever observe a
- *             complete, fully-constructed generation, and a refused pin
- *             always names the generation it was refused by
+ *   publish   warm the new generation's MapSession, then swap the
+ *             current handle under the pin mutex — a pin copies the
+ *             handle under the same mutex, so it sees either the old or
+ *             the new generation, both complete, and admissions keep
+ *             being served by the old one until the flip
  *   retire    the old handle moves to the retired list as weak_ptrs;
  *             expiry of those weak_ptrs is the *proof* that the last
  *             pinned request finished and the old arenas were unmapped
@@ -42,10 +39,8 @@
  */
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,66 +71,33 @@ class IndexManager
     /**
      * One published index set.  Immutable after construction except for
      * the MapSession's per-worker scratch (safe for distinct workers,
-     * like any MapSession).  For file-backed generations `owned` holds
-     * the IndexedPangenome and the index pointers alias into it; for the
-     * borrowed first generation (generated/test pangenomes) they alias
-     * the caller's objects, which must outlive the manager.
+     * like any MapSession).
      */
     struct Generation
     {
         uint64_t number = 0;
-        /** Container path, or "generated" for a synthesized pangenome. */
+        /** Container path the pangenome was mapped from. */
         std::string source;
-        /** "mmap" | "generated". */
-        std::string loadMode;
-        double loadSeconds = 0.0;
-        std::optional<io::IndexedPangenome> owned;
-        const graph::VariationGraph* graph = nullptr;
-        const gbwt::Gbwt* gbwt = nullptr;
-        const index::MinimizerIndex* minimizers = nullptr;
-        const index::DistanceIndex* distance = nullptr;
+        io::IndexedPangenome pangenome;
         std::unique_ptr<giraffe::MapSession> session;
     };
 
     /** A pinned generation; holding one keeps its arenas mapped. */
     using Handle = std::shared_ptr<const Generation>;
 
-    /** First generation borrowing caller-owned indexes (generated
-     *  pangenomes, tests).  The borrowed objects must outlive the
-     *  manager *and* every handle it ever hands out. */
-    IndexManager(const graph::VariationGraph& graph, const gbwt::Gbwt& gbwt,
-                 const index::MinimizerIndex& minimizers,
-                 const index::DistanceIndex& distance,
-                 giraffe::SessionParams session, std::string source,
-                 std::string load_mode, double load_seconds);
-
-    /** First generation owning a pangenome loaded from a container. */
+    /** First generation owning a pangenome loaded from `source`. */
     IndexManager(io::IndexedPangenome&& pangenome,
                  giraffe::SessionParams session, std::string source);
 
     IndexManager(const IndexManager&) = delete;
     IndexManager& operator=(const IndexManager&) = delete;
 
-    /**
-     * Pin the current generation.  Returns nullptr only while a swap is
-     * inside its publish window — the daemon answers those admissions
-     * with RETRY_AFTER instead of racing the flip.  A non-null handle is
-     * always a complete, fully-constructed generation.  `serving`
-     * (nullable) receives the number of the generation serving at the
-     * pin, read together with the verdict, also when it refuses.
-     */
-    Handle pin(uint64_t* serving = nullptr) const;
+    /** Pin the current generation: always a complete,
+     *  fully-constructed one. */
+    Handle pin() const;
 
     /** Number of the currently published generation (1-based). */
     uint64_t generation() const;
-
-    /** True while a swap is inside its publish window (pins would see
-     *  nullptr right now); introspection only, inherently racy. */
-    bool
-    publishing() const
-    {
-        return publishing_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Load, validate, and publish the container at `path` as the next
@@ -157,8 +119,7 @@ class IndexManager
      */
     size_t retiredAlive() const;
 
-    /** Retired *mappings* still alive (subset of retiredAlive: only
-     *  file-backed generations hold one). */
+    /** Retired *mappings* still alive (subset of retiredAlive). */
     size_t retiredMappingsAlive() const;
 
   private:
@@ -170,12 +131,9 @@ class IndexManager
     };
 
     /** The one way a Generation becomes servable, for the first one and
-     *  for every swap: point its indexes at its owned pangenome (a
-     *  borrowed generation arrives with them set) and build its
-     *  MapSession. */
+     *  for every swap: build its MapSession over its pangenome. */
     std::shared_ptr<Generation> bind(Generation&& gen) const;
-    /** Flip the current handle to `next` and close the publish window,
-     *  in one critical section. */
+    /** Flip the current handle to `next`, retiring the old one. */
     void publish(Handle next);
 
     giraffe::SessionParams sessionParams_;
@@ -183,8 +141,6 @@ class IndexManager
     mutable std::mutex swapMutex_;
     /** Guards current_ and retired_ (held only for pointer copies). */
     mutable std::mutex pinMutex_;
-    /** Raised for the duration of the publish window. */
-    std::atomic<bool> publishing_{false};
     Handle current_;
     std::vector<Retired> retired_;
     uint64_t retiredCount_ = 0;

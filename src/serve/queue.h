@@ -127,10 +127,12 @@ class AdmissionQueue
      * Admit or reject one request.  Never blocks: the verdict is the
      * backpressure signal.  retryAfterMillis scales with how far over
      * capacity demand is, so a persistently full queue pushes clients
-     * further out instead of letting them hammer the socket.
+     * further out instead of letting them hammer the socket.  `item` is
+     * moved from only on admission; a rejected item is left to the
+     * caller to answer.
      */
     AdmissionVerdict
-    tryPush(size_t tenant_index, T item)
+    tryPush(size_t tenant_index, T&& item)
     {
         MG_ASSERT(tenant_index < tenants_.size());
         std::lock_guard<std::mutex> lock(mutex_);

@@ -753,20 +753,21 @@ TEST_F(V3Container, TwoDaemonsShareOneMappedContainer)
     ASSERT_EQ(pg1.info.mode, LoadMode::Mapped);
     ASSERT_EQ(pg2.info.mode, LoadMode::Mapped);
 
-    auto make_params = [&](const IndexedPangenome& pg,
-                           const std::string& name) {
+    auto make_params = [](const std::string& name) {
         serve::DaemonParams params;
         params.socketPath = testPath(name + ".sock");
         params.workers = 2;
         params.queueCapacity = 16;
-        params.indexLoadMode = loadModeName(pg.info.mode);
-        params.indexLoadSeconds = pg.info.loadSeconds;
         return params;
     };
-    serve::Daemon daemon1(pg1.graph, pg1.gbwt, pg1.minimizers,
-                          pg1.distance, make_params(pg1, "mmapv3_d1"));
-    serve::Daemon daemon2(pg2.graph, pg2.gbwt, pg2.minimizers,
-                          pg2.distance, make_params(pg2, "mmapv3_d2"));
+    // The daemons own their pangenomes; keep the mappings to look at
+    // their residency afterwards.
+    const std::shared_ptr<mem::MappedFile> mapping1 = pg1.mapping;
+    const std::shared_ptr<mem::MappedFile> mapping2 = pg2.mapping;
+    serve::Daemon daemon1(std::move(pg1), world_->v3Path,
+                          make_params("mmapv3_d1"));
+    serve::Daemon daemon2(std::move(pg2), world_->v3Path,
+                          make_params("mmapv3_d2"));
     daemon1.start();
     daemon2.start();
 
@@ -803,11 +804,11 @@ TEST_F(V3Container, TwoDaemonsShareOneMappedContainer)
     // copy, so each mapping reports (shared) resident pages while the
     // per-process unique cost of the second instance is ~zero.  mincore
     // sees page-cache residency, which is exactly the shared copy.
-    size_t resident1 = pg1.mapping->residentBytes();
-    size_t resident2 = pg2.mapping->residentBytes();
+    size_t resident1 = mapping1->residentBytes();
+    size_t resident2 = mapping2->residentBytes();
     EXPECT_GT(resident1, 0u);
     EXPECT_GT(resident2, 0u);
-    EXPECT_EQ(pg1.mapping->size(), pg2.mapping->size());
+    EXPECT_EQ(mapping1->size(), mapping2->size());
 }
 
 } // namespace

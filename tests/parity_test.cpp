@@ -4,8 +4,9 @@
  * (unpaired reads), the GAF rendered from ParentEmulator::run equals
  * MapSession::map's GAF byte for byte, with no budget and under a
  * deterministic step cap whose dg:Z: tags must match too; a request
- * through a real Daemon returns the same bytes again, and the daemon's
- * mapping funnel and GBWT counters equal the batch run's.
+ * through a real Daemon, serving the same indexes from a mapped .mgz3
+ * container, returns the same bytes again, and the daemon's mapping
+ * funnel and GBWT counters equal the (heap-index) batch run's.
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "giraffe/parent.h"
 #include "giraffe/session.h"
 #include "io/gaf.h"
+#include "io/mgz.h"
 #include "obs/hub.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
@@ -110,12 +112,15 @@ TEST_P(BatchServeParity, SessionAndDaemonGafEqualParentGaf)
     resilience::WorkBudget capped;
     capped.maxExtendSteps = 16;
 
+    // The daemon serves the analog the way mgd does: from a container.
+    const std::string container = testPath("parity.mgz3");
+    io::saveMgz3(container, world.set.pangenome.graph,
+                 world.set.pangenome.gbwt, world.minimizers, world.distance);
     serve::DaemonParams dparams;
     dparams.socketPath = testPath("parity.sock");
     dparams.workers = 2;
     dparams.maxReadsPerRequest = reads.size();
-    serve::Daemon daemon(world.set.pangenome.graph, world.set.pangenome.gbwt,
-                         world.minimizers, world.distance, dparams);
+    serve::Daemon daemon(io::loadPangenome(container), container, dparams);
     daemon.start();
     serve::ClientParams cparams;
     cparams.socketPath = dparams.socketPath;

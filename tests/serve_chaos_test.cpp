@@ -17,6 +17,7 @@
 
 #include "fault/fault.h"
 #include "io/fd.h"
+#include "io/mgz.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "sim/pangenome_gen.h"
@@ -39,18 +40,20 @@ class ServeChaosFixture : public ::testing::Test
         pparams.haplotypes = 4;
         pg_ = sim::generatePangenome(pparams);
 
-        index::MinimizerParams mparams;
-        mparams.k = 15;
-        mparams.w = 8;
-        minimizers_ = index::MinimizerIndex(pg_.graph, mparams);
-        distance_ = index::DistanceIndex(pg_.graph);
-
         sim::ReadSimParams rparams;
         rparams.seed = 612;
         rparams.count = 24;
         rparams.readLength = 100;
         rparams.errorRate = 0.005;
         reads_ = sim::simulateReads(pg_, rparams).reads;
+
+        index::MinimizerParams mparams;
+        mparams.k = 15;
+        mparams.w = 8;
+        containerPath_ = testPath("chaos.mgz3");
+        io::saveMgz3(containerPath_, pg_.graph, pg_.gbwt,
+                     index::MinimizerIndex(pg_.graph, mparams),
+                     index::DistanceIndex(pg_.graph));
     }
 
     void TearDown() override { fault::disarmAll(); }
@@ -72,11 +75,12 @@ class ServeChaosFixture : public ::testing::Test
         return params;
     }
 
+    /** Daemon serving the fixture's container, as mgd serves one. */
     std::unique_ptr<Daemon>
     makeDaemon(DaemonParams params) const
     {
-        return std::make_unique<Daemon>(pg_.graph, pg_.gbwt, minimizers_,
-                                        distance_, std::move(params));
+        return std::make_unique<Daemon>(io::loadPangenome(containerPath_),
+                                        containerPath_, std::move(params));
     }
 
     ClientParams
@@ -132,9 +136,8 @@ class ServeChaosFixture : public ::testing::Test
     }
 
     sim::GeneratedPangenome pg_;
-    index::MinimizerIndex minimizers_;
-    index::DistanceIndex distance_;
     std::vector<map::Read> reads_;
+    std::string containerPath_;
 };
 
 /**

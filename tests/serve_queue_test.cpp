@@ -117,8 +117,8 @@ TEST(AdmissionQueueTest, WeightedFairDequeueMatchesWeights)
     // counts must track the 3:1 weights.
     AdmissionQueue<int> queue(400, twoTenants(3, 1));
     for (int i = 0; i < 200; ++i) {
-        ASSERT_TRUE(queue.tryPush(0, i).admitted());
-        ASSERT_TRUE(queue.tryPush(1, i).admitted());
+        ASSERT_TRUE(queue.tryPush(0, int{i}).admitted());
+        ASSERT_TRUE(queue.tryPush(1, int{i}).admitted());
     }
     size_t first_hundred[2] = { 0, 0 };
     for (int i = 0; i < 100; ++i) {
@@ -141,7 +141,7 @@ TEST(AdmissionQueueTest, ReenteringIdleTenantCannotCashSavedCredit)
     // "catch up" — the classic stride re-entry problem.
     AdmissionQueue<int> queue(400, twoTenants(1, 1));
     for (int i = 0; i < 90; ++i) {
-        ASSERT_TRUE(queue.tryPush(0, i).admitted());
+        ASSERT_TRUE(queue.tryPush(0, int{i}).admitted());
     }
     for (int i = 0; i < 90; ++i) {
         int item = 0;
@@ -151,8 +151,8 @@ TEST(AdmissionQueueTest, ReenteringIdleTenantCannotCashSavedCredit)
         ASSERT_EQ(tenant, 0u);
     }
     for (int i = 0; i < 40; ++i) {
-        ASSERT_TRUE(queue.tryPush(0, i).admitted());
-        ASSERT_TRUE(queue.tryPush(1, i).admitted());
+        ASSERT_TRUE(queue.tryPush(0, int{i}).admitted());
+        ASSERT_TRUE(queue.tryPush(1, int{i}).admitted());
     }
     size_t drained[2] = { 0, 0 };
     for (int i = 0; i < 40; ++i) {

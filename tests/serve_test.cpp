@@ -20,6 +20,7 @@
 #include "giraffe/session.h"
 #include "io/fd.h"
 #include "io/file.h"
+#include "io/mgz.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "sim/pangenome_gen.h"
@@ -54,6 +55,10 @@ class ServeFixture : public ::testing::Test
         rparams.readLength = 100;
         rparams.errorRate = 0.005;
         reads_ = sim::simulateReads(pg_, rparams).reads;
+
+        containerPath_ = testPath("serve.mgz3");
+        io::saveMgz3(containerPath_, pg_.graph, pg_.gbwt, minimizers_,
+                     distance_);
     }
 
     void TearDown() override { fault::disarmAll(); }
@@ -75,11 +80,12 @@ class ServeFixture : public ::testing::Test
         return params;
     }
 
+    /** Daemon serving the fixture's container, as mgd serves one. */
     std::unique_ptr<Daemon>
     makeDaemon(DaemonParams params) const
     {
-        return std::make_unique<Daemon>(pg_.graph, pg_.gbwt, minimizers_,
-                                        distance_, std::move(params));
+        return std::make_unique<Daemon>(io::loadPangenome(containerPath_),
+                                        containerPath_, std::move(params));
     }
 
     ClientParams
@@ -103,6 +109,7 @@ class ServeFixture : public ::testing::Test
     index::MinimizerIndex minimizers_;
     index::DistanceIndex distance_;
     std::vector<map::Read> reads_;
+    std::string containerPath_;
 };
 
 TEST_F(ServeFixture, MapsExactlyLikeDirectSession)

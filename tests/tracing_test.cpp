@@ -27,11 +27,13 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/fault.h"
 #include "giraffe/session.h"
 #include "io/file.h"
+#include "io/mgz.h"
 #include "obs/hub.h"
 #include "obs/json.h"
 #include "obs/request_trace.h"
@@ -512,6 +514,10 @@ class TracingFixture : public ::testing::Test
         rparams.readLength = 100;
         rparams.errorRate = 0.005;
         reads_ = sim::simulateReads(pg_, rparams).reads;
+
+        containerPath_ = testPath("tracing.mgz3");
+        io::saveMgz3(containerPath_, pg_.graph, pg_.gbwt, minimizers_,
+                     distance_);
     }
 
     void TearDown() override { fault::disarmAll(); }
@@ -533,11 +539,12 @@ class TracingFixture : public ::testing::Test
         return params;
     }
 
+    /** Daemon serving the fixture's container, as mgd serves one. */
     std::unique_ptr<Daemon>
     makeDaemon(DaemonParams params) const
     {
-        return std::make_unique<Daemon>(pg_.graph, pg_.gbwt, minimizers_,
-                                        distance_, std::move(params));
+        return std::make_unique<Daemon>(io::loadPangenome(containerPath_),
+                                        containerPath_, std::move(params));
     }
 
     ClientParams
@@ -579,6 +586,7 @@ class TracingFixture : public ::testing::Test
     index::MinimizerIndex minimizers_;
     index::DistanceIndex distance_;
     std::vector<map::Read> reads_;
+    std::string containerPath_;
 };
 
 TEST_F(TracingFixture, ClientTaggedRequestEchoesTraceAndFeedsStages)
@@ -825,6 +833,71 @@ TEST_F(TracingFixture, UntracedRequestsPayNothingAndEchoNothing)
         "mg_serve_stage_ns{stage=\"extend\"}");
     ASSERT_NE(extend_hist, nullptr);
     EXPECT_EQ(extend_hist->hist.count(), 0u);
+}
+
+TEST_F(TracingFixture, ShedTaggedRequestCommitsItsOwnTrace)
+{
+    DaemonParams dparams = daemonParams("shed");
+    dparams.workers = 1;
+    dparams.queueCapacity = 1;
+    std::unique_ptr<Daemon> daemon = makeDaemon(dparams);
+    daemon->start();
+
+    // Hold the only worker on request 1 and queue request 2: the queue
+    // is then full.
+    fault::Spec spec;
+    spec.kind = fault::Kind::Stall;
+    spec.stallMillis = 300;
+    spec.limit = 1;
+    fault::arm("map.read", spec);
+    auto untraced = [&](uint64_t id) {
+        Client client(clientParams("shed"));
+        Request request;
+        request.id = id;
+        request.reads = slice(0, 4);
+        Response response;
+        EXPECT_TRUE(client.call(request, response).ok());
+        EXPECT_EQ(response.status, ResponseStatus::Ok);
+    };
+    auto queue_stat = [&](const char* key) {
+        const obs::json::Value stats =
+            obs::json::parse(daemon->statsJson(), "stats");
+        return stats.find("queue")->find(key)->asUint();
+    };
+    auto await_queue = [&](const char* key) {
+        for (int spin = 0; spin < 2000 && queue_stat(key) < 1; ++spin) {
+            usleep(1000);
+        }
+        return queue_stat(key);
+    };
+    std::thread held(untraced, 1);
+    EXPECT_EQ(await_queue("in_flight"), 1u);
+    std::thread queued(untraced, 2);
+    EXPECT_EQ(await_queue("depth"), 1u);
+
+    // A client-tagged request now finds no room: it is answered
+    // RETRY_AFTER with its trace id, and its trace is committed as shed.
+    constexpr uint64_t kTraceId = 0x5eedfeedull;
+    Client client(clientParams("shed"));
+    Request request;
+    request.id = 3;
+    request.traceId = kTraceId;
+    request.reads = slice(0, 4);
+    Response response;
+    EXPECT_TRUE(client.call(request, response).ok());
+    EXPECT_EQ(response.status, ResponseStatus::RetryAfter);
+    EXPECT_GT(response.retryAfterMillis, 0u);
+    EXPECT_EQ(response.traceId, kTraceId);
+
+    held.join();
+    queued.join();
+    daemon->stop();
+    EXPECT_EQ(daemon->tracer().committedTotal(), 1u);
+    std::vector<obs::RequestTracer::Exemplar> exemplars =
+        daemon->tracer().exemplars();
+    ASSERT_EQ(exemplars.size(), 1u);
+    EXPECT_EQ(exemplars[0].ctx.traceId, kTraceId);
+    EXPECT_EQ(exemplars[0].ctx.disposition, "retry-after");
 }
 
 } // namespace
