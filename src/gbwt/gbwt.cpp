@@ -40,7 +40,7 @@ Gbwt::decodeRecordInto(graph::Handle node, DecodedRecord& out,
 {
     auto [data, size] = recordSpan(node);
     if (size == 0) {
-        out = DecodedRecord();
+        out.clear();
         return;
     }
     // The decode touches the compressed bytes sequentially; this is the

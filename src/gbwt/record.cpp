@@ -152,8 +152,43 @@ DecodedRecord::successorStatesInto(const SearchState& state,
 size_t
 DecodedRecord::footprintBytes() const
 {
-    return sizeof(DecodedRecord) + edges_.size() * sizeof(RecordEdge) +
-           runs_.size() * sizeof(RecordRun);
+    size_t bytes = sizeof(DecodedRecord);
+    if (!edges_.inlined()) {
+        bytes += edges_.capacity() * sizeof(RecordEdge);
+    }
+    if (!runs_.inlined()) {
+        bytes += runs_.capacity() * sizeof(RecordRun);
+    }
+    return bytes;
+}
+
+void
+DecodedRecord::traceRead(util::MemTracer* tracer) const
+{
+    if (tracer == nullptr) {
+        return;
+    }
+    // The lists follow the visit count inside the record, each with its
+    // inline elements first, so one access from the record's start to the
+    // last inline run in use covers the header, the edge list and the
+    // runs.  A spilled list is one more access, at its heap block.
+    const auto* begin = reinterpret_cast<const uint8_t*>(this);
+    const auto* end = runs_.inlined()
+                          ? reinterpret_cast<const uint8_t*>(runs_.end())
+                          : reinterpret_cast<const uint8_t*>(&runs_);
+    tracer->onAccess(begin, static_cast<uint32_t>(end - begin), false);
+    if (!edges_.inlined()) {
+        tracer->onAccess(edges_.data(),
+                         static_cast<uint32_t>(edges_.size() *
+                                               sizeof(RecordEdge)),
+                         false);
+    }
+    if (!runs_.inlined()) {
+        tracer->onAccess(runs_.data(),
+                         static_cast<uint32_t>(runs_.size() *
+                                               sizeof(RecordRun)),
+                         false);
+    }
 }
 
 void
@@ -190,9 +225,7 @@ DecodedRecord::decodeInto(util::ByteCursor& cursor, DecodedRecord& out)
     // or an allocation failure while decompressing under memory pressure.
     fault::inject("gbwt.record.decode");
 
-    out.edges_.clear();
-    out.runs_.clear();
-    out.numVisits_ = 0;
+    out.clear();
 
     uint64_t num_edges = cursor.getVarint();
     // Every edge takes at least two bytes; bounding the count before the

@@ -14,11 +14,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/handle.h"
 #include "gbwt/search_state.h"
 #include "util/cursor.h"
+#include "util/mem_tracer.h"
+#include "util/small_vector.h"
 #include "util/varint.h"
 
 namespace mg::gbwt {
@@ -43,22 +46,44 @@ struct RecordRun
 };
 
 /**
- * Decoded (query-ready) form of a node record.
+ * Inline capacities of a decoded record, sized from the generated
+ * pangenomes: every record of the A-human, B-yeast and D-HPRC benchmark
+ * containers has at most 2 edges and at most 16 runs.  A larger record
+ * spills that list to the heap.
+ */
+inline constexpr size_t kInlineEdges = 2;
+inline constexpr size_t kInlineRuns = 16;
+
+/**
+ * Decoded (query-ready) form of a node record.  Edges and runs live in
+ * inline storage, so a decode writes into the record itself (in the cache,
+ * the cached entry) and a query reads one contiguous object.
  */
 class DecodedRecord
 {
   public:
     DecodedRecord() = default;
-    DecodedRecord(std::vector<RecordEdge> edges, std::vector<RecordRun> runs,
-                  uint64_t num_visits)
-        : edges_(std::move(edges)), runs_(std::move(runs)),
-          numVisits_(num_visits)
-    {}
+    DecodedRecord(std::span<const RecordEdge> edges,
+                  std::span<const RecordRun> runs, uint64_t num_visits)
+        : numVisits_(num_visits)
+    {
+        edges_.assign(edges.begin(), edges.end());
+        runs_.assign(runs.begin(), runs.end());
+    }
 
     bool empty() const { return numVisits_ == 0; }
     uint64_t numVisits() const { return numVisits_; }
-    const std::vector<RecordEdge>& edges() const { return edges_; }
-    const std::vector<RecordRun>& runs() const { return runs_; }
+    std::span<const RecordEdge> edges() const { return edges_; }
+    std::span<const RecordRun> runs() const { return runs_; }
+
+    /** Make this the empty record in place, keeping any spilled storage. */
+    void
+    clear()
+    {
+        numVisits_ = 0;
+        edges_.clear();
+        runs_.clear();
+    }
 
     /** Rank of the edge to `successor`, or kNoEdge. */
     uint32_t edgeRank(graph::Handle successor) const;
@@ -96,6 +121,13 @@ class DecodedRecord
     /** Approximate decoded footprint in bytes (for cache accounting). */
     size_t footprintBytes() const;
 
+    /**
+     * Report to the machine model the bytes a query reads from this
+     * record: its visit count and the edges and runs in use, not the
+     * unused inline capacity behind them.
+     */
+    void traceRead(util::MemTracer* tracer) const;
+
     /** Serialize into a compressed byte stream. */
     void encode(util::ByteWriter& writer) const;
 
@@ -104,17 +136,18 @@ class DecodedRecord
     static DecodedRecord decode(util::ByteCursor& cursor);
 
     /**
-     * decode() into an existing record, reusing its edge/run vector
-     * capacity — the CachedGBWT's epoch reset keeps decoded-record storage
-     * alive across reads precisely so this path stops allocating once the
-     * per-thread cache is warm.
+     * decode() into an existing record in place.  Inline storage holds
+     * every record of the benchmark containers; a larger record reuses
+     * the capacity an earlier spill left behind, so once the per-thread
+     * cache is warm this path does not allocate.
      */
     static void decodeInto(util::ByteCursor& cursor, DecodedRecord& out);
 
   private:
-    std::vector<RecordEdge> edges_; // sorted by successor handle
-    std::vector<RecordRun> runs_;
     uint64_t numVisits_ = 0;
+    // Sorted by successor handle.
+    util::SmallVector<RecordEdge, kInlineEdges> edges_;
+    util::SmallVector<RecordRun, kInlineRuns> runs_;
 };
 
 } // namespace mg::gbwt

@@ -298,12 +298,10 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
 
     std::vector<WalkState>& stack = scratch.stack;
     stack.clear();
-    {
-        WalkState init;
-        init.state = root;
-        init.nodeOffset = offset;
-        stack.push_back(std::move(init));
-    }
+    // The walk starts in place from the root; branches go on the stack.
+    WalkState s;
+    s.state = root;
+    s.nodeOffset = offset;
     size_t explored = 0;
     const StepCtx ctx{
         graph_,
@@ -316,9 +314,7 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
     };
 
     bool capped = false;
-    while (!stack.empty() && !capped) {
-        WalkState s = std::move(stack.back());
-        stack.pop_back();
+    for (;;) {
         // In-place continuation: instead of pushing the deepest branch and
         // immediately popping it back (two ~250-byte WalkState moves per
         // node step), the inner loop keeps walking it in `s`.  Traversal
@@ -342,6 +338,11 @@ Extender::walkPacked(graph::Handle start, uint32_t offset,
                 break;
             }
         }
+        if (capped || stack.empty()) {
+            break;
+        }
+        s = std::move(stack.back());
+        stack.pop_back();
     }
     if (capped) {
         scratch.walkCut = true;

@@ -1,6 +1,7 @@
 #include "map/mapper.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "fault/fault.h"
 #include "util/common.h"
@@ -9,29 +10,97 @@
 
 namespace mg::map {
 
+namespace {
+
+/** Whether `anchor` covers `seed`, whose diagonal is `diagonal`. */
+bool
+covers(const ExtensionAnchor& anchor, const Seed& seed, int64_t diagonal,
+       const std::vector<GaplessExtension>& candidates)
+{
+    if (anchor.handle != seed.position.handle ||
+        anchor.onReverseRead != seed.onReverseRead ||
+        anchor.diagonal != diagonal) {
+        return false;
+    }
+    const GaplessExtension& ext = candidates[anchor.candidate];
+    if (seed.readOffset < ext.readBegin || seed.readOffset >= ext.readEnd) {
+        return false;
+    }
+    const uint32_t lo = std::min(anchor.readOffset, seed.readOffset);
+    const uint32_t hi = std::max(anchor.readOffset, seed.readOffset);
+    return std::none_of(ext.mismatchOffsets.begin(), ext.mismatchOffsets.end(),
+                        [&](uint32_t off) { return off >= lo && off < hi; });
+}
+
+int64_t
+diagonalOf(const Seed& seed)
+{
+    return static_cast<int64_t>(seed.position.offset) -
+           static_cast<int64_t>(seed.readOffset);
+}
+
+} // namespace
+
 const ExtensionAnchor*
 coveringAnchor(const Seed& seed, const std::vector<ExtensionAnchor>& anchors,
                const std::vector<GaplessExtension>& candidates)
 {
-    const int64_t diagonal = static_cast<int64_t>(seed.position.offset) -
-                             static_cast<int64_t>(seed.readOffset);
+    const int64_t diagonal = diagonalOf(seed);
     for (const ExtensionAnchor& anchor : anchors) {
-        if (anchor.handle != seed.position.handle ||
-            anchor.onReverseRead != seed.onReverseRead ||
-            anchor.diagonal != diagonal) {
-            continue;
-        }
-        const GaplessExtension& ext = candidates[anchor.candidate];
-        if (seed.readOffset < ext.readBegin ||
-            seed.readOffset >= ext.readEnd) {
-            continue;
-        }
-        const uint32_t lo = std::min(anchor.readOffset, seed.readOffset);
-        const uint32_t hi = std::max(anchor.readOffset, seed.readOffset);
-        if (std::none_of(ext.mismatchOffsets.begin(),
-                         ext.mismatchOffsets.end(),
-                         [&](uint32_t off) { return off >= lo && off < hi; })) {
+        if (covers(anchor, seed, diagonal, candidates)) {
             return &anchor;
+        }
+    }
+    return nullptr;
+}
+
+size_t
+AnchorIndex::bucket(graph::Handle handle, bool on_reverse_read,
+                    int64_t diagonal)
+{
+    const uint64_t key =
+        (handle.packed() << 1 | (on_reverse_read ? 1 : 0)) ^
+        static_cast<uint64_t>(diagonal) * 0x9e3779b97f4a7c15ull;
+    return util::hash64(key) & (kBuckets - 1);
+}
+
+void
+AnchorIndex::clear()
+{
+    for (const ExtensionAnchor& anchor : anchors_) {
+        heads_[bucket(anchor.handle, anchor.onReverseRead, anchor.diagonal)] =
+            kNone;
+    }
+    anchors_.clear();
+    next_.clear();
+}
+
+void
+AnchorIndex::add(const ExtensionAnchor& anchor)
+{
+    const uint32_t index = static_cast<uint32_t>(anchors_.size());
+    anchors_.push_back(anchor);
+    next_.push_back(kNone);
+    const size_t b =
+        bucket(anchor.handle, anchor.onReverseRead, anchor.diagonal);
+    if (heads_[b] == kNone) {
+        heads_[b] = index;
+    } else {
+        next_[tails_[b]] = index;
+    }
+    tails_[b] = index;
+}
+
+const ExtensionAnchor*
+AnchorIndex::covering(const Seed& seed,
+                      const std::vector<GaplessExtension>& candidates) const
+{
+    const int64_t diagonal = diagonalOf(seed);
+    for (uint32_t i = heads_[bucket(seed.position.handle, seed.onReverseRead,
+                                    diagonal)];
+         i != kNone; i = next_[i]) {
+        if (covers(anchors_[i], seed, diagonal, candidates)) {
+            return &anchors_[i];
         }
     }
     return nullptr;
@@ -115,7 +184,7 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
     const double cutoff = best_score * params_.clusterScoreFraction;
     std::vector<GaplessExtension>& candidates = state.extensionBuffer;
     candidates.clear();
-    std::vector<ExtensionAnchor>& anchors = state.anchors;
+    AnchorIndex& anchors = state.anchors;
     anchors.clear();
     // The reverse complement is computed once per read into the state's
     // reusable buffer; both orientations' extensions compare against their
@@ -201,7 +270,7 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
             const Seed& seed = seeds[idx];
             // A covered seed would reproduce an extension already in
             // candidates, which the dedup below would drop anyway.
-            if (coveringAnchor(seed, anchors, candidates) != nullptr) {
+            if (anchors.covering(seed, candidates) != nullptr) {
                 ++result.extensionsCovered;
                 continue;
             }
@@ -215,7 +284,7 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
             }
             if (ext.readEnd > ext.readBegin) {
                 if (!state.extendScratch.walkCut) {
-                    anchors.push_back(ExtensionAnchor::at(
+                    anchors.add(ExtensionAnchor::at(
                         seed, static_cast<uint32_t>(candidates.size())));
                 }
                 candidates.push_back(std::move(ext));
@@ -224,17 +293,28 @@ Mapper::processUntilThresholdC(const Read& read, const SeedVector& seeds,
     }
 
     // Deduplicate identical extensions found from different seeds, keep
-    // the best-scoring ones, deterministic order; only the survivors are
-    // copied into the returned result.
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    if (candidates.size() > params_.maxExtensions) {
-        candidates.resize(params_.maxExtensions);
+    // the best-scoring ones, deterministic order.  Candidates are large, so
+    // the sort permutes their indices and only the survivors are moved
+    // into the returned result.  operator< orders every pair that
+    // operator== tells apart, so equal candidates are identical and the
+    // survivors match a sort of the candidates themselves.
+    std::vector<uint32_t>& order = state.candidateOrder;
+    order.resize(candidates.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return candidates[a] < candidates[b];
+    });
+    order.erase(std::unique(order.begin(), order.end(),
+                            [&](uint32_t a, uint32_t b) {
+                                return candidates[a] == candidates[b];
+                            }),
+                order.end());
+    if (order.size() > params_.maxExtensions) {
+        order.resize(params_.maxExtensions);
     }
-    result.extensions.reserve(candidates.size());
-    for (GaplessExtension& ext : candidates) {
-        result.extensions.push_back(std::move(ext));
+    result.extensions.reserve(order.size());
+    for (uint32_t i : order) {
+        result.extensions.push_back(std::move(candidates[i]));
     }
 }
 

@@ -12,9 +12,11 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "gbwt/cached_gbwt.h"
 #include "graph/variation_graph.h"
@@ -99,10 +101,53 @@ struct ExtensionAnchor
  * s2's walks then reaches a DFS state identical to one of s1's — same node,
  * the node's full GBWT range, same mismatch budget left — with every score
  * shifted by a constant, so it finds the same best prefix (DESIGN.md §3i).
+ * Returns the first covering anchor of `anchors`; a linear scan, kept as
+ * the rule's plain statement (the mapper asks an AnchorIndex).
  */
 const ExtensionAnchor*
 coveringAnchor(const Seed& seed, const std::vector<ExtensionAnchor>& anchors,
                const std::vector<GaplessExtension>& candidates);
+
+/**
+ * One read's anchors, hashed on (oriented node, read orientation, diagonal)
+ * so that a seed's covering check visits only anchors it could match
+ * instead of all of them.  covering() returns what coveringAnchor returns
+ * for the same anchors added in the same order.  Chains keep insertion
+ * order; clear() resets only the buckets the read used.
+ */
+class AnchorIndex
+{
+  public:
+    /** Buckets (a power of two).  A read may hold more anchors than this;
+     *  its chains then grow longer. */
+    static constexpr size_t kBuckets = 64;
+
+    AnchorIndex() { heads_.fill(kNone); }
+
+    /** The bucket of a (node, orientation, diagonal) key. */
+    static size_t bucket(graph::Handle handle, bool on_reverse_read,
+                         int64_t diagonal);
+
+    /** Drop every anchor: O(anchors), capacity kept. */
+    void clear();
+
+    void add(const ExtensionAnchor& anchor);
+
+    /** The earliest-added anchor covering `seed` (see coveringAnchor). */
+    const ExtensionAnchor*
+    covering(const Seed& seed,
+             const std::vector<GaplessExtension>& candidates) const;
+
+    const std::vector<ExtensionAnchor>& anchors() const { return anchors_; }
+
+  private:
+    static constexpr uint32_t kNone = UINT32_MAX;
+
+    std::vector<ExtensionAnchor> anchors_;
+    std::vector<uint32_t> next_; // next anchor in the same bucket
+    std::array<uint32_t, kBuckets> heads_;
+    std::array<uint32_t, kBuckets> tails_{};
+};
 
 /**
  * Per-worker-thread mutable state plus optional instrumentation handles.
@@ -270,7 +315,7 @@ class MapperState
     std::vector<uint32_t> sortedSeeds;
     std::vector<uint32_t> chosenSeeds;
     /** This read's uncut extensions that may cover later seeds. */
-    std::vector<ExtensionAnchor> anchors;
+    AnchorIndex anchors;
     std::string reverseSeq;
     /**
      * Candidate extensions before dedup/trim.  A read can produce an order
@@ -279,6 +324,8 @@ class MapperState
      * returned MapResult allocates only for its final trimmed set.
      */
     std::vector<GaplessExtension> extensionBuffer;
+    /** Candidate indices the dedup sorts in place of the candidates. */
+    std::vector<uint32_t> candidateOrder;
 
   private:
     gbwt::CachedGbwt cache_;
@@ -324,8 +371,9 @@ class Mapper
     /**
      * The paper's process_until_threshold_c over scored clusters.  Chosen
      * seeds extend one at a time; a seed that an earlier seed's uncut
-     * extension covers (coveringAnchor) is counted in extensionsCovered
-     * and not walked, because extending it would return that extension.
+     * extension covers (AnchorIndex::covering) is counted in
+     * extensionsCovered and not walked, because extending it would return
+     * that extension.
      */
     void processUntilThresholdC(const Read& read, const SeedVector& seeds,
                                 const std::vector<Cluster>& clusters,

@@ -27,7 +27,7 @@ ByteReader::fail(StatusCode code, std::string what) const
 }
 
 uint64_t
-ByteReader::getVarint()
+ByteReader::getVarintSlow()
 {
     uint64_t value = 0;
     int shift = 0;

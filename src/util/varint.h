@@ -65,8 +65,19 @@ class ByteReader
     /** Update only the section component of the context. */
     void setSection(const char* section) { ctxSection_ = section; }
 
-    /** Decode one unsigned varint and advance. */
-    uint64_t getVarint();
+    /**
+     * Decode one unsigned varint and advance.  A single-byte value (the
+     * bulk of GBWT record fields) is read inline; anything else, including
+     * every error, goes through the checked loop.
+     */
+    uint64_t
+    getVarint()
+    {
+        if (pos_ < size_ && data_[pos_] < 0x80) [[likely]] {
+            return data_[pos_++];
+        }
+        return getVarintSlow();
+    }
     /** Decode one zigzag-coded signed varint and advance. */
     int64_t getSignedVarint() { return zigzagDecode(getVarint()); }
     /** Read one raw byte and advance. */
@@ -89,6 +100,9 @@ class ByteReader
     [[noreturn]] void fail(StatusCode code, std::string what) const;
 
   private:
+    /** getVarint() past its single-byte fast path. */
+    uint64_t getVarintSlow();
+
     const uint8_t* data_;
     size_t size_;
     size_t pos_ = 0;

@@ -11,6 +11,11 @@
  * so the suite also probes a seed at every offset of each anchor's
  * diagonal within its node.  The unit cases pin where the rule must not
  * fire.
+ *
+ * The mapper looks covering anchors up in a hashed AnchorIndex; the oracle
+ * suite checks it against a copy of the linear scan it replaced, on every
+ * chosen seed the mapper meets for every read of all four analogs, and on
+ * crafted bucket collisions.
  */
 #include <gtest/gtest.h>
 
@@ -26,6 +31,7 @@
 #include "map/mapper.h"
 #include "sim/input_sets.h"
 #include "util/dna.h"
+#include "util/rng.h"
 
 namespace mg::map {
 namespace {
@@ -244,6 +250,297 @@ TEST(CoveredSeedRule, OffDiagonalOrOutsideTheExtensionBlocksIt)
     EXPECT_FALSE(unit.covers(unit.along(40))); // read offset 50 == readEnd
     EXPECT_TRUE(unit.covers(unit.along(39)));
     EXPECT_TRUE(unit.covers(unit.along(-10))); // read offset 0 == readBegin
+}
+
+/** coveringAnchor before the anchor index: a scan over every anchor. */
+const ExtensionAnchor*
+linearCoveringAnchor(const Seed& seed,
+                     const std::vector<ExtensionAnchor>& anchors,
+                     const std::vector<GaplessExtension>& candidates)
+{
+    const int64_t diagonal = static_cast<int64_t>(seed.position.offset) -
+                             static_cast<int64_t>(seed.readOffset);
+    for (const ExtensionAnchor& anchor : anchors) {
+        if (anchor.handle != seed.position.handle ||
+            anchor.onReverseRead != seed.onReverseRead ||
+            anchor.diagonal != diagonal) {
+            continue;
+        }
+        const GaplessExtension& ext = candidates[anchor.candidate];
+        if (seed.readOffset < ext.readBegin ||
+            seed.readOffset >= ext.readEnd) {
+            continue;
+        }
+        const uint32_t lo = std::min(anchor.readOffset, seed.readOffset);
+        const uint32_t hi = std::max(anchor.readOffset, seed.readOffset);
+        if (std::none_of(ext.mismatchOffsets.begin(),
+                         ext.mismatchOffsets.end(),
+                         [&](uint32_t off) { return off >= lo && off < hi; })) {
+            return &anchor;
+        }
+    }
+    return nullptr;
+}
+
+/** The index and the linear scan agree on `seed`, down to the anchor. */
+bool
+sameCover(const AnchorIndex& index,
+          const std::vector<GaplessExtension>& candidates, const Seed& seed)
+{
+    const ExtensionAnchor* got = index.covering(seed, candidates);
+    const ExtensionAnchor* want =
+        linearCoveringAnchor(seed, index.anchors(), candidates);
+    return got == want;
+}
+
+class AnchorIndexOracle : public ::testing::TestWithParam<const char*>
+{};
+
+/**
+ * Replays the mapper's seed choice (clusters in score order under the
+ * default thresholds, up to four distinct-offset seeds per cluster) with
+ * the linear scan deciding which seeds are covered.  Every decision must
+ * match the index, and the replay's per-read covered and attempted counts
+ * must match what Mapper::mapFromSeeds reports for the read.
+ */
+TEST_P(AnchorIndexOracle, MapperDecisionsMatchTheLinearScan)
+{
+    CoverWorld world = buildWorld(GetParam(), 0.03);
+    ASSERT_FALSE(world.capture.entries.empty());
+    const graph::VariationGraph& graph = world.set.pangenome.graph;
+    const gbwt::Gbwt& gbwt = world.set.pangenome.gbwt;
+    const MapperParams params;
+    ASSERT_EQ(params.prefilterFraction, 0.0);
+    const Mapper mapper(graph, gbwt, world.minimizers, world.distance,
+                        params);
+    auto state = mapper.makeState();
+    Extender extender(graph, params.extend);
+    gbwt::CachedGbwt cache(gbwt);
+    ExtendScratch scratch;
+    AnchorIndex index; // reused across reads, as the mapper's is
+    std::vector<Cluster> clusters;
+    std::string reverse;
+
+    size_t total_covered = 0;
+    size_t total_attempted = 0;
+    for (const io::ReadWithSeeds& entry : world.capture.entries) {
+        const SeedVector& seeds = entry.seeds;
+        const MapResult mapped =
+            mapper.mapFromSeeds(entry.read, seeds, *state);
+
+        clusterSeedsInto(graph, world.distance, seeds, params.cluster,
+                         clusters);
+        util::reverseComplementInto(entry.read.sequence, reverse);
+        cache.clear();
+        scratch.query.invalidate();
+        index.clear();
+        std::vector<ExtensionAnchor> linear;
+        std::vector<GaplessExtension> candidates;
+        uint32_t covered = 0;
+        uint32_t attempted = 0;
+        const double cutoff =
+            clusters.empty() ? 0.0
+                             : clusters.front().score *
+                                   params.clusterScoreFraction;
+        for (size_t c = 0; c < clusters.size(); ++c) {
+            const Cluster& cluster = clusters[c];
+            if (c >= params.maxClusters ||
+                (c >= params.minClusters && cluster.score < cutoff)) {
+                break;
+            }
+            std::vector<uint32_t> sorted(cluster.seedIndices.begin(),
+                                         cluster.seedIndices.end());
+            std::sort(sorted.begin(), sorted.end(),
+                      [&](uint32_t a, uint32_t b) {
+                          if (seeds[a].score != seeds[b].score) {
+                              return seeds[a].score > seeds[b].score;
+                          }
+                          return a < b;
+                      });
+            std::vector<uint32_t> chosen;
+            for (uint32_t idx : sorted) {
+                if (chosen.empty() ||
+                    seeds[idx].readOffset != seeds[chosen.back()].readOffset) {
+                    chosen.push_back(idx);
+                }
+                if (chosen.size() >= params.maxSeedsPerCluster) {
+                    break;
+                }
+            }
+            const std::string& oriented =
+                cluster.onReverseRead ? reverse : entry.read.sequence;
+            for (uint32_t idx : chosen) {
+                const Seed& seed = seeds[idx];
+                const ExtensionAnchor* want =
+                    linearCoveringAnchor(seed, linear, candidates);
+                const ExtensionAnchor* got = index.covering(seed, candidates);
+                ASSERT_EQ(got == nullptr, want == nullptr)
+                    << entry.read.name << " seed " << idx;
+                if (want != nullptr) {
+                    EXPECT_EQ(got - index.anchors().data(),
+                              want - linear.data())
+                        << entry.read.name << " seed " << idx;
+                    ++covered;
+                    continue;
+                }
+                ++attempted;
+                GaplessExtension ext =
+                    extender.extendSeed(seed, oriented, cache, scratch);
+                if (ext.readEnd > ext.readBegin) {
+                    if (!scratch.walkCut) {
+                        const ExtensionAnchor anchor = ExtensionAnchor::at(
+                            seed, static_cast<uint32_t>(candidates.size()));
+                        linear.push_back(anchor);
+                        index.add(anchor);
+                    }
+                    candidates.push_back(std::move(ext));
+                }
+            }
+        }
+        EXPECT_EQ(mapped.extensionsCovered, covered) << entry.read.name;
+        EXPECT_EQ(mapped.extensionsAttempted, attempted) << entry.read.name;
+        total_covered += covered;
+        total_attempted += attempted;
+    }
+    // The rule must fire for the comparison to mean anything.
+    EXPECT_GT(total_covered, total_attempted / 8)
+        << "attempted " << total_attempted;
+}
+
+INSTANTIATE_TEST_SUITE_P(InputSets, AnchorIndexOracle,
+                         ::testing::Values("A-human", "B-yeast", "C-HPRC",
+                                           "D-HPRC"));
+
+/** A clean extension over read [0, 100) for anchors of crafted tests. */
+GaplessExtension
+cleanExtension(graph::Handle handle)
+{
+    GaplessExtension ext;
+    ext.path.push_back(handle);
+    ext.readBegin = 0;
+    ext.readEnd = 100;
+    ext.score = 100;
+    return ext;
+}
+
+Seed
+seedAt(graph::Handle handle, int64_t diagonal, uint32_t read_offset,
+       bool on_reverse_read)
+{
+    Seed seed;
+    seed.position = graph::Position(
+        handle, static_cast<uint32_t>(diagonal + read_offset));
+    seed.readOffset = read_offset;
+    seed.onReverseRead = on_reverse_read;
+    return seed;
+}
+
+TEST(AnchorIndex, AnchorsSharingABucket)
+{
+    const graph::Handle node(7, false);
+    const int64_t diagonal = 40;
+    const size_t home = AnchorIndex::bucket(node, false, diagonal);
+    // Same node, another diagonal, same bucket.
+    int64_t other_diagonal = diagonal + 1;
+    while (AnchorIndex::bucket(node, false, other_diagonal) != home) {
+        ++other_diagonal;
+    }
+    // Same node and diagonal in both orientations, one bucket.
+    int64_t shared = 0;
+    while (AnchorIndex::bucket(node, false, shared) !=
+           AnchorIndex::bucket(node, true, shared)) {
+        ++shared;
+    }
+
+    AnchorIndex index;
+    std::vector<GaplessExtension> candidates;
+    auto add = [&](int64_t diag, uint32_t read_offset, bool reverse) {
+        index.add(ExtensionAnchor{node, diag, read_offset, reverse,
+                                  static_cast<uint32_t>(candidates.size())});
+        candidates.push_back(cleanExtension(node));
+    };
+    add(diagonal, 10, false);
+    add(other_diagonal, 20, false);
+    add(shared, 30, false);
+    add(shared, 30, true);
+    // Head of the chain blocked by a mismatch: a later anchor on the same
+    // key must still be found.
+    add(diagonal, 60, false);
+    candidates[0].mismatchOffsets.push_back(50);
+
+    for (uint32_t offset = 0; offset < 100; ++offset) {
+        for (const int64_t diag : {diagonal, other_diagonal, shared}) {
+            for (const bool reverse : {false, true}) {
+                const Seed seed = seedAt(node, diag, offset, reverse);
+                EXPECT_TRUE(sameCover(index, candidates, seed))
+                    << diag << " " << offset << " " << reverse;
+            }
+        }
+    }
+    const Seed past = seedAt(node, diagonal, 55, false);
+    ASSERT_NE(index.covering(past, candidates), nullptr);
+    EXPECT_EQ(index.covering(past, candidates)->readOffset, 60u);
+    EXPECT_EQ(index.covering(seedAt(node, other_diagonal, 5, true),
+                             candidates),
+              nullptr);
+    EXPECT_EQ(index.covering(seedAt(node, shared, 5, true), candidates)
+                  ->onReverseRead,
+              true);
+}
+
+TEST(AnchorIndex, MoreAnchorsThanBuckets)
+{
+    util::Rng rng(26);
+    AnchorIndex index;
+    std::vector<GaplessExtension> candidates;
+    std::vector<Seed> probes;
+    auto fill = [&](size_t count) {
+        for (size_t i = 0; i < count; ++i) {
+            const graph::Handle node(1 + rng.uniform(6), rng.chance(0.5));
+            const int64_t diagonal = rng.uniformInt(-8, 8);
+            const bool reverse = rng.chance(0.5);
+            // Read offsets from 8 keep every seed's node offset >= 0.
+            const uint32_t read_offset =
+                static_cast<uint32_t>(8 + rng.uniform(92));
+            GaplessExtension ext = cleanExtension(node);
+            ext.readBegin = static_cast<uint32_t>(rng.uniform(read_offset + 1));
+            ext.readEnd = read_offset + 1 +
+                          static_cast<uint32_t>(rng.uniform(100 - read_offset));
+            if (rng.chance(0.5)) {
+                ext.mismatchOffsets.push_back(static_cast<uint32_t>(
+                    ext.readBegin + rng.uniform(ext.length())));
+            }
+            index.add(ExtensionAnchor{node, diagonal, read_offset, reverse,
+                                      static_cast<uint32_t>(candidates.size())});
+            candidates.push_back(ext);
+            for (int p = 0; p < 4; ++p) {
+                probes.push_back(seedAt(
+                    node, diagonal, static_cast<uint32_t>(8 + rng.uniform(92)),
+                    reverse));
+            }
+        }
+    };
+    fill(3 * AnchorIndex::kBuckets + 5);
+    ASSERT_GT(index.anchors().size(), AnchorIndex::kBuckets);
+    size_t covered = 0;
+    for (const Seed& probe : probes) {
+        EXPECT_TRUE(sameCover(index, candidates, probe));
+        covered += index.covering(probe, candidates) != nullptr;
+    }
+    EXPECT_GT(covered, probes.size() / 4);
+    EXPECT_LT(covered, probes.size());
+
+    // clear() forgets every anchor; the next read's anchors index afresh.
+    index.clear();
+    for (const Seed& probe : probes) {
+        EXPECT_EQ(index.covering(probe, candidates), nullptr);
+    }
+    candidates.clear();
+    probes.clear();
+    fill(20);
+    for (const Seed& probe : probes) {
+        EXPECT_TRUE(sameCover(index, candidates, probe));
+    }
 }
 
 bool

@@ -16,8 +16,9 @@
 #include "io/mgz.h"
 #include "sim/pangenome_gen.h"
 #include "test_paths.h"
-#include "util/rng.h"
 #include "util/cursor.h"
+#include "util/rng.h"
+#include "util/status.h"
 #include "util/varint.h"
 
 namespace mg::gbwt {
@@ -366,6 +367,199 @@ TEST(RecordTest, EncodeDecodeRoundTrip)
     EXPECT_EQ(back.countBefore(8, 1), 5u);
     EXPECT_EQ(back.countBefore(4, 1), 4u);
     EXPECT_EQ(back.countBefore(5, 0), 1u);
+}
+
+/**
+ * Decode crafted record bytes the way Gbwt::decodeRecordInto does: a cursor
+ * over exactly the record's span, in section "gbwt-record".
+ */
+DecodedRecord
+decodeBytes(const std::vector<uint8_t>& bytes)
+{
+    util::ByteCursor cursor(bytes);
+    cursor.enterSection("gbwt-record");
+    DecodedRecord record;
+    DecodedRecord::decodeInto(cursor, record);
+    EXPECT_TRUE(cursor.atEnd());
+    return record;
+}
+
+/** The StatusError decodeBytes(bytes) throws, or a failed expectation. */
+util::Status
+decodeFailure(const std::vector<uint8_t>& bytes)
+{
+    try {
+        decodeBytes(bytes);
+    } catch (const util::StatusError& error) {
+        return error.status();
+    }
+    ADD_FAILURE() << "decode of " << bytes.size() << " bytes succeeded";
+    return util::Status{};
+}
+
+std::vector<uint8_t>
+concat(std::initializer_list<std::vector<uint8_t>> parts)
+{
+    std::vector<uint8_t> out;
+    for (const std::vector<uint8_t>& part : parts) {
+        out.insert(out.end(), part.begin(), part.end());
+    }
+    return out;
+}
+
+std::vector<uint8_t>
+varint(uint64_t value)
+{
+    std::vector<uint8_t> out;
+    util::putVarint(out, value);
+    return out;
+}
+
+// One edge to node 1 (packed 2) at offset 0, then one run of edge 0.
+const std::vector<uint8_t> kOneEdgeOneRun = {0x01, 0x02, 0x00, 0x01, 0x00};
+
+TEST(RecordTest, MalformedBytesKeepEveryCheck)
+{
+    struct Case
+    {
+        const char* what;
+        std::vector<uint8_t> bytes;
+        util::StatusCode code;
+        uint64_t offset;
+    };
+    const Case cases[] = {
+        {"varint continues past the span's last byte",
+         concat({kOneEdgeOneRun, {0x85}}), util::StatusCode::Truncated, 6},
+        {"span ends where a varint starts", {0x01, 0x02},
+         util::StatusCode::Truncated, 2},
+        {"11-byte varint",
+         {0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+         util::StatusCode::Corrupt, 11},
+        {"edge count beyond the payload", {0x05, 0x00},
+         util::StatusCode::Corrupt, 1},
+        {"run count beyond the payload", {0x00, 0x05},
+         util::StatusCode::Corrupt, 2},
+        {"run rank equal to the edge count",
+         {0x01, 0x02, 0x00, 0x01, 0x01, 0x03}, util::StatusCode::Corrupt, 6},
+        {"run length above UINT32_MAX",
+         concat({kOneEdgeOneRun, varint(uint64_t{UINT32_MAX} + 1)}),
+         util::StatusCode::Corrupt, 10},
+    };
+    for (const Case& c : cases) {
+        const util::Status status = decodeFailure(c.bytes);
+        EXPECT_EQ(status.code, c.code) << c.what;
+        EXPECT_EQ(status.section, "gbwt-record") << c.what;
+        EXPECT_EQ(status.offset, c.offset) << c.what;
+    }
+}
+
+TEST(RecordTest, MultiByteVarintEndingTheSpanDecodes)
+{
+    // Run length 300 = 0xAC 0x02, whose last byte is the span's last.
+    DecodedRecord record = decodeBytes(concat({kOneEdgeOneRun, {0xAC, 0x02}}));
+    ASSERT_EQ(record.runs().size(), 1u);
+    EXPECT_EQ(record.runs()[0].length, 300u);
+    EXPECT_EQ(record.numVisits(), 300u);
+    // Largest run length the format admits, also ending the span.
+    record = decodeBytes(concat({kOneEdgeOneRun, varint(UINT32_MAX)}));
+    EXPECT_EQ(record.numVisits(), uint64_t{UINT32_MAX});
+    // A multi-byte edge offset in the middle of the record.
+    record = decodeBytes({0x01, 0x02, 0xE8, 0x07, 0x01, 0x00, 0x02});
+    ASSERT_EQ(record.edges().size(), 1u);
+    EXPECT_EQ(record.edges()[0].offset, 1000u);
+    EXPECT_EQ(record.numVisits(), 2u);
+}
+
+/** successorStatesInto by replaying every visit of the record's body. */
+std::vector<SearchState>
+bruteForceSuccessors(const std::vector<RecordEdge>& edges,
+                     const std::vector<RecordRun>& runs,
+                     const SearchState& state)
+{
+    std::vector<uint64_t> before(edges.size(), 0);
+    std::vector<uint64_t> inside(edges.size(), 0);
+    uint64_t pos = 0;
+    for (const RecordRun& run : runs) {
+        for (uint32_t i = 0; i < run.length; ++i, ++pos) {
+            if (pos < state.start) {
+                ++before[run.edgeRank];
+            } else if (pos < state.end) {
+                ++inside[run.edgeRank];
+            }
+        }
+    }
+    std::vector<SearchState> out;
+    for (size_t e = 0; e < edges.size(); ++e) {
+        if (inside[e] > 0 && edges[e].successor.valid()) {
+            const uint64_t lo = edges[e].offset + before[e];
+            out.emplace_back(edges[e].successor, lo, lo + inside[e]);
+        }
+    }
+    return out;
+}
+
+TEST(RecordTest, RecordBeyondInlineCapacityRoundTrips)
+{
+    // Five edges (the first is the path-end marker) and forty runs: both
+    // lists spill past the inline capacity.
+    std::vector<RecordEdge> edges = {
+        {Handle(), 0},           {Handle(3, false), 7},
+        {Handle(4, true), 0},    {Handle(9, false), 130},
+        {Handle(400, true), 2},
+    };
+    std::vector<RecordRun> runs;
+    util::Rng rng(91);
+    uint64_t visits = 0;
+    for (int i = 0; i < 40; ++i) {
+        runs.push_back({static_cast<uint32_t>(rng.uniform(edges.size())),
+                        static_cast<uint32_t>(1 + rng.uniform(5))});
+        visits += runs.back().length;
+    }
+    ASSERT_GT(edges.size(), kInlineEdges);
+    ASSERT_GT(runs.size(), kInlineRuns);
+    const DecodedRecord original(edges, runs, visits);
+    util::ByteWriter writer;
+    original.encode(writer);
+
+    // Decode into a record that last held a small one, then into the same
+    // record again, so both the spill and its reuse are exercised.
+    DecodedRecord back = decodeBytes(concat({kOneEdgeOneRun, {0x03}}));
+    for (int round = 0; round < 2; ++round) {
+        util::ByteCursor cursor(writer.bytes());
+        cursor.enterSection("gbwt-record");
+        DecodedRecord::decodeInto(cursor, back);
+        EXPECT_TRUE(cursor.atEnd());
+        EXPECT_EQ(back.numVisits(), visits);
+        ASSERT_EQ(back.edges().size(), edges.size());
+        for (size_t e = 0; e < edges.size(); ++e) {
+            EXPECT_EQ(back.edges()[e].successor, edges[e].successor);
+            EXPECT_EQ(back.edges()[e].offset, edges[e].offset);
+        }
+        ASSERT_EQ(back.runs().size(), runs.size());
+        for (size_t r = 0; r < runs.size(); ++r) {
+            EXPECT_EQ(back.runs()[r].edgeRank, runs[r].edgeRank);
+            EXPECT_EQ(back.runs()[r].length, runs[r].length);
+        }
+    }
+    util::ByteWriter again;
+    back.encode(again);
+    EXPECT_EQ(again.bytes(), writer.bytes());
+
+    for (uint64_t lo = 0; lo < visits; lo += 3) {
+        for (uint64_t hi = lo + 1; hi <= visits; hi += 7) {
+            const SearchState state(Handle(2, false), lo, hi);
+            std::vector<SearchState> got;
+            back.successorStatesInto(state, got);
+            const std::vector<SearchState> want =
+                bruteForceSuccessors(edges, runs, state);
+            ASSERT_EQ(got.size(), want.size()) << lo << ".." << hi;
+            for (size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].node, want[i].node);
+                EXPECT_EQ(got[i].start, want[i].start);
+                EXPECT_EQ(got[i].end, want[i].end);
+            }
+        }
+    }
 }
 
 } // namespace
