@@ -12,7 +12,12 @@
  *   <name>.expected.ext  the parent's critical-function output, used by
  *                        validate_proxy
  *
+ * With --gfa it also exports the graph as GFA 1.0 for vg/odgi/Bandage,
+ * with each haplotype as a P line (the container stores no graph paths,
+ * so this is the one place they are written out).
+ *
  * Run:  ./examples/make_inputs --input-set A-human --scale 0.1 --out-dir .
+ *       [--gfa A-human.gfa]
  */
 #include <cstdio>
 
@@ -21,6 +26,7 @@
 #include "index/minimizer.h"
 #include "io/extensions_io.h"
 #include "io/fastq.h"
+#include "io/gfa.h"
 #include "io/mgz.h"
 #include "io/reads_bin.h"
 #include "sim/input_sets.h"
@@ -34,7 +40,10 @@ try {
     flags.define("input-set", "A-human",
                  "A-human | B-yeast | C-HPRC | D-HPRC")
          .define("scale", "0.1", "read-count multiplier")
-         .define("out-dir", ".", "output directory");
+         .define("out-dir", ".", "output directory")
+         .define("gfa", "",
+                 "also export the graph with its haplotype paths as GFA 1.0 "
+                 "to this path");
     if (!flags.parse(argc - 1, argv + 1)) {
         return 0;
     }
@@ -54,6 +63,11 @@ try {
     mg::io::saveMgz3(base + ".mgz3", set.pangenome.graph, set.pangenome.gbwt,
                      minimizers, distance);
     mg::io::saveFastq(base + ".fastq", set.reads);
+    if (!flags.str("gfa").empty()) {
+        mg::io::saveGfa(flags.str("gfa"), set.pangenome.graph);
+        std::printf("wrote GFA (%zu haplotype paths) to %s\n",
+                    set.pangenome.graph.numPaths(), flags.str("gfa").c_str());
+    }
 
     mg::giraffe::ParentEmulator parent(set.pangenome.graph,
                                        set.pangenome.gbwt, minimizers,

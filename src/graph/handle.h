@@ -72,6 +72,20 @@ class Handle
 };
 
 /**
+ * A Handle narrowed to the 32 bits the graph's edge table stores (node
+ * ids up to 2^31 - 1).  It converts to Handle implicitly, so a span of
+ * them reads as a range of handles.
+ */
+struct PackedHandle
+{
+    uint32_t packed = 0;
+
+    operator Handle() const { return Handle::fromPacked(packed); }
+
+    friend bool operator==(PackedHandle, PackedHandle) = default;
+};
+
+/**
  * A base-level position on the graph: an oriented node plus an offset into
  * that node's sequence as read in the handle's orientation.
  */

@@ -215,6 +215,8 @@ parseGfa(const std::string& text, std::string_view file)
     for (const auto& [name, sequence] : segments) {
         id_map[name] = graph.addNode(sequence);
     }
+    std::vector<std::pair<graph::Handle, graph::Handle>> edges;
+    edges.reserve(links.size());
     for (const Link& link : links) {
         auto from = id_map.find(link.fromName);
         auto to = id_map.find(link.toName);
@@ -222,9 +224,10 @@ parseGfa(const std::string& text, std::string_view file)
             gfaFail(file, link.line,
                     "GFA link references unknown segment");
         }
-        graph.addEdge(graph::Handle(from->second, link.fromReverse),
-                      graph::Handle(to->second, link.toReverse));
+        edges.emplace_back(graph::Handle(from->second, link.fromReverse),
+                           graph::Handle(to->second, link.toReverse));
     }
+    graph.addEdges(edges);
     for (const PathLine& path : path_lines) {
         std::vector<graph::Handle> steps;
         for (const std::string& token : util::split(path.steps, ',')) {

@@ -3,7 +3,7 @@
  * MGZ: this repository's pangenome container, standing in for the GBZ
  * format the paper's pipeline consumes (substitution documented in
  * DESIGN.md).  One file holds the variation graph (2-bit packed node
- * sequences, delta-coded edges), the compressed GBWT, and the prebuilt
+ * sequences, a CSR edge table), the compressed GBWT, and the prebuilt
  * minimizer and distance indexes.  Like GBZ, the haplotype index is
  * compressed at rest and its records are decompressed on access at query
  * time.
@@ -63,7 +63,7 @@ enum class LoadMode : uint8_t
 /** "mmap" — the string run summaries report. */
 const char* loadModeName(LoadMode mode);
 
-/** Startup accounting surfaced by inspect_pangenome and run summaries. */
+/** Startup accounting surfaced by mg_verify and run summaries. */
 struct IndexLoadInfo
 {
     LoadMode mode = LoadMode::Mapped;
@@ -75,8 +75,8 @@ struct IndexLoadInfo
     uint64_t mappedBytes = 0;
     /** Mapped bytes resident in the page cache at sample time. */
     uint64_t residentBytes = 0;
-    /** Heap bytes the load allocated: the edge adjacency the bind
-     *  decodes (the container stores no graph paths). */
+    /** Heap bytes the load allocated: 0, since every structure binds
+     *  onto the mapping (the container stores no graph paths). */
     uint64_t heapBytes = 0;
     /** Logical arena sizes (name, bytes), from the bound structures. */
     std::vector<std::pair<std::string, uint64_t>> sections;
@@ -147,7 +147,7 @@ IndexedPangenome loadPangenome(const std::string& path,
 /**
  * Validate a container file without binding it: structure (header,
  * section table, canonical placement) plus section CRCs — every section
- * when `deep`, else only the always-decoded metadata sections.  Never
+ * when `deep`, else only the always-verified graph sections.  Never
  * throws: any damage comes back as a
  * non-Ok Status naming the file/section/offset.  This is the open half
  * of the open/validate split the hot-swap path uses to reject a corrupt

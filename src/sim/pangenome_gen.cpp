@@ -40,8 +40,11 @@ generatePangenome(const PangenomeParams& params)
     const size_t num_haps = params.haplotypes;
     std::vector<std::vector<graph::Handle>> walks(num_haps);
 
+    // Edges are collected and added in one batch before the paths.
+    std::vector<std::pair<graph::Handle, graph::Handle>> edges;
     auto connect = [&](graph::NodeId from, graph::NodeId to) {
-        graph.addEdge(graph::Handle(from, false), graph::Handle(to, false));
+        edges.emplace_back(graph::Handle(from, false),
+                           graph::Handle(to, false));
     };
 
     const std::vector<double> kind_weights = {
@@ -178,6 +181,8 @@ generatePangenome(const PangenomeParams& params)
           }
         }
     }
+
+    graph.addEdges(edges);
 
     // Register the haplotype walks as graph paths and spell them out.
     out.sequences.reserve(num_haps);

@@ -1,5 +1,6 @@
 # End-to-end check of the "generate new input sets" workflow at the CLI
-# surface: make_inputs writes an input set, the proxy and the validator
+# surface: make_inputs writes an input set (and its GFA export, haplotype
+# paths included), the proxy and the validator
 # consume its .mgz3 container, the full mapper maps its FASTQ, mg_verify
 # reports a damaged, a truncated and an empty container, and a file
 # carrying the retired MGZ2 magic is refused with a structured error.
@@ -34,12 +35,23 @@ file(MAKE_DIRECTORY "${WORK}")
 set(BASE "${WORK}/${SET}")
 
 run_expect(0 log ${MAKE_INPUTS} --input-set ${SET} --scale 0.05
-           --out-dir "${WORK}")
-foreach(ext mgz3 fastq seeds.bin expected.ext)
+           --out-dir "${WORK}" --gfa "${BASE}.gfa")
+foreach(ext mgz3 fastq seeds.bin expected.ext gfa)
   if(NOT EXISTS "${BASE}.${ext}")
     message(FATAL_ERROR "make_inputs did not write ${BASE}.${ext}\n${log}")
   endif()
 endforeach()
+
+# The GFA carries the graph and every haplotype as a P line.
+file(STRINGS "${BASE}.gfa" gfa_s REGEX "^S\t")
+file(STRINGS "${BASE}.gfa" gfa_l REGEX "^L\t")
+file(STRINGS "${BASE}.gfa" gfa_p REGEX "^P\t")
+list(LENGTH gfa_p paths)
+if(NOT gfa_s OR NOT gfa_l OR paths EQUAL 0)
+  message(FATAL_ERROR "make_inputs --gfa wrote no S, L or P lines\n${log}")
+endif()
+expect_match("${log}" "wrote GFA \\(${paths} haplotype paths\\)"
+             "make_inputs --gfa")
 
 run_expect(0 log ${MINIGIRAFFE} "${BASE}.mgz3" "${BASE}.seeds.bin"
            --threads 2 --output "${WORK}/out.ext")

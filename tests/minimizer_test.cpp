@@ -5,6 +5,7 @@
 #include <set>
 
 #include "index/minimizer.h"
+#include "sim/input_sets.h"
 #include "sim/pangenome_gen.h"
 #include "util/dna.h"
 #include "util/rng.h"
@@ -275,14 +276,12 @@ TEST_F(MinimizerIndexTest, ParallelBuildIsIdenticalToSerial)
     MinimizerIndex b(pg_.graph, parallel);
     ASSERT_EQ(a.numKeys(), b.numKeys());
     ASSERT_EQ(a.numEntries(), b.numEntries());
-    // The bucket table holds every key and its span, so equal tables and
-    // equal position arrays are equal indexes.
+    // The bucket table holds every key with its hit or span, so equal
+    // tables and equal position arrays are equal indexes.
     ASSERT_EQ(a.buckets().size(), b.buckets().size());
     for (size_t i = 0; i < a.buckets().size(); ++i) {
         ASSERT_EQ(a.buckets()[i].key, b.buckets()[i].key) << "bucket " << i;
-        ASSERT_EQ(a.buckets()[i].offset, b.buckets()[i].offset)
-            << "bucket " << i;
-        ASSERT_EQ(a.buckets()[i].count, b.buckets()[i].count)
+        ASSERT_EQ(a.buckets()[i].value, b.buckets()[i].value)
             << "bucket " << i;
     }
     EXPECT_TRUE(a.positions() == b.positions());
@@ -291,11 +290,11 @@ TEST_F(MinimizerIndexTest, ParallelBuildIsIdenticalToSerial)
 TEST_F(MinimizerIndexTest, BucketsPartitionThePositionTable)
 {
     // With no key array left, the buckets are the keys: one occupied
-    // bucket per key, spans tiling min.pos in ascending key order, and
-    // every bucket reachable by lookup.
+    // bucket per key, single hits inline, pooled spans tiling min.pos in
+    // ascending key order, and every bucket reachable by lookup.
     std::vector<MinimizerBucket> occupied;
     for (const MinimizerBucket& bucket : index_.buckets()) {
-        if (bucket.count != 0) {
+        if (!bucket.empty()) {
             occupied.push_back(bucket);
         }
     }
@@ -306,12 +305,21 @@ TEST_F(MinimizerIndexTest, BucketsPartitionThePositionTable)
                   return a.key < b.key;
               });
     uint64_t next = 0;
+    size_t entries = 0;
+    size_t inline_hits = 0;
     for (const MinimizerBucket& bucket : occupied) {
-        ASSERT_EQ(bucket.offset, next) << "key " << bucket.key;
-        next += bucket.count;
         auto [positions, count] = index_.lookup(bucket.key);
-        ASSERT_EQ(positions, index_.positions().data() + bucket.offset);
-        ASSERT_EQ(count, bucket.count);
+        ASSERT_EQ(count, bucket.count());
+        entries += count;
+        if (!bucket.pooled()) {
+            ++inline_hits;
+            ASSERT_EQ(*positions, bucket.value) << "key " << bucket.key;
+            continue;
+        }
+        ASSERT_GE(bucket.count(), 2u) << "key " << bucket.key;
+        ASSERT_EQ(bucket.first(), next) << "key " << bucket.key;
+        ASSERT_EQ(positions, index_.positions().data() + bucket.first());
+        next += bucket.count();
         // Within a key, positions ascend (packed words sort in Position
         // order).
         for (size_t i = 1; i < count; ++i) {
@@ -320,36 +328,46 @@ TEST_F(MinimizerIndexTest, BucketsPartitionThePositionTable)
                       unpackPosition(positions[i]));
         }
     }
-    EXPECT_EQ(next, index_.numEntries());
+    EXPECT_EQ(next, index_.positions().size());
+    EXPECT_EQ(entries, index_.numEntries());
+    // Most keys of a pangenome have one hit.
+    EXPECT_GT(2 * inline_hits, occupied.size());
 }
 
 TEST(PackedPositionTest, RoundTripsAtTheLimitsAndRejectsOnePast)
 {
     // The largest handle that fits: node 2^31 - 1 on the reverse strand
-    // packs to 2^32 - 1; the offset field takes any uint32_t.
+    // packs to 2^32 - 1; the offset field takes any offset below 2^31
+    // (bit 31 tags a pooled bucket).
     const graph::NodeId max_id = (graph::NodeId{1} << 31) - 1;
+    const uint32_t max_offset = (uint32_t{1} << 31) - 1;
     for (const graph::Position& pos :
          {graph::Position{graph::Handle(1, false), 0},
-          graph::Position{graph::Handle(max_id, true), UINT32_MAX},
+          graph::Position{graph::Handle(max_id, true), max_offset},
           graph::Position{graph::Handle(max_id, false), 7}}) {
         const uint64_t packed = packPosition(pos);
         EXPECT_EQ(unpackPosition(packed), pos) << pos.str();
     }
-    EXPECT_EQ(packPosition({graph::Handle(max_id, true), UINT32_MAX}),
-              UINT64_MAX);
+    EXPECT_EQ(packPosition({graph::Handle(max_id, true), max_offset}),
+              0xFFFFFFFF7FFFFFFFull);
     // Packed order is Position order.
-    EXPECT_LT(packPosition({graph::Handle(3, false), UINT32_MAX}),
+    EXPECT_LT(packPosition({graph::Handle(3, false), max_offset}),
               packPosition({graph::Handle(3, true), 0}));
     EXPECT_LT(packPosition({graph::Handle(3, true), 4}),
               packPosition({graph::Handle(3, true), 5}));
 
-    // One past: node 2^31 needs a 33-bit handle.
-    try {
-        packPosition({graph::Handle(max_id + 1, false), 0});
-        FAIL() << "a 33-bit handle must be rejected";
-    } catch (const util::StatusError& error) {
-        EXPECT_EQ(error.status().code, util::StatusCode::InvalidArgument);
-        EXPECT_EQ(error.status().section, "min.pos");
+    // One past: node 2^31 needs a 33-bit handle, offset 2^31 the tag bit.
+    for (const graph::Position& pos :
+         {graph::Position{graph::Handle(max_id + 1, false), 0},
+          graph::Position{graph::Handle(1, false), max_offset + 1}}) {
+        try {
+            packPosition(pos);
+            FAIL() << pos.str() << " must be rejected";
+        } catch (const util::StatusError& error) {
+            EXPECT_EQ(error.status().code,
+                      util::StatusCode::InvalidArgument);
+            EXPECT_EQ(error.status().section, "min.pos");
+        }
     }
 }
 
@@ -378,6 +396,151 @@ TEST(MinimizerIndexFilterTest, RepeatFilterDropsFrequentKeys)
 
     EXPECT_LT(filtered.numEntries(), unfiltered.numEntries());
 }
+
+/**
+ * The revision-5 two-array layout, rebuilt here as the oracle of the
+ * inline buckets: every key's positions in one key-major array, and a
+ * linear-probing table of {key, offset, count} buckets at load <= 1/2.
+ */
+class TwoArrayIndex
+{
+  public:
+    TwoArrayIndex(const graph::VariationGraph& graph,
+                  const MinimizerParams& params)
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> entries;
+        for (const graph::PathEntry& path : graph.paths()) {
+            std::vector<size_t> starts{0};
+            for (graph::Handle step : path.steps) {
+                starts.push_back(starts.back() + graph.length(step.id()));
+            }
+            for (const Minimizer& min :
+                 minimizersOfPath(graph, path.steps, params)) {
+                const size_t step = static_cast<size_t>(
+                    std::upper_bound(starts.begin(), starts.end(),
+                                     size_t{min.offset}) -
+                    starts.begin() - 1);
+                entries.emplace_back(
+                    min.hash,
+                    packPosition({path.steps[step],
+                                  static_cast<uint32_t>(min.offset -
+                                                        starts[step])}));
+            }
+        }
+        std::sort(entries.begin(), entries.end());
+        entries.erase(std::unique(entries.begin(), entries.end()),
+                      entries.end());
+        std::vector<Bucket> spans;
+        for (size_t i = 0; i < entries.size();) {
+            size_t j = i;
+            while (j < entries.size() && entries[j].first == entries[i].first) {
+                ++j;
+            }
+            if (j - i <= params.maxOccurrences) {
+                spans.push_back({entries[i].first,
+                                 static_cast<uint32_t>(positions_.size()),
+                                 static_cast<uint32_t>(j - i)});
+                for (size_t e = i; e < j; ++e) {
+                    positions_.push_back(entries[e].second);
+                }
+            } else {
+                filtered_.push_back(entries[i].first);
+            }
+            i = j;
+        }
+        size_t size = 2;
+        while (size < 2 * spans.size()) {
+            size *= 2;
+        }
+        buckets_.resize(size);
+        for (const Bucket& span : spans) {
+            size_t slot = span.key & (size - 1);
+            while (buckets_[slot].count != 0) {
+                slot = (slot + 1) & (size - 1);
+            }
+            buckets_[slot] = span;
+            keys_.push_back(span.key);
+        }
+    }
+
+    std::vector<uint64_t>
+    lookup(uint64_t hash) const
+    {
+        const size_t mask = buckets_.size() - 1;
+        for (size_t i = hash & mask;; i = (i + 1) & mask) {
+            if (buckets_[i].count == 0) {
+                return {};
+            }
+            if (buckets_[i].key == hash) {
+                return {positions_.begin() + buckets_[i].offset,
+                        positions_.begin() + buckets_[i].offset +
+                            buckets_[i].count};
+            }
+        }
+    }
+
+    const std::vector<uint64_t>& keys() const { return keys_; }
+    const std::vector<uint64_t>& filtered() const { return filtered_; }
+    size_t numEntries() const { return positions_.size(); }
+
+  private:
+    struct Bucket
+    {
+        uint64_t key = 0;
+        uint32_t offset = 0;
+        uint32_t count = 0;
+    };
+
+    std::vector<uint64_t> positions_;
+    std::vector<Bucket> buckets_;
+    std::vector<uint64_t> keys_;
+    std::vector<uint64_t> filtered_;
+};
+
+class InlineBucketOracle : public ::testing::TestWithParam<const char*>
+{};
+
+TEST_P(InlineBucketOracle, EveryKeyLooksUpItsTwoArrayPositions)
+{
+    const sim::InputSet set =
+        sim::buildInputSet(sim::inputSetSpec(GetParam()), 0.01);
+    const graph::VariationGraph& graph = set.pangenome.graph;
+    MinimizerParams params;
+    params.k = 15;
+    params.w = 8;
+    // The default repeat filter, and a tight one that drops keys.
+    for (const size_t max_occurrences : {size_t{512}, size_t{3}}) {
+        params.maxOccurrences = max_occurrences;
+        const MinimizerIndex index(graph, params);
+        const TwoArrayIndex oracle(graph, params);
+        ASSERT_EQ(index.numKeys(), oracle.keys().size());
+        ASSERT_EQ(index.numEntries(), oracle.numEntries());
+        size_t single = 0;
+        for (const uint64_t key : oracle.keys()) {
+            const std::vector<uint64_t> expected = oracle.lookup(key);
+            const auto [positions, count] = index.lookup(key);
+            ASSERT_EQ(std::vector<uint64_t>(positions, positions + count),
+                      expected)
+                << GetParam() << " key " << key;
+            single += count == 1 ? 1 : 0;
+        }
+        for (const uint64_t key : oracle.filtered()) {
+            EXPECT_EQ(index.lookup(key).second, 0u) << key;
+        }
+        if (max_occurrences == 3) {
+            EXPECT_FALSE(oracle.filtered().empty()) << GetParam();
+        }
+        // Most keys take the inline path, and some take the pooled one.
+        EXPECT_GT(2 * single, oracle.keys().size()) << GetParam();
+        EXPECT_LT(single, oracle.keys().size()) << GetParam();
+        EXPECT_EQ(index.positions().size(),
+                  oracle.numEntries() - single);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(InputSets, InlineBucketOracle,
+                         ::testing::Values("A-human", "B-yeast", "C-HPRC",
+                                           "D-HPRC"));
 
 } // namespace
 } // namespace mg::index
