@@ -74,6 +74,7 @@ struct StartupRow
 {
     std::string inputSet;
     uint64_t containerBytes = 0;
+    uint64_t heapBytes = 0;        // what a bind allocates (0)
     double mmapFirstSeconds = 0.0; // the first bind after writing
     /** Index build (baseline) vs a warm container bind (candidate). */
     stats::PairedRatio load;
@@ -169,6 +170,7 @@ measure(const std::string& input_set, double scale)
     const io::IndexedPangenome mapped = io::loadPangenome(path);
     row.mmapFirstSeconds = mapped.info.loadSeconds;
     row.containerBytes = mapped.info.fileBytes;
+    row.heapBytes = mapped.info.heapBytes;
 
     row.load = stats::pairedRatio(
         kLoadRounds, [&] { return indexBuildSeconds(graph); },
@@ -242,10 +244,11 @@ void
 printRow(const StartupRow& row)
 {
     std::printf("%-8s  index build %8.4f s | %7.2f MB container bind "
-                "%8.4f s (first %.4f s)  speedup %s\n",
+                "%8.4f s (first %.4f s, %llu heap bytes)  speedup %s\n",
                 row.inputSet.c_str(), row.load.baselineCost.pointEstimate,
                 row.containerBytes / 1048576.0,
                 row.load.candidateCost.pointEstimate, row.mmapFirstSeconds,
+                static_cast<unsigned long long>(row.heapBytes),
                 describe(row.load).c_str());
     std::printf("          throughput heap %8.0f r/cpu-s, mapped %8.0f "
                 "r/cpu-s, mapped/heap %s\n",
@@ -307,6 +310,7 @@ writeJson(const std::string& path, double scale,
         const auto reads = static_cast<double>(row.reads);
         w.key(row.inputSet).beginObject();
         w.field("container_bytes", row.containerBytes);
+        w.field("heap_bytes", row.heapBytes);
         w.field("mmap_first_seconds", row.mmapFirstSeconds);
         estimate("mmap_speedup", row.load.ratio, row.load);
         estimate("index_build_seconds", row.load.baselineCost, row.load);
