@@ -156,14 +156,11 @@ requireCompactCoordinates(const graph::VariationGraph& graph,
             graph.length(static_cast<graph::NodeId>(i + 1)));
         const auto prefix = static_cast<int64_t>(min_from_source[i]);
         if (prefix < 0 || prefix > kMaxChainCoordinate - length) {
-            util::Status status;
-            status.code = code;
-            status.message = util::cat(
-                "distance index: node ", i + 1, " spans chain "
-                "coordinates [", prefix, ", ", prefix + length,
-                "), outside [0, ", kMaxChainCoordinate, "]");
-            status.section = "dist.min";
-            util::throwStatus(std::move(status));
+            util::failSection(
+                code, {.section = "dist.min", .offset = i * sizeof(T)},
+                "distance index: node ", i + 1, " spans chain coordinates [",
+                prefix, ", ", prefix + length, "), outside [0, ",
+                kMaxChainCoordinate, "]");
         }
     }
 }

@@ -69,12 +69,9 @@ uint32_t
 fitU32(uint64_t value, std::string_view section)
 {
     if (value > UINT32_MAX) {
-        Status status;
-        status.code = StatusCode::InvalidArgument;
-        status.message = cat("value ", value, " does not fit the 32-bit '",
-                             section, "' field");
-        status.section = std::string(section);
-        throwStatus(std::move(status));
+        failSection(StatusCode::InvalidArgument, {.section = section},
+                    "value ", value, " does not fit the 32-bit '", section,
+                    "' field");
     }
     return static_cast<uint32_t>(value);
 }
