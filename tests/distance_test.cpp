@@ -20,10 +20,12 @@ diamond()
     g.addNode("TT");        // 2, len 2
     g.addNode("GGGGG");     // 3, len 5
     g.addNode("CCAA");      // 4, len 4
-    g.addEdge(Handle(1, false), Handle(2, false));
-    g.addEdge(Handle(1, false), Handle(3, false));
-    g.addEdge(Handle(2, false), Handle(4, false));
-    g.addEdge(Handle(3, false), Handle(4, false));
+    const std::vector<std::pair<Handle, Handle>> edges{
+        {Handle(1, false), Handle(2, false)},
+        {Handle(1, false), Handle(3, false)},
+        {Handle(2, false), Handle(4, false)},
+        {Handle(3, false), Handle(4, false)}};
+    g.addEdges(edges);
     return g;
 }
 
@@ -77,14 +79,16 @@ TEST(DistanceIndexTest, EstimateEqualsExactOnChainWalks)
     // On a pure chain (single haplotype, no bubbles reachable), the chain
     // coordinate difference equals the exact distance.
     graph::VariationGraph g;
+    std::vector<std::pair<Handle, Handle>> edges;
     graph::NodeId prev = 0;
     for (int i = 0; i < 10; ++i) {
         graph::NodeId node = g.addNode("ACGTAC");
         if (prev != 0) {
-            g.addEdge(Handle(prev, false), Handle(node, false));
+            edges.emplace_back(Handle(prev, false), Handle(node, false));
         }
         prev = node;
     }
+    g.addEdges(edges);
     DistanceIndex index(g);
     Position a{Handle(2, false), 3};
     Position b{Handle(7, false), 1};

@@ -14,7 +14,9 @@ smallGraph()
     graph::VariationGraph g;
     g.addNode("ACGTACGT"); // 1, len 8
     g.addNode("TTTT");     // 2, len 4
-    g.addEdge(graph::Handle(1, false), graph::Handle(2, false));
+    const std::vector<std::pair<graph::Handle, graph::Handle>> edges{
+        {graph::Handle(1, false), graph::Handle(2, false)}};
+    g.addEdges(edges);
     return g;
 }
 

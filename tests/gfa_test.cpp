@@ -13,7 +13,9 @@ TEST(GfaTest, FormatsAllRecordTypes)
     graph::VariationGraph g;
     graph::NodeId a = g.addNode("ACGT");
     graph::NodeId b = g.addNode("TT");
-    g.addEdge(graph::Handle(a, false), graph::Handle(b, false));
+    const std::vector<std::pair<graph::Handle, graph::Handle>> edges{
+        {graph::Handle(a, false), graph::Handle(b, false)}};
+    g.addEdges(edges);
     g.addPath("hap0", {graph::Handle(a, false), graph::Handle(b, false)});
 
     std::string gfa = formatGfa(g);

@@ -48,10 +48,12 @@ diamond()
     NodeId b = g.addNode("T");      // 2
     NodeId c = g.addNode("G");      // 3
     NodeId d = g.addNode("CCAA");   // 4
-    g.addEdge(Handle(a, false), Handle(b, false));
-    g.addEdge(Handle(a, false), Handle(c, false));
-    g.addEdge(Handle(b, false), Handle(d, false));
-    g.addEdge(Handle(c, false), Handle(d, false));
+    const std::vector<std::pair<Handle, Handle>> edges{
+        {Handle(a, false), Handle(b, false)},
+        {Handle(a, false), Handle(c, false)},
+        {Handle(b, false), Handle(d, false)},
+        {Handle(c, false), Handle(d, false)}};
+    g.addEdges(edges);
     return g;
 }
 
@@ -99,15 +101,18 @@ TEST(VariationGraphTest, EdgeIsIdempotent)
 {
     VariationGraph g = diamond();
     size_t before = g.numEdges();
-    g.addEdge(Handle(1, false), Handle(2, false));
+    const std::vector<std::pair<Handle, Handle>> again{
+        {Handle(1, false), Handle(2, false)}};
+    g.addEdges(again);
     EXPECT_EQ(g.numEdges(), before);
 }
 
 TEST(VariationGraphTest, EdgeToUnknownNodeThrows)
 {
     VariationGraph g = diamond();
-    EXPECT_THROW(g.addEdge(Handle(1, false), Handle(9, false)),
-                 util::Error);
+    const std::vector<std::pair<Handle, Handle>> dangling{
+        {Handle(1, false), Handle(9, false)}};
+    EXPECT_THROW(g.addEdges(dangling), util::Error);
 }
 
 TEST(VariationGraphTest, SequenceRespectsOrientation)
@@ -187,8 +192,10 @@ TEST(VariationGraphTest, TopologicalOrderDetectsCycle)
     VariationGraph g;
     NodeId a = g.addNode("A");
     NodeId b = g.addNode("C");
-    g.addEdge(Handle(a, false), Handle(b, false));
-    g.addEdge(Handle(b, false), Handle(a, false));
+    const std::vector<std::pair<Handle, Handle>> cycle{
+        {Handle(a, false), Handle(b, false)},
+        {Handle(b, false), Handle(a, false)}};
+    g.addEdges(cycle);
     EXPECT_THROW(g.topologicalOrder(), util::Error);
 }
 
